@@ -29,8 +29,9 @@
 use crate::buffer::PacketBuf;
 use crate::headers::ipv4;
 use crate::net::{IcmpResponder, Interface, Network, RouterAction, RouterConfig};
+use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// A point in virtual time, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -303,7 +304,9 @@ impl Topology {
         LinkId(self.links.len() - 1)
     }
 
-    /// The node that owns `addr` on one of its interfaces.
+    /// The node that owns `addr` on one of its interfaces; the lowest
+    /// [`NodeId`] when several do.  A linear scan: the kernel answers the
+    /// same question from the map [`Routes::compute`] builds.
     pub fn owner_of(&self, addr: u32) -> Option<NodeId> {
         self.nodes
             .iter()
@@ -396,14 +399,6 @@ impl Topology {
             .first()
             .map(|(a, _)| *a)
             .ok_or(SimError::NodeWithoutAddress { node: n.0 })
-    }
-
-    /// Links incident to `n`, in ascending link order.
-    pub fn links_of(&self, n: NodeId) -> Vec<LinkId> {
-        (0..self.links.len())
-            .filter(|i| self.links[*i].peer_of(n).is_some())
-            .map(LinkId)
-            .collect()
     }
 
     /// A [`RouterConfig`] for node `n` built from its interfaces — how
@@ -578,18 +573,42 @@ impl Topology {
 // Routing
 // ---------------------------------------------------------------------------
 
-/// Static next-hop tables: `next_hop[src][dst]` is the link a packet leaves
-/// `src` on towards `dst`, computed by Dijkstra over link delays with
-/// deterministic `(distance, node index)` tie-breaking.
+/// Static routing tables, built once per topology so every per-packet
+/// lookup is O(1): `next_hop[src][dst]` is the link a packet leaves `src`
+/// on towards `dst` (Dijkstra over link delays with deterministic
+/// `(distance, node index)` tie-breaking), `owner` maps each interface
+/// address to its node, and `adjacency[n]` lists `n`'s links.
 #[derive(Debug, Clone)]
 pub struct Routes {
     next_hop: Vec<Vec<Option<LinkId>>>,
+    owner: HashMap<u32, NodeId>,
+    adjacency: Vec<Vec<LinkId>>,
 }
 
 impl Routes {
-    /// Compute shortest-path routes for a topology.
+    /// Compute shortest-path routes, the address map and the adjacency
+    /// lists for a topology.
     pub fn compute(topo: &Topology) -> Routes {
         let n = topo.nodes.len();
+        let mut owner = HashMap::new();
+        for (i, node) in topo.nodes.iter().enumerate() {
+            for (addr, _) in &node.addrs {
+                // First match wins, as in `Topology::owner_of`.
+                owner.entry(*addr).or_insert(NodeId(i));
+            }
+        }
+        let mut adjacency = vec![Vec::new(); n];
+        for (li, link) in topo.links.iter().enumerate() {
+            if let Some(list) = adjacency.get_mut(link.a.0) {
+                list.push(LinkId(li));
+            }
+            // A self-loop is listed once, as `peer_of` matches it once.
+            if link.b != link.a {
+                if let Some(list) = adjacency.get_mut(link.b.0) {
+                    list.push(LinkId(li));
+                }
+            }
+        }
         let mut next_hop = vec![vec![None; n]; n];
         for src in 0..n {
             // Dijkstra from src; `via[d]` is the first link on the path.
@@ -606,7 +625,8 @@ impl Routes {
                     break;
                 };
                 done[u] = true;
-                for (li, link) in topo.links.iter().enumerate() {
+                for &LinkId(li) in &adjacency[u] {
+                    let link = &topo.links[li];
                     let Some(peer) = link.peer_of(NodeId(u)) else {
                         continue;
                     };
@@ -624,7 +644,24 @@ impl Routes {
             }
             next_hop[src] = via;
         }
-        Routes { next_hop }
+        Routes {
+            next_hop,
+            owner,
+            adjacency,
+        }
+    }
+
+    /// The node that owns `addr`: the same answer as
+    /// [`Topology::owner_of`] (lowest [`NodeId`] on a shared address),
+    /// read from a map.
+    fn owner_of(&self, addr: u32) -> Option<NodeId> {
+        self.owner.get(&addr).copied()
+    }
+
+    /// Links incident to `n`, in ascending link order (empty for an
+    /// out-of-range id).
+    fn links_of(&self, n: NodeId) -> &[LinkId] {
+        self.adjacency.get(n.0).map_or(&[], Vec::as_slice)
     }
 
     /// The link a packet leaves `src` on towards `dst` (None if unreachable
@@ -765,12 +802,6 @@ impl Ctx<'_> {
         &self.topology.nodes[n.0].addrs
     }
 
-    /// The node that owns `addr`, if any — soak clients resolve their
-    /// peer for [`Ctx::backpressure`] queries with this.
-    pub fn owner_of(&self, addr: u32) -> Option<NodeId> {
-        self.topology.owner_of(addr)
-    }
-
     /// The backpressure signal towards `node`: its ingress queue depth as
     /// a fraction of the configured [`SimBuilder::queue_capacity`], in
     /// `0.0..=1.0`.  `1.0` means the next transmit would be shed; `0.0`
@@ -789,9 +820,10 @@ impl Ctx<'_> {
     }
 
     /// True if the kernel can route a packet from this node to `dst` (some
-    /// node owns the address and a path exists).
+    /// node owns the address and a path exists).  Reads the same address
+    /// map the kernel routes by, so the two always agree.
     pub fn has_route(&self, dst: u32) -> bool {
-        match self.topology.owner_of(dst) {
+        match self.routes.owner_of(dst) {
             Some(owner) if owner == self.node => true,
             Some(owner) => self.routes.link_towards(self.node, owner).is_some(),
             None => false,
@@ -843,13 +875,19 @@ pub enum TraceMode {
     #[default]
     Full,
     /// O(1) state per run: only the [`TraceSummary`] counters, the
-    /// virtual-latency histogram and a bounded last-K ring of rendered
-    /// event lines are kept, so million-packet soak runs never hold
-    /// O(packets) memory.  [`EventTrace::events`] stays empty.
+    /// virtual-latency histogram and a ring of the last
+    /// [`TRACE_RING_CAPACITY`] events are kept, so million-packet soak
+    /// runs never hold O(packets) memory.  Per event the kernel updates
+    /// the counters and overwrites one ring slot in place, copying the
+    /// packet bytes or note into that slot's reused buffers; nothing is
+    /// rendered until [`TraceSummary::last_events`] is read.
+    /// [`EventTrace::events`] stays empty.
     Summary,
 }
 
-/// Ring capacity of [`TraceSummary::last_events`] in [`TraceMode::Summary`].
+/// Events the [`TraceMode::Summary`] ring keeps, unrendered, for
+/// [`TraceSummary::last_events`].  Once the ring is full each new event
+/// overwrites the oldest slot, reusing its name and payload buffers.
 pub const TRACE_RING_CAPACITY: usize = 64;
 
 /// A 64-bucket log2 histogram of virtual latencies: O(1) memory whatever
@@ -928,7 +966,8 @@ impl LatencyHistogram {
 /// (so Summary-mode percentiles are exactly the Full-mode ones): event
 /// counters, per-node shed counts, the delivery-latency histogram and —
 /// in [`TraceMode::Summary`] only — a bounded ring of the most recent
-/// rendered event lines for post-mortem context.
+/// events for post-mortem context, rendered by
+/// [`TraceSummary::last_events`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Trace events recorded (what `events.len()` would be in Full mode).
@@ -958,48 +997,158 @@ pub struct TraceSummary {
     pub quarantines: u64,
     /// Virtual delivery latency of every `Deliver` (transmit → arrival).
     pub latency: LatencyHistogram,
-    /// The last [`TRACE_RING_CAPACITY`] rendered event lines
-    /// ([`TraceMode::Summary`] only; empty in Full mode, where
-    /// [`EventTrace::events`] has everything).
-    pub last_events: VecDeque<String>,
+    /// The last [`TRACE_RING_CAPACITY`] events, oldest first, unrendered
+    /// ([`TraceMode::Summary`] only).
+    ring: VecDeque<RingSlot>,
     /// Virtual time of the most recent event.
     pub last_time: SimTime,
 }
 
 impl TraceSummary {
-    /// Account one event into the counters (and the ring, in Summary
-    /// mode); shared by both trace modes so their statistics coincide.
-    fn account(&mut self, event: &TraceEvent, mode: TraceMode) {
+    /// The last [`TRACE_RING_CAPACITY`] events, oldest first, rendered
+    /// exactly as [`EventTrace::render`] renders them
+    /// ([`TraceMode::Summary`] only; empty in Full mode, where
+    /// [`EventTrace::events`] has everything).  The ring stores events
+    /// unrendered, so the lines are built here, on read.
+    pub fn last_events(&self) -> Vec<String> {
+        self.ring
+            .iter()
+            .map(|slot| EventTrace::render_line(&slot.event))
+            .collect()
+    }
+
+    /// Account one event into the counters; shared by both trace modes so
+    /// their statistics coincide.
+    fn account(&mut self, time: SimTime, node: NodeId, kind: &KindRef<'_>) {
         self.events_recorded += 1;
-        self.last_time = self.last_time.max(event.time);
-        match &event.kind {
-            TraceEventKind::Originate(_) => self.originated += 1,
-            TraceEventKind::Forward(_) => self.forwarded += 1,
-            TraceEventKind::Deliver(_) => self.delivered += 1,
-            TraceEventKind::DeliverLocal => self.delivered_local += 1,
-            TraceEventKind::Timer(_) => self.timers += 1,
-            TraceEventKind::Note(text) => {
+        self.last_time = self.last_time.max(time);
+        match kind {
+            KindRef::Originate(_) => self.originated += 1,
+            KindRef::Forward(_) => self.forwarded += 1,
+            KindRef::Deliver(_) => self.delivered += 1,
+            KindRef::DeliverLocal => self.delivered_local += 1,
+            KindRef::Timer(_) => self.timers += 1,
+            KindRef::Note(text) => {
                 self.notes += 1;
                 if text.starts_with("quarantine") {
                     self.quarantines += 1;
                 }
             }
-            TraceEventKind::Drop(reason) => {
+            KindRef::Drop(reason) => {
                 self.drops += 1;
                 if *reason == "shed" {
                     self.shed += 1;
-                    if self.shed_by_node.len() <= event.node.0 {
-                        self.shed_by_node.resize(event.node.0 + 1, 0);
+                    if self.shed_by_node.len() <= node.0 {
+                        self.shed_by_node.resize(node.0 + 1, 0);
                     }
-                    self.shed_by_node[event.node.0] += 1;
+                    self.shed_by_node[node.0] += 1;
                 }
             }
         }
-        if mode == TraceMode::Summary {
-            if self.last_events.len() == TRACE_RING_CAPACITY {
-                self.last_events.pop_front();
+    }
+
+    /// Keep one event in the ring: a new slot until it holds
+    /// [`TRACE_RING_CAPACITY`], then the oldest slot rewritten in place.
+    fn remember(&mut self, time: SimTime, node: NodeId, node_name: &str, kind: KindRef<'_>) {
+        if self.ring.len() < TRACE_RING_CAPACITY {
+            self.ring.push_back(RingSlot {
+                event: TraceEvent {
+                    time,
+                    node,
+                    node_name: node_name.to_string(),
+                    kind: kind.into_owned(),
+                },
+                spare_bytes: Vec::new(),
+                spare_text: String::new(),
+            });
+        } else if let Some(mut slot) = self.ring.pop_front() {
+            slot.overwrite(time, node, node_name, kind);
+            self.ring.push_back(slot);
+        }
+    }
+}
+
+/// One event of the Summary-mode ring.  The spares hold the buffers of
+/// payload kinds the slot does not carry right now, so rewriting it with
+/// any kind it has carried before allocates nothing.  Equality compares
+/// the event only.
+#[derive(Debug, Clone)]
+struct RingSlot {
+    event: TraceEvent,
+    spare_bytes: Vec<u8>,
+    spare_text: String,
+}
+
+impl PartialEq for RingSlot {
+    fn eq(&self, other: &Self) -> bool {
+        self.event == other.event
+    }
+}
+
+impl Eq for RingSlot {}
+
+impl RingSlot {
+    /// Rewrite the slot with a new event, parking the outgoing payload's
+    /// buffer among the spares first so the incoming payload can reuse it.
+    fn overwrite(&mut self, time: SimTime, node: NodeId, node_name: &str, kind: KindRef<'_>) {
+        match std::mem::replace(&mut self.event.kind, TraceEventKind::DeliverLocal) {
+            TraceEventKind::Originate(bytes)
+            | TraceEventKind::Forward(bytes)
+            | TraceEventKind::Deliver(bytes) => self.spare_bytes = bytes,
+            TraceEventKind::Note(text) => self.spare_text = text,
+            _ => {}
+        }
+        self.event.time = time;
+        self.event.node = node;
+        self.event.node_name.clear();
+        self.event.node_name.push_str(node_name);
+        self.event.kind = kind.into_owned_in(&mut self.spare_bytes, &mut self.spare_text);
+    }
+}
+
+/// A [`TraceEventKind`] as the kernel holds it: packet bytes borrowed
+/// from the buffer in flight, notes borrowed or owned.  Counting reads it
+/// in place; only a retained event copies it.
+enum KindRef<'a> {
+    Originate(&'a [u8]),
+    Forward(&'a [u8]),
+    Deliver(&'a [u8]),
+    DeliverLocal,
+    Drop(&'static str),
+    Timer(u64),
+    Note(Cow<'a, str>),
+}
+
+impl KindRef<'_> {
+    /// The owned kind in fresh buffers (an owned note moves, free).
+    fn into_owned(self) -> TraceEventKind {
+        self.into_owned_in(&mut Vec::new(), &mut String::new())
+    }
+
+    /// The owned kind, with packet bytes or a borrowed note copied into
+    /// `bytes` or `text` (taken and cleared first) so that a recycled
+    /// ring slot reuses their allocations.
+    fn into_owned_in(self, bytes: &mut Vec<u8>, text: &mut String) -> TraceEventKind {
+        let mut copy = |packet: &[u8]| {
+            let mut buf = std::mem::take(bytes);
+            buf.clear();
+            buf.extend_from_slice(packet);
+            buf
+        };
+        match self {
+            KindRef::Originate(packet) => TraceEventKind::Originate(copy(packet)),
+            KindRef::Forward(packet) => TraceEventKind::Forward(copy(packet)),
+            KindRef::Deliver(packet) => TraceEventKind::Deliver(copy(packet)),
+            KindRef::DeliverLocal => TraceEventKind::DeliverLocal,
+            KindRef::Drop(reason) => TraceEventKind::Drop(reason),
+            KindRef::Timer(token) => TraceEventKind::Timer(token),
+            KindRef::Note(Cow::Owned(note)) => TraceEventKind::Note(note),
+            KindRef::Note(Cow::Borrowed(note)) => {
+                let mut buf = std::mem::take(text);
+                buf.clear();
+                buf.push_str(note);
+                TraceEventKind::Note(buf)
             }
-            self.last_events.push_back(EventTrace::render_line(event));
         }
     }
 }
@@ -1049,6 +1198,21 @@ pub struct EventTrace {
 }
 
 impl EventTrace {
+    /// Count one event, then keep it as the mode asks: an owned
+    /// [`TraceEvent`] in Full mode, a recycled ring slot in Summary mode.
+    fn record(&mut self, time: SimTime, node: NodeId, node_name: &str, kind: KindRef<'_>) {
+        self.summary.account(time, node, &kind);
+        match self.mode {
+            TraceMode::Full => self.events.push(TraceEvent {
+                time,
+                node,
+                node_name: node_name.to_string(),
+                kind: kind.into_owned(),
+            }),
+            TraceMode::Summary => self.summary.remember(time, node, node_name, kind),
+        }
+    }
+
     /// Every originated packet, in order — the kernel analogue of the
     /// legacy drivers' `report.packets` (forwarded transit copies are
     /// excluded, as the legacy drivers captured pre-forward bytes).
@@ -1135,8 +1299,8 @@ impl EventTrace {
 
     /// Render the trace deterministically, one line per event with full
     /// packet hex — the byte-identical artifact the determinism tests pin.
-    /// (Summary-mode traces render empty; the last-K ring in
-    /// [`TraceSummary::last_events`] holds the recent lines instead.)
+    /// (Summary-mode traces render empty; [`TraceSummary::last_events`]
+    /// renders the last-K ring instead.)
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
@@ -1423,6 +1587,7 @@ impl SimBuilder {
             in_flight: vec![0; nodes],
             progress: vec![0; nodes],
             real_pending: 0,
+            actions: Vec::new(),
         };
         // Lifecycle events enter the queue first, in registration order, so
         // simultaneous lifecycle changes fire deterministically before any
@@ -1482,6 +1647,8 @@ pub struct Sim {
     /// while this is nonzero, so the pump terminates once real work
     /// drains.
     real_pending: usize,
+    /// The action buffer every handler call emits into, recycled empty.
+    actions: Vec<Action>,
 }
 
 impl Sim {
@@ -1495,13 +1662,7 @@ impl Sim {
     /// or the event cap is hit.
     pub fn run(mut self) -> EventTrace {
         for i in 0..self.handlers.len() {
-            if let Some(mut handler) = self.handlers[i].take() {
-                let mut ctx = self.ctx(SimTime::ZERO, NodeId(i), None);
-                handler.on_start(&mut ctx);
-                let actions = ctx.actions;
-                self.apply_actions(SimTime::ZERO, NodeId(i), actions);
-                self.handlers[i] = Some(handler);
-            }
+            self.dispatch(SimTime::ZERO, NodeId(i), None, |h, ctx| h.on_start(ctx));
         }
         let mut processed = 0usize;
         while let Some(Reverse(event)) = self.queue.pop() {
@@ -1509,7 +1670,7 @@ impl Sim {
                 self.real_pending = self.real_pending.saturating_sub(1);
             }
             if processed >= self.max_events {
-                self.trace_event(event.time, NodeId(0), TraceEventKind::Drop("event cap hit"));
+                self.trace_event(event.time, NodeId(0), KindRef::Drop("event cap hit"));
                 break;
             }
             processed += 1;
@@ -1524,23 +1685,15 @@ impl Sim {
                     // next — a dead receiver still frees the slot.
                     self.in_flight[node.0] = self.in_flight[node.0].saturating_sub(1);
                     if !self.node_alive[node.0] {
-                        self.trace_event(event.time, node, TraceEventKind::Drop("node down"));
+                        self.trace_event(event.time, node, KindRef::Drop("node down"));
                         continue;
                     }
                     self.trace.summary.latency.record(latency_ns);
                     self.progress[node.0] += 1;
-                    self.trace_event(
-                        event.time,
-                        node,
-                        TraceEventKind::Deliver(packet.as_bytes().to_vec()),
-                    );
-                    if let Some(mut handler) = self.handlers[node.0].take() {
-                        let mut ctx = self.ctx(event.time, node, Some(from));
-                        handler.on_packet(&mut ctx, &packet);
-                        let actions = ctx.actions;
-                        self.apply_actions(event.time, node, actions);
-                        self.handlers[node.0] = Some(handler);
-                    }
+                    self.trace_event(event.time, node, KindRef::Deliver(packet.as_bytes()));
+                    self.dispatch(event.time, node, Some(from), |h, ctx| {
+                        h.on_packet(ctx, &packet)
+                    });
                 }
                 QueuedKind::TimerFire {
                     node,
@@ -1550,27 +1703,17 @@ impl Sim {
                     if !self.node_alive[node.0] || generation != self.node_generation[node.0] {
                         // Set before a crash or power-cycle: never delivered
                         // to the restarted handler.
-                        self.trace_event(event.time, node, TraceEventKind::Drop("stale timer"));
+                        self.trace_event(event.time, node, KindRef::Drop("stale timer"));
                         continue;
                     }
-                    self.trace_event(event.time, node, TraceEventKind::Timer(token));
-                    if let Some(mut handler) = self.handlers[node.0].take() {
-                        let mut ctx = self.ctx(event.time, node, None);
-                        handler.on_timer(&mut ctx, token);
-                        let actions = ctx.actions;
-                        self.apply_actions(event.time, node, actions);
-                        self.handlers[node.0] = Some(handler);
-                    }
+                    self.trace_event(event.time, node, KindRef::Timer(token));
+                    self.dispatch(event.time, node, None, |h, ctx| h.on_timer(ctx, token));
                 }
                 QueuedKind::NodeCrash { node } => {
                     if self.node_alive[node.0] {
                         self.node_alive[node.0] = false;
                         self.node_generation[node.0] += 1;
-                        self.trace_event(
-                            event.time,
-                            node,
-                            TraceEventKind::Note("node-down".to_string()),
-                        );
+                        self.trace_event(event.time, node, KindRef::Note("node-down".into()));
                     }
                 }
                 QueuedKind::NodeRestart { node } => {
@@ -1578,31 +1721,21 @@ impl Sim {
                     // way the state resets and pre-restart timers go stale.
                     self.node_generation[node.0] += 1;
                     self.node_alive[node.0] = true;
-                    self.trace_event(
-                        event.time,
-                        node,
-                        TraceEventKind::Note("node-up".to_string()),
-                    );
-                    if let Some(mut handler) = self.handlers[node.0].take() {
-                        let mut ctx = self.ctx(event.time, node, None);
-                        handler.on_restart(&mut ctx);
-                        let actions = ctx.actions;
-                        self.apply_actions(event.time, node, actions);
-                        self.handlers[node.0] = Some(handler);
-                    }
+                    self.trace_event(event.time, node, KindRef::Note("node-up".into()));
+                    self.dispatch(event.time, node, None, |h, ctx| h.on_restart(ctx));
                 }
                 QueuedKind::LinkDown { link } => {
                     if self.link_state_up[link.0] {
                         self.link_state_up[link.0] = false;
                         let (at, note) = self.link_note(link, "link-down");
-                        self.trace_event(event.time, at, TraceEventKind::Note(note));
+                        self.trace_event(event.time, at, KindRef::Note(note.into()));
                     }
                 }
                 QueuedKind::LinkUp { link } => {
                     if !self.link_state_up[link.0] {
                         self.link_state_up[link.0] = true;
                         let (at, note) = self.link_note(link, "link-up");
-                        self.trace_event(event.time, at, TraceEventKind::Note(note));
+                        self.trace_event(event.time, at, KindRef::Note(note.into()));
                     }
                 }
                 QueuedKind::WatchdogCheck {
@@ -1612,11 +1745,7 @@ impl Sim {
                 } => {
                     let now = self.progress[node.0];
                     if now == seen {
-                        self.trace_event(
-                            event.time,
-                            node,
-                            TraceEventKind::Note("stalled".to_string()),
-                        );
+                        self.trace_event(event.time, node, KindRef::Note("stalled".into()));
                         self.trace.summary.watchdog_trips += 1;
                     }
                     if self.real_pending > 0 {
@@ -1635,8 +1764,20 @@ impl Sim {
         self.trace
     }
 
-    fn ctx(&self, now: SimTime, node: NodeId, arrival_from: Option<NodeId>) -> Ctx<'_> {
-        Ctx {
+    /// Run one callback of `node`'s handler, if one is bound, over a
+    /// context that emits into the recycled action buffer, then apply the
+    /// emitted actions in order.
+    fn dispatch(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        arrival_from: Option<NodeId>,
+        call: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
+    ) {
+        let Some(mut handler) = self.handlers[node.0].take() else {
+            return;
+        };
+        let mut ctx = Ctx {
             now,
             node,
             arrival_from,
@@ -1644,8 +1785,13 @@ impl Sim {
             routes: &self.routes,
             in_flight: &self.in_flight,
             queue_capacity: self.queue_capacity,
-            actions: Vec::new(),
-        }
+            actions: std::mem::take(&mut self.actions),
+        };
+        call(handler.as_mut(), &mut ctx);
+        let mut actions = ctx.actions;
+        self.apply_actions(now, node, &mut actions);
+        self.actions = actions;
+        self.handlers[node.0] = Some(handler);
     }
 
     /// The `(trace node, note text)` for a link lifecycle change: traced at
@@ -1663,42 +1809,26 @@ impl Sim {
         (spec.a, format!("{what} {}-{}", name(spec.a), name(spec.b)))
     }
 
-    fn trace_event(&mut self, time: SimTime, node: NodeId, kind: TraceEventKind) {
+    fn trace_event(&mut self, time: SimTime, node: NodeId, kind: KindRef<'_>) {
         let node_name = self
             .topology
             .nodes
             .get(node.0)
-            .map(|n| n.name.clone())
-            .unwrap_or_default();
-        let event = TraceEvent {
-            time,
-            node,
-            node_name,
-            kind,
-        };
-        self.trace.summary.account(&event, self.trace.mode);
-        if self.trace.mode == TraceMode::Full {
-            self.trace.events.push(event);
-        }
+            .map_or("", |n| n.name.as_str());
+        self.trace.record(time, node, node_name, kind);
     }
 
-    fn apply_actions(&mut self, now: SimTime, node: NodeId, actions: Vec<Action>) {
-        for action in actions {
+    /// Apply a handler's actions in emission order, leaving the buffer
+    /// empty (its capacity kept for the next handler call).
+    fn apply_actions(&mut self, now: SimTime, node: NodeId, actions: &mut Vec<Action>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Originate(packet) => {
-                    self.trace_event(
-                        now,
-                        node,
-                        TraceEventKind::Originate(packet.as_bytes().to_vec()),
-                    );
+                    self.trace_event(now, node, KindRef::Originate(packet.as_bytes()));
                     self.route_packet(now, node, packet);
                 }
                 Action::Forward(packet) => {
-                    self.trace_event(
-                        now,
-                        node,
-                        TraceEventKind::Forward(packet.as_bytes().to_vec()),
-                    );
+                    self.trace_event(now, node, KindRef::Forward(packet.as_bytes()));
                     self.route_packet(now, node, packet);
                 }
                 Action::Timer { delay_ns, token } => {
@@ -1712,9 +1842,9 @@ impl Sim {
                         },
                     );
                 }
-                Action::Note(text) => self.trace_event(now, node, TraceEventKind::Note(text)),
-                Action::DeliverLocal => self.trace_event(now, node, TraceEventKind::DeliverLocal),
-                Action::Drop(reason) => self.trace_event(now, node, TraceEventKind::Drop(reason)),
+                Action::Note(text) => self.trace_event(now, node, KindRef::Note(text.into())),
+                Action::DeliverLocal => self.trace_event(now, node, KindRef::DeliverLocal),
+                Action::Drop(reason) => self.trace_event(now, node, KindRef::Drop(reason)),
             }
         }
     }
@@ -1739,14 +1869,16 @@ impl Sim {
     /// multicast fans out over every incident link; unicast follows the
     /// static next-hop table.
     fn route_packet(&mut self, now: SimTime, node: NodeId, packet: PacketBuf) {
-        let Ok(dst) = packet.get_field(ipv4::FIELDS, "destination_address") else {
-            self.trace_event(now, node, TraceEventKind::Drop("truncated header"));
+        // The IPv4 destination address is bytes 16..20 of the header.
+        let Some(&[a, b, c, d]) = packet.as_bytes().get(16..20) else {
+            self.trace_event(now, node, KindRef::Drop("truncated header"));
             return;
         };
-        let dst = dst as u32;
+        let dst = u32::from_be_bytes([a, b, c, d]);
         if is_multicast(dst) {
-            for link in self.topology.links_of(node) {
-                self.transmit(now, node, link, &packet);
+            for i in 0..self.routes.links_of(node).len() {
+                let link = self.routes.links_of(node)[i];
+                self.transmit(now, node, link, packet.clone());
             }
             return;
         }
@@ -1757,69 +1889,85 @@ impl Sim {
             .is_some_and(|n| n.addrs.iter().any(|(a, _)| *a == dst))
         {
             // Addressed to the sender itself: terminate without a wire trip.
-            self.trace_event(now, node, TraceEventKind::DeliverLocal);
+            self.trace_event(now, node, KindRef::DeliverLocal);
             return;
         }
-        let Some(owner) = self.topology.owner_of(dst) else {
-            self.trace_event(now, node, TraceEventKind::Drop("no route to destination"));
+        let Some(owner) = self.routes.owner_of(dst) else {
+            self.trace_event(now, node, KindRef::Drop("no route to destination"));
             return;
         };
         let Some(link) = self.routes.link_towards(node, owner) else {
-            self.trace_event(now, node, TraceEventKind::Drop("destination unreachable"));
+            self.trace_event(now, node, KindRef::Drop("destination unreachable"));
             return;
         };
-        self.transmit(now, node, link, &packet);
+        self.transmit(now, node, link, packet);
     }
 
-    /// Put one packet on a link: apply the link model (loss, duplication,
-    /// corruption, jitter), then schedule arrivals after propagation +
-    /// serialization + model-imposed delay.
-    fn transmit(&mut self, now: SimTime, from: NodeId, link: LinkId, packet: &PacketBuf) {
-        let spec = self.topology.links[link.0].clone();
-        let Some(to) = spec.peer_of(from) else {
+    /// Put one packet on a link.  An unmodelled link schedules the
+    /// packet's arrival directly; a modelled one schedules whatever its
+    /// [`LinkModel`] returns (loss, duplication, corruption, jitter).
+    fn transmit(&mut self, now: SimTime, from: NodeId, link: LinkId, packet: PacketBuf) {
+        let Some(to) = self.topology.links[link.0].peer_of(from) else {
             return;
         };
         if !self.link_state_up[link.0] {
             // An administratively downed link never carries the packet;
             // the link model is not consulted, so its transmit counter
             // only ever counts packets that reached the wire.
-            self.trace_event(now, from, TraceEventKind::Drop("link down"));
+            self.trace_event(now, from, KindRef::Drop("link down"));
             return;
         }
-        let deliveries = match self.link_models[link.0].as_mut() {
-            Some(model) => model.transmit(packet),
-            None => vec![LinkDelivery::intact(packet.clone())],
+        let Some(model) = self.link_models[link.0].as_mut() else {
+            self.schedule_arrival(now, from, to, link, packet, 0);
+            return;
         };
+        let deliveries = model.transmit(&packet);
         if deliveries.is_empty() {
-            self.trace_event(now, from, TraceEventKind::Drop("lost on link"));
+            self.trace_event(now, from, KindRef::Drop("lost on link"));
             return;
         }
         for d in deliveries {
-            if let Some(cap) = self.queue_capacity {
-                if self.in_flight[to.0] >= cap {
-                    // Drop-tail shedding: the receiver's ingress queue is
-                    // full, so the packet never makes the wire.  Traced at
-                    // the receiving node so per-node shed counters point
-                    // at the overloaded queue, not the sender.
-                    self.trace_event(now, to, TraceEventKind::Drop("shed"));
-                    continue;
-                }
-            }
-            let latency = spec
-                .delay_ns
-                .saturating_add(spec.serialization_ns(d.packet.as_bytes().len()))
-                .saturating_add(d.extra_delay_ns);
-            self.in_flight[to.0] += 1;
-            self.push_event(
-                now.offset(latency),
-                QueuedKind::Arrival {
-                    node: to,
-                    from,
-                    packet: d.packet,
-                    latency_ns: latency,
-                },
-            );
+            self.schedule_arrival(now, from, to, link, d.packet, d.extra_delay_ns);
         }
+    }
+
+    /// Schedule `packet`'s arrival at `to` after the link's propagation
+    /// and serialization delay plus `extra_delay_ns`, unless `to`'s
+    /// ingress queue is full.
+    fn schedule_arrival(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        link: LinkId,
+        packet: PacketBuf,
+        extra_delay_ns: u64,
+    ) {
+        if let Some(cap) = self.queue_capacity {
+            if self.in_flight[to.0] >= cap {
+                // Drop-tail shedding: the receiver's ingress queue is
+                // full, so the packet never makes the wire.  Traced at
+                // the receiving node so per-node shed counters point
+                // at the overloaded queue, not the sender.
+                self.trace_event(now, to, KindRef::Drop("shed"));
+                return;
+            }
+        }
+        let spec = &self.topology.links[link.0];
+        let latency = spec
+            .delay_ns
+            .saturating_add(spec.serialization_ns(packet.len()))
+            .saturating_add(extra_delay_ns);
+        self.in_flight[to.0] += 1;
+        self.push_event(
+            now.offset(latency),
+            QueuedKind::Arrival {
+                node: to,
+                from,
+                packet,
+                latency_ns: latency,
+            },
+        );
     }
 }
 

@@ -1,14 +1,17 @@
 //! Discrete-event kernel guarantees: determinism (same seed + topology =>
 //! byte-identical trace, across repeated runs and across sweep worker
 //! counts) and the delay-ordering property (packets are delivered in
-//! per-link-delay order, ties broken by link enumeration order).
+//! per-link-delay order, ties broken by link enumeration order), plus the
+//! exact trace of every routing drop and of the event cap, and first-match
+//! ownership of an address two nodes share.
 
 use proptest::prelude::*;
 use sage_repro::core::sweep::{full_registry, run_sweep};
+use sage_repro::netsim::buffer::PacketBuf;
 use sage_repro::netsim::faulty::FaultyLink;
 use sage_repro::netsim::headers::{icmp, ipv4};
 use sage_repro::netsim::scenario::{reference_scenarios, run_scenario_on};
-use sage_repro::netsim::sim::{Ctx, Node, SimBuilder, Topology};
+use sage_repro::netsim::sim::{Ctx, Node, NodeId, SimBuilder, Topology, TraceMode};
 
 #[test]
 fn every_reference_scenario_replays_byte_identically_on_every_topology() {
@@ -302,4 +305,229 @@ fn faulty_link_schedule_is_a_pure_function_of_the_seed() {
     };
     assert_eq!(schedule(7), schedule(7));
     assert_ne!(schedule(7), schedule(8));
+}
+
+/// A host that notes whether the kernel can route to `probe` (when set),
+/// then originates one packet.
+struct OneShot {
+    packet: PacketBuf,
+    probe: Option<u32>,
+}
+
+impl Node for OneShot {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: &PacketBuf) {}
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(dst) = self.probe {
+            ctx.note(format!("has_route={}", ctx.has_route(dst)));
+        }
+        ctx.send(self.packet.clone());
+    }
+}
+
+/// Run the sim `bind` sets up in both trace modes: the Full-mode trace's
+/// lines, and the Summary-mode run's `drops` counter.
+fn lines_and_summary_drops(bind: impl Fn() -> SimBuilder) -> (Vec<String>, u64) {
+    let full = bind().build().run();
+    let mut summary = bind();
+    summary.trace_mode(TraceMode::Summary);
+    let summary = summary.build().run();
+    assert_eq!(full.summary.drops, summary.summary.drops);
+    let lines = full.render().lines().map(str::to_string).collect();
+    (lines, summary.summary.drops)
+}
+
+/// An echo request from 10.0.1.1 to `dst`, and its rendered hex.
+fn echo_to(dst: u32) -> (PacketBuf, String) {
+    let echo = icmp::build_echo(false, 5, 1, b"route");
+    let packet = ipv4::build_packet(
+        ipv4::addr(10, 0, 1, 1),
+        dst,
+        ipv4::PROTO_ICMP,
+        64,
+        echo.as_bytes(),
+    );
+    let hex = packet
+        .as_bytes()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    (packet, hex)
+}
+
+/// Hosts `a` (10.0.1.1) and `b` (10.0.1.2), joined only when `linked`.
+fn host_pair(linked: bool) -> Topology {
+    let mut topo = Topology::named("pair");
+    let a = topo.host("a", ipv4::addr(10, 0, 1, 1), 24);
+    let b = topo.host("b", ipv4::addr(10, 0, 1, 2), 24);
+    if linked {
+        topo.link(a, b, 1_000);
+    }
+    topo
+}
+
+#[test]
+fn a_packet_shorter_than_an_ipv4_header_drops_as_truncated() {
+    let header: Vec<u8> = (0u8..19).collect();
+    let (lines, drops) = lines_and_summary_drops(|| {
+        let topo = host_pair(true);
+        let mut sim = SimBuilder::new(topo);
+        sim.bind(
+            NodeId(0),
+            Box::new(OneShot {
+                packet: PacketBuf::from_bytes(header.clone()),
+                probe: None,
+            }),
+        );
+        sim
+    });
+    assert_eq!(
+        lines,
+        [
+            "[0ns] a        originate 000102030405060708090a0b0c0d0e0f101112",
+            "[0ns] a        drop truncated header",
+        ]
+    );
+    assert_eq!(drops, 1);
+}
+
+#[test]
+fn a_unicast_to_an_address_no_node_owns_has_no_route() {
+    let nowhere = ipv4::addr(10, 0, 9, 9);
+    let (packet, hex) = echo_to(nowhere);
+    let (lines, drops) = lines_and_summary_drops(|| {
+        let mut sim = SimBuilder::new(host_pair(true));
+        sim.bind(
+            NodeId(0),
+            Box::new(OneShot {
+                packet: packet.clone(),
+                probe: Some(nowhere),
+            }),
+        );
+        sim
+    });
+    assert_eq!(
+        lines,
+        [
+            "[0ns] a        note has_route=false".to_string(),
+            format!("[0ns] a        originate {hex}"),
+            "[0ns] a        drop no route to destination".to_string(),
+        ]
+    );
+    assert_eq!(drops, 1);
+}
+
+#[test]
+fn a_unicast_to_an_owner_without_a_path_is_unreachable() {
+    let b_addr = ipv4::addr(10, 0, 1, 2);
+    let (packet, hex) = echo_to(b_addr);
+    let (lines, drops) = lines_and_summary_drops(|| {
+        let mut sim = SimBuilder::new(host_pair(false));
+        sim.bind(
+            NodeId(0),
+            Box::new(OneShot {
+                packet: packet.clone(),
+                probe: Some(b_addr),
+            }),
+        );
+        sim
+    });
+    assert_eq!(
+        lines,
+        [
+            "[0ns] a        note has_route=false".to_string(),
+            format!("[0ns] a        originate {hex}"),
+            "[0ns] a        drop destination unreachable".to_string(),
+        ]
+    );
+    assert_eq!(drops, 1);
+}
+
+/// A host whose timer re-arms itself forever.
+struct Ticker;
+
+impl Node for Ticker {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _packet: &PacketBuf) {}
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(1_000, 7);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        ctx.set_timer(1_000, token);
+    }
+}
+
+#[test]
+fn the_event_cap_stops_a_runaway_pump() {
+    let (lines, drops) = lines_and_summary_drops(|| {
+        let mut sim = SimBuilder::new(host_pair(true));
+        sim.bind(NodeId(1), Box::new(Ticker));
+        sim.max_events(3);
+        sim
+    });
+    // The cap is traced at node 0, whichever node the next event was for.
+    assert_eq!(
+        lines,
+        [
+            "[1000ns] b        timer 7",
+            "[2000ns] b        timer 7",
+            "[3000ns] b        timer 7",
+            "[4000ns] a        drop event cap hit",
+        ]
+    );
+    assert_eq!(drops, 1);
+}
+
+/// Hosts `a` (10.0.1.1), `b` and `c` (both 10.0.1.2); `a` is linked to
+/// `c` always and to `b` only when `b_linked`.
+fn shared_address_topology(b_linked: bool) -> Topology {
+    let mut topo = Topology::named("shared");
+    let a = topo.host("a", ipv4::addr(10, 0, 1, 1), 24);
+    let b = topo.host("b", ipv4::addr(10, 0, 1, 2), 24);
+    let c = topo.host("c", ipv4::addr(10, 0, 1, 2), 24);
+    if b_linked {
+        topo.link(a, b, 1_000);
+    }
+    topo.link(a, c, 1_000);
+    topo
+}
+
+#[test]
+fn a_shared_address_belongs_to_the_lowest_node_id() {
+    let shared = ipv4::addr(10, 0, 1, 2);
+    let (packet, hex) = echo_to(shared);
+    for b_linked in [true, false] {
+        let topo = shared_address_topology(b_linked);
+        let b = topo.node_named("b").unwrap();
+        assert_eq!(topo.owner_of(shared), Some(b));
+        let (lines, drops) = lines_and_summary_drops(|| {
+            let mut sim = SimBuilder::new(topo.clone());
+            sim.bind(
+                NodeId(0),
+                Box::new(OneShot {
+                    packet: packet.clone(),
+                    probe: Some(shared),
+                }),
+            );
+            sim
+        });
+        // `c` owns the address too and is always reachable, yet neither
+        // the kernel nor `has_route` ever picks it.
+        let expected = if b_linked {
+            vec![
+                "[0ns] a        note has_route=true".to_string(),
+                format!("[0ns] a        originate {hex}"),
+                format!("[1000ns] b        deliver {hex}"),
+            ]
+        } else {
+            vec![
+                "[0ns] a        note has_route=false".to_string(),
+                format!("[0ns] a        originate {hex}"),
+                "[0ns] a        drop destination unreachable".to_string(),
+            ]
+        };
+        assert_eq!(lines, expected, "b linked: {b_linked}");
+        assert_eq!(drops, u64::from(!b_linked));
+    }
 }

@@ -5,7 +5,9 @@
 
 use sage_core::soak::{run_soak_campaign, SoakConfig};
 use sage_interp::quarantine::{reference_soak_service, CanarySoakResponder, Contained};
-use sage_netsim::sim::{EventTrace, NodeId, SimBuilder, SimTime, TraceEventKind, TraceMode};
+use sage_netsim::sim::{
+    EventTrace, NodeId, SimBuilder, SimTime, TraceEventKind, TraceMode, TRACE_RING_CAPACITY,
+};
 use sage_netsim::tools::soak::{soak_pair_topology, SoakClientNode, SoakProtocol, SoakServerNode};
 
 /// Build one ICMP soak session pair with the given service, knobs for
@@ -239,8 +241,8 @@ fn summary_mode_memory_is_independent_of_packet_count() {
     );
     assert!(long.summary.delivered > short.summary.delivered * 8);
     assert!(short.events.is_empty() && long.events.is_empty());
-    assert!(long.summary.last_events.len() <= sage_netsim::sim::TRACE_RING_CAPACITY);
-    assert!(short.summary.last_events.len() <= sage_netsim::sim::TRACE_RING_CAPACITY);
+    assert!(long.summary.last_events().len() <= sage_netsim::sim::TRACE_RING_CAPACITY);
+    assert!(short.summary.last_events().len() <= sage_netsim::sim::TRACE_RING_CAPACITY);
 }
 
 #[test]
@@ -261,4 +263,83 @@ fn tiny_campaign_report_is_worker_count_invariant_at_pinned_seed() {
         pooled.to_baseline_json("pinned")
     );
     assert!(solo.total_delivered() > 0);
+}
+
+/// Run one session in both trace modes and check that the Summary-mode
+/// ring holds exactly the last [`TRACE_RING_CAPACITY`] lines of the
+/// Full-mode rendering; returns those lines and the Full-mode line count.
+fn ring_matches_full_render_tail(run: impl Fn(TraceMode) -> EventTrace) -> (Vec<String>, usize) {
+    let full = run(TraceMode::Full);
+    let summary = run(TraceMode::Summary);
+    let rendered = full.render();
+    let lines: Vec<&str> = rendered.lines().collect();
+    let tail = &lines[lines.len().saturating_sub(TRACE_RING_CAPACITY)..];
+    let ring = summary.summary.last_events();
+    assert_eq!(ring, tail, "the ring is not the tail of the Full rendering");
+    assert!(
+        full.summary.last_events().is_empty(),
+        "Full mode keeps no ring"
+    );
+    (ring, lines.len())
+}
+
+/// True if some ring line's event body (after the node column) starts
+/// with `body`.
+fn ring_has(ring: &[String], body: &str) -> bool {
+    ring.iter().any(|line| line.contains(&format!(" {body}")))
+}
+
+#[test]
+fn ring_holds_the_tail_of_an_overload_run() {
+    let (ring, total) = ring_matches_full_render_tail(|mode| {
+        run_one_session(
+            reference_icmp(),
+            10,
+            5,
+            1_000_000,
+            2_000_000,
+            Some(2),
+            mode,
+            None,
+        )
+    });
+    assert!(total > TRACE_RING_CAPACITY, "only {total} events");
+    for body in [
+        "originate ",
+        "deliver ",
+        "drop shed",
+        "timer ",
+        "note backpressure-skip",
+    ] {
+        assert!(ring_has(&ring, body), "no {body:?} in the ring:\n{ring:#?}");
+    }
+}
+
+#[test]
+fn ring_holds_the_tail_of_a_canary_run() {
+    let (ring, total) = ring_matches_full_render_tail(|mode| {
+        run_one_session(
+            contained_canary(8, 2),
+            14,
+            1,
+            1_000_000,
+            500_000,
+            None,
+            mode,
+            None,
+        )
+    });
+    assert!(total > TRACE_RING_CAPACITY, "only {total} events");
+    for body in ["note responder-error", "note quarantine"] {
+        assert!(ring_has(&ring, body), "no {body:?} in the ring:\n{ring:#?}");
+    }
+}
+
+#[test]
+fn ring_holds_all_of_a_short_run() {
+    let (ring, total) = ring_matches_full_render_tail(|mode| {
+        run_one_session(reference_icmp(), 2, 1, 1_000_000, 500_000, None, mode, None)
+    });
+    assert!(total < TRACE_RING_CAPACITY, "{total} events");
+    assert_eq!(ring.len(), total);
 }
