@@ -1,10 +1,5 @@
 //! Criterion benchmarks for the network substrate and the §6.2 end-to-end
 //! workload (generated code answering `ping`/`traceroute`).
-//!
-//! The synchronous drivers are deprecated in favour of the event-kernel
-//! scenarios (`benches/sim.rs`), but stay benchmarked here as the oracle
-//! the kernel's traces are pinned against.
-#![allow(deprecated)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sage_interp::GeneratedResponder;

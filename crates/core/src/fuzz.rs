@@ -32,7 +32,7 @@
 use std::sync::Arc;
 
 use sage_interp::harness::{canary_diverges, judge, repro_snippet, tri_run, TriVerdict};
-use sage_interp::{generated_chaos_scenarios, shrink_tri_failure, ResponderRegistry};
+use sage_interp::{shrink_tri_failure, ExecMode, ResponderRegistry};
 use sage_netsim::faulty::FaultRng;
 use sage_netsim::fuzz::{
     check_liveness, check_properties, recovery_time_ns, seed_from_env, shrink_schedule, ChaosPlan,
@@ -40,7 +40,7 @@ use sage_netsim::fuzz::{
 };
 use sage_netsim::scenario::{run_scenario_on, Scenario, ScenarioRegistry};
 use sage_netsim::sim::{SimTime, Topology};
-use sage_netsim::tools::{chaos_reference_scenario, CHAOS_RECOVERY_BOUND_NS};
+use sage_netsim::tools::{chaos_reference_scenario, chaos_scenarios, CHAOS_RECOVERY_BOUND_NS};
 use sage_spec::corpus::Protocol;
 
 use crate::grid::{baseline_json, par_map};
@@ -667,7 +667,10 @@ fn run_chaos_cell(
 /// `BENCH_chaos.json` serialisation — is byte-identical at every worker
 /// count.
 pub fn run_chaos_campaign(config: &ChaosConfig) -> ChaosReport {
-    let generated = generated_chaos_scenarios(&generated_responders());
+    let generated = chaos_scenarios(
+        &generated_responders().responders(ExecMode::Vm),
+        "chaos-generated",
+    );
     let topologies = Topology::library();
     let topology_count = topologies.len();
     let grid: Vec<(usize, usize, usize)> = (0..FUZZ_PROTOCOLS.len())

@@ -20,8 +20,7 @@ use sage_logic::{parse_lf, Lf};
 use sage_netsim::headers::ipv4;
 use sage_netsim::net::Network;
 use sage_netsim::tcpdump::decode_packet;
-#[allow(deprecated)] // the synchronous driver stays as the oracle the kernel is pinned against
-use sage_netsim::tools::ping::{ping_once, PingOutcome};
+use sage_netsim::tools::ping::{ping_once, PingOutcome, ECHO_PAYLOAD};
 use sage_netsim::tools::traceroute::traceroute;
 use sage_spec::context::{ContextDict, Role};
 use sage_spec::corpus::Protocol;
@@ -201,7 +200,6 @@ impl IcmpEndToEnd {
 /// Run the end-to-end ICMP experiments with the generated program: echo
 /// interoperation with `ping`, TTL-limited probing with `traceroute`,
 /// unknown-destination handling, and packet-capture verification.
-#[allow(deprecated)] // drives the synchronous oracle the kernel scenarios are pinned against
 pub fn icmp_end_to_end(program: &Program) -> IcmpEndToEnd {
     let client = ipv4::addr(10, 0, 1, 100);
     let router = ipv4::addr(10, 0, 1, 1);
@@ -219,7 +217,7 @@ pub fn icmp_end_to_end(program: &Program) -> IcmpEndToEnd {
             router,
             0x5A,
             1,
-            b"0123456789abcdef",
+            ECHO_PAYLOAD,
         );
         ping_results.push(("echo".to_string(), outcome.success()));
     }

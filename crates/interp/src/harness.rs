@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use crate::responder::{generated_scenarios_in_mode, ExecMode, ResponderRegistry};
+use crate::responder::{ExecMode, ResponderRegistry};
 use sage_netsim::buffer::PacketBuf;
 use sage_netsim::fuzz::{
     check_properties, diff_traces, shrink_schedule, FaultSchedule, FuzzedScenario,
@@ -118,14 +118,9 @@ pub fn tri_run(
             .unwrap_or_else(|| panic!("scenario {name:?} not registered"))
             .clone()
     };
-    let vm = run(pick(
-        &generated_scenarios_in_mode(registry, ExecMode::Vm),
-        &generated_name,
-    ))?;
-    let tree = run(pick(
-        &generated_scenarios_in_mode(registry, ExecMode::TreeWalk),
-        &generated_name,
-    ))?;
+    let generated = |mode| registry.responders(mode).scenarios("generated");
+    let vm = run(pick(&generated(ExecMode::Vm), &generated_name))?;
+    let tree = run(pick(&generated(ExecMode::TreeWalk), &generated_name))?;
     let reference = run(pick(&reference_scenarios(), &reference_name))?;
     Ok(TriTraces {
         protocol: protocol.to_string(),
@@ -236,7 +231,11 @@ pub fn canary_ping_scenario() -> PingScenario {
 /// reference's — the self-test predicate the shrinker minimises.
 pub fn canary_diverges(schedule: &FaultSchedule, topology: &Topology) -> bool {
     let canary = FuzzedScenario::new(Arc::new(canary_ping_scenario()), schedule.clone());
-    let reference = FuzzedScenario::new(Arc::new(PingScenario::reference()), schedule.clone());
+    let reference = reference_scenarios()
+        .find("ping/reference")
+        .expect("reference ping registered")
+        .clone();
+    let reference = FuzzedScenario::new(reference, schedule.clone());
     let Ok(canary_run) = run_scenario_on(&canary, topology.clone()) else {
         return false;
     };

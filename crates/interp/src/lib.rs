@@ -19,12 +19,13 @@
 //! * [`vm`] — the register bytecode VM the lowered programs run on (the
 //!   per-packet fast path);
 //! * [`responder`] — adapters that plug generated programs into the virtual
-//!   network as [`sage_netsim::net::IcmpResponder`]s, into the per-protocol
-//!   scenario drivers of `sage_netsim::tools`, and into the BFD session
-//!   machinery; [`ResponderRegistry`] holds one generated program per
-//!   protocol and dispatches to the right adapter.  Adapters execute on
-//!   the VM by default and fall back to the tree-walker whenever a program
-//!   is outside the lowerable subset;
+//!   network as [`sage_netsim::net::IcmpResponder`]s and into the pluggable
+//!   roles of the protocol sessions in `sage_netsim::tools`;
+//!   [`ResponderRegistry`] holds one generated program per protocol,
+//!   dispatches to the right adapter, and bundles them as the sessions'
+//!   roles ([`ResponderRegistry::responders`]).  Adapters execute on the VM
+//!   by default and fall back to the tree-walker whenever a program is
+//!   outside the lowerable subset;
 //! * [`harness`] — the tri-engine differential harness: one fuzzed
 //!   exchange run on the VM, the tree-walker and the hand-written
 //!   reference, traces diffed line-for-line and failures shrunk to
@@ -57,8 +58,7 @@ pub use quarantine::{
     DEFAULT_ERROR_BUDGET,
 };
 pub use responder::{
-    generated_chaos_scenarios, generated_chaos_scenarios_in_mode, generated_scenarios,
-    generated_scenarios_in_mode, BfdGeneratedReceiver, ExecMode, GeneratedBfdEndpoint,
+    generated_scenarios, BfdGeneratedReceiver, ExecMode, GeneratedBfdEndpoint,
     GeneratedIgmpResponder, GeneratedNtpServer, GeneratedNtpTimeoutPolicy, GeneratedResponder,
     ResponderRegistry,
 };

@@ -19,11 +19,11 @@ use std::panic::{self, AssertUnwindSafe};
 use sage_netsim::buffer::PacketBuf;
 use sage_netsim::net::ReferenceResponder;
 use sage_netsim::tools::bfd_session::ReferenceBfdEndpoint;
-use sage_netsim::tools::igmp::ReferenceIgmpResponder;
+use sage_netsim::tools::igmp::{ReferenceIgmpResponder, SESSION_GROUP};
 use sage_netsim::tools::ntp_exchange::ReferenceNtpServer;
 use sage_netsim::tools::soak::{
-    soak_group, BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder, NtpSoakResponder,
-    SoakProtocol, SoakResponder,
+    BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder, NtpSoakResponder, SoakProtocol,
+    SoakResponder,
 };
 
 use crate::responder::{
@@ -235,10 +235,10 @@ pub fn reference_soak_service(
         }),
         SoakProtocol::Igmp => Box::new(IgmpSoakResponder {
             inner: ReferenceIgmpResponder {
-                group: soak_group(),
+                group: SESSION_GROUP,
             },
             host_addr: server_addr,
-            group: soak_group(),
+            group: SESSION_GROUP,
         }),
         SoakProtocol::Ntp => Box::new(NtpSoakResponder {
             inner: ReferenceNtpServer {
@@ -269,9 +269,9 @@ pub fn generated_soak_service(
         }),
         SoakProtocol::Igmp => Box::new(DrainingIgmpSoak {
             adapter: IgmpSoakResponder {
-                inner: registry.igmp_responder(soak_group())?,
+                inner: registry.igmp_responder(SESSION_GROUP)?,
                 host_addr: server_addr,
-                group: soak_group(),
+                group: SESSION_GROUP,
             },
         }),
         SoakProtocol::Ntp => Box::new(DrainingNtpSoak {

@@ -16,11 +16,15 @@ use sage_codegen::ir::{Function, Program};
 use sage_netsim::buffer::PacketBuf;
 use sage_netsim::headers::{bfd, ntp};
 use sage_netsim::net::{IcmpEvent, IcmpResponder};
-use sage_netsim::scenario::{self, ScenarioRegistry};
+use sage_netsim::scenario::{
+    BfdFactory, IcmpFactory, IgmpFactory, NtpPolicyFactory, NtpServerFactory, Responders,
+    ScenarioRegistry,
+};
 use sage_netsim::tools::bfd_session::BfdEndpoint;
-use sage_netsim::tools::igmp::IgmpResponder as IgmpResponderTrait;
+use sage_netsim::tools::igmp::{IgmpResponder as IgmpResponderTrait, SESSION_GROUP};
 use sage_netsim::tools::ntp_exchange::{NtpServer, NtpTimeoutPolicy};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which engine an adapter executes its generated program on.
 ///
@@ -725,7 +729,7 @@ impl NtpServer for GeneratedNtpServer {
 }
 
 /// One side of a BFD session driven by SAGE-generated state-management code
-/// (§6.4): plugs into [`sage_netsim::tools::bfd_session::session_bring_up`].
+/// (§6.4): fills the [`BfdEndpoint`] role of the BFD sessions.
 ///
 /// The program is lowered to bytecode once at construction.
 #[derive(Debug, Clone)]
@@ -989,193 +993,63 @@ impl ResponderRegistry {
             remote_discr,
         ))
     }
+
+    /// The session roles filled by the registered programs, every adapter
+    /// on `mode`: the generated counterpart of
+    /// [`Responders::reference`], from which the `generated` and
+    /// `chaos-generated` registries are built.  Protocols without a program
+    /// stay `None`.
+    pub fn responders(&self, mode: ExecMode) -> Responders {
+        let program = |protocol: &str| self.program(protocol).cloned();
+        Responders {
+            icmp: program("icmp").map(|program| -> IcmpFactory {
+                Arc::new(move || Box::new(GeneratedResponder::new(program.clone()).with_mode(mode)))
+            }),
+            igmp: program("igmp").map(|program| -> IgmpFactory {
+                Arc::new(move || {
+                    Box::new(
+                        GeneratedIgmpResponder::new(program.clone(), SESSION_GROUP).with_mode(mode),
+                    )
+                })
+            }),
+            ntp: program("ntp").map(|program| -> (NtpPolicyFactory, NtpServerFactory) {
+                let server = program.clone();
+                (
+                    Arc::new(move || {
+                        Box::new(GeneratedNtpTimeoutPolicy::new(program.clone()).with_mode(mode))
+                    }),
+                    Arc::new(move || {
+                        Box::new(GeneratedNtpServer::new(server.clone(), 2, 0x1000).with_mode(mode))
+                    }),
+                )
+            }),
+            bfd: program("bfd").map(|program| -> BfdFactory {
+                Arc::new(move |local, remote| {
+                    Box::new(
+                        GeneratedBfdEndpoint::new(program.clone(), local, remote).with_mode(mode),
+                    )
+                })
+            }),
+        }
+    }
 }
 
-/// Build kernel scenarios wired to this registry's generated programs: one
-/// per registered protocol, named `<protocol>/generated`, each exercising
-/// the same exchange as its `<protocol>/reference` counterpart but with the
+/// The kernel scenarios wired to this registry's generated programs: one
+/// per registered protocol, named `<prefix>/generated`, each exercising the
+/// same session as its `<prefix>/reference` counterpart but with the
 /// SAGE-generated code in the pluggable role.  Adapters run on the bytecode
 /// VM (the default [`ExecMode`]).
 pub fn generated_scenarios(registry: &ResponderRegistry) -> ScenarioRegistry {
-    generated_scenarios_in_mode(registry, ExecMode::Vm)
-}
-
-/// [`generated_scenarios`] with every adapter pinned to `mode`: parity
-/// suites build one registry per engine and compare kernel traces
-/// bit-for-bit.
-pub fn generated_scenarios_in_mode(
-    registry: &ResponderRegistry,
-    mode: ExecMode,
-) -> ScenarioRegistry {
-    use std::sync::Arc;
-    let mut scenarios = ScenarioRegistry::new();
-    if registry.program("icmp").is_some() {
-        let reg = registry.clone();
-        scenarios.register(Arc::new(scenario::PingScenario::new(
-            "ping/generated",
-            Arc::new(move || Box::new(reg.icmp_responder().expect("icmp program").with_mode(mode))),
-        )));
-    }
-    if registry.program("igmp").is_some() {
-        let reg = registry.clone();
-        let group = sage_netsim::headers::ipv4::addr(224, 0, 0, 251);
-        scenarios.register(Arc::new(scenario::IgmpScenario::new(
-            "igmp/generated",
-            group,
-            Arc::new(move || {
-                Box::new(
-                    reg.igmp_responder(group)
-                        .expect("igmp program")
-                        .with_mode(mode),
-                )
-            }),
-        )));
-    }
-    if registry.program("ntp").is_some() {
-        let policy_reg = registry.clone();
-        let server_reg = registry.clone();
-        scenarios.register(Arc::new(scenario::NtpScenario::new(
-            "ntp/generated",
-            Arc::new(move || {
-                Box::new(
-                    policy_reg
-                        .ntp_timeout_policy()
-                        .expect("ntp program")
-                        .with_mode(mode),
-                )
-            }),
-            Arc::new(move || {
-                Box::new(
-                    server_reg
-                        .ntp_server(2, 0x1000)
-                        .expect("ntp program")
-                        .with_mode(mode),
-                )
-            }),
-            ntp::PeerVariables {
-                timer: 64,
-                threshold: 64,
-                mode: ntp::mode::CLIENT,
-            },
-            0xDEAD_BEEF,
-        )));
-    }
-    if registry.program("bfd").is_some() {
-        let reg = registry.clone();
-        let factory: scenario::BfdFactory = Arc::new(move |local, remote| {
-            Box::new(
-                reg.bfd_endpoint(local, remote)
-                    .expect("bfd program")
-                    .with_mode(mode),
-            )
-        });
-        scenarios.register(Arc::new(scenario::BfdScenario::new(
-            "bfd/generated",
-            factory.clone(),
-            factory,
-            (7, 9),
-            (9, 7),
-        )));
-    }
-    scenarios
-}
-
-/// The chaos-recovery scenarios with SAGE-generated code in the pluggable
-/// roles, named `<protocol>/chaos-generated`.  Mirrors
-/// [`generated_scenarios_in_mode`] but wires the
-/// [`sage_netsim::tools::chaos`] recovery drivers, so the chaos campaign
-/// exercises the generated responders under crashes, restarts and flaps.
-pub fn generated_chaos_scenarios_in_mode(
-    registry: &ResponderRegistry,
-    mode: ExecMode,
-) -> ScenarioRegistry {
-    use sage_netsim::tools::chaos;
-    use std::sync::Arc;
-    let mut scenarios = ScenarioRegistry::new();
-    if registry.program("icmp").is_some() {
-        let reg = registry.clone();
-        scenarios.register(Arc::new(chaos::ChaosPingScenario::new(
-            "ping/chaos-generated",
-            Arc::new(move || Box::new(reg.icmp_responder().expect("icmp program").with_mode(mode))),
-        )));
-    }
-    if registry.program("igmp").is_some() {
-        let reg = registry.clone();
-        let group = sage_netsim::headers::ipv4::addr(224, 0, 0, 251);
-        scenarios.register(Arc::new(chaos::ChaosIgmpScenario::new(
-            "igmp/chaos-generated",
-            group,
-            Arc::new(move || {
-                Box::new(
-                    reg.igmp_responder(group)
-                        .expect("igmp program")
-                        .with_mode(mode),
-                )
-            }),
-        )));
-    }
-    if registry.program("ntp").is_some() {
-        let policy_reg = registry.clone();
-        let server_reg = registry.clone();
-        scenarios.register(Arc::new(chaos::ChaosNtpScenario::new(
-            "ntp/chaos-generated",
-            Arc::new(move || {
-                Box::new(
-                    policy_reg
-                        .ntp_timeout_policy()
-                        .expect("ntp program")
-                        .with_mode(mode),
-                )
-            }),
-            Arc::new(move || {
-                Box::new(
-                    server_reg
-                        .ntp_server(2, 0x1000)
-                        .expect("ntp program")
-                        .with_mode(mode),
-                )
-            }),
-            ntp::PeerVariables {
-                timer: 64,
-                threshold: 64,
-                mode: ntp::mode::CLIENT,
-            },
-        )));
-    }
-    if registry.program("bfd").is_some() {
-        let reg = registry.clone();
-        let factory: scenario::BfdFactory = Arc::new(move |local, remote| {
-            Box::new(
-                reg.bfd_endpoint(local, remote)
-                    .expect("bfd program")
-                    .with_mode(mode),
-            )
-        });
-        scenarios.register(Arc::new(chaos::ChaosBfdScenario::new(
-            "bfd/chaos-generated",
-            factory.clone(),
-            factory,
-            (7, 9),
-            (9, 7),
-        )));
-    }
-    scenarios
-}
-
-/// [`generated_chaos_scenarios_in_mode`] on the bytecode VM (the default
-/// engine the chaos campaign runs generated code on).
-pub fn generated_chaos_scenarios(registry: &ResponderRegistry) -> ScenarioRegistry {
-    generated_chaos_scenarios_in_mode(registry, ExecMode::Vm)
+    registry.responders(ExecMode::Vm).scenarios("generated")
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy driver stays as the oracle these adapters are tested against
 mod tests {
     use super::*;
     use sage_codegen::ir::{Expr, Stmt};
     use sage_netsim::headers::{icmp, ipv4};
     use sage_netsim::net::{Network, ReferenceResponder, RouterAction};
-    use sage_netsim::tools::ping::ping_once;
+    use sage_netsim::tools::ping::{ping_once, ECHO_PAYLOAD};
 
     /// A hand-assembled program equivalent to what the pipeline generates
     /// for the echo-reply sentence G (used to test the adapter in isolation;
@@ -1216,7 +1090,7 @@ mod tests {
             ipv4::addr(10, 0, 1, 1),
             0x99,
             5,
-            b"0123456789abcdef",
+            ECHO_PAYLOAD,
         );
         assert!(outcome.success(), "{outcome:?}");
         assert!(responder.errors.is_empty());

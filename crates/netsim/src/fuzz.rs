@@ -824,16 +824,8 @@ fn check_ntp(trace: &EventTrace) -> Vec<PropertyViolation> {
 /// The BFD session state carried by an IP/UDP datagram addressed to the
 /// BFD control port, if it is one.
 fn bfd_state_of(datagram: &[u8]) -> Option<bfd::SessionState> {
-    let p = PacketBuf::from_bytes(datagram.to_vec());
-    if p.get_field(ipv4::FIELDS, "protocol").ok()? as u8 != ipv4::PROTO_UDP {
-        return None;
-    }
-    let segment = PacketBuf::from_bytes(ipv4::payload(&p).to_vec());
-    if segment.get_field(udp::FIELDS, "destination_port").ok()? as u16 != BFD_CONTROL_PORT {
-        return None;
-    }
-    let control = PacketBuf::from_bytes(udp::payload(&segment).to_vec());
-    bfd::SessionState::from_code(control.get_field(bfd::FIELDS, "state").ok()? as u8)
+    let control = udp::receive(&PacketBuf::from_bytes(datagram.to_vec()), BFD_CONTROL_PORT)?;
+    bfd::SessionState::from_code(control.payload.get_field(bfd::FIELDS, "state").ok()? as u8)
 }
 
 /// Parse a `bfd_state=...` note back into a session state.
@@ -1165,7 +1157,16 @@ pub fn shrink_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_scenario_on, PingScenario};
+    use crate::scenario::{reference_scenarios, run_scenario_on};
+    use crate::tools::bfd_session::control_datagram;
+
+    /// The reference ping session, the subject of the wrapper tests.
+    fn reference_ping() -> Arc<dyn Scenario> {
+        reference_scenarios()
+            .find("ping/reference")
+            .expect("registered")
+            .clone()
+    }
 
     #[test]
     fn seed_parsing_accepts_hex_decimal_and_rejects_noise() {
@@ -1248,8 +1249,7 @@ mod tests {
 
     #[test]
     fn clean_schedule_leaves_the_reference_ping_green() {
-        let fuzzed =
-            FuzzedScenario::new(Arc::new(PingScenario::reference()), FaultSchedule::clean());
+        let fuzzed = FuzzedScenario::new(reference_ping(), FaultSchedule::clean());
         let run = run_scenario_on(&fuzzed, Topology::appendix_a()).expect("binds");
         assert!(
             run.ok(),
@@ -1270,7 +1270,7 @@ mod tests {
             }],
             ..FaultSchedule::clean()
         };
-        let fuzzed = FuzzedScenario::new(Arc::new(PingScenario::reference()), schedule);
+        let fuzzed = FuzzedScenario::new(reference_ping(), schedule);
         let run = run_scenario_on(&fuzzed, Topology::appendix_a()).expect("binds");
         assert!(run.ok(), "loss breaks the exchange but not the properties");
         let rendered = run.trace.render();
@@ -1291,7 +1291,7 @@ mod tests {
             }],
             ..FaultSchedule::clean()
         };
-        let fuzzed = FuzzedScenario::new(Arc::new(PingScenario::reference()), schedule);
+        let fuzzed = FuzzedScenario::new(reference_ping(), schedule);
         let run = run_scenario_on(&fuzzed, Topology::appendix_a()).expect("binds without panic");
         assert!(run.ok());
     }
@@ -1307,9 +1307,8 @@ mod tests {
             }],
             ..FaultSchedule::clean()
         };
-        let clean =
-            FuzzedScenario::new(Arc::new(PingScenario::reference()), FaultSchedule::clean());
-        let faulty = FuzzedScenario::new(Arc::new(PingScenario::reference()), schedule);
+        let clean = FuzzedScenario::new(reference_ping(), FaultSchedule::clean());
+        let faulty = FuzzedScenario::new(reference_ping(), schedule);
         let a = run_scenario_on(&clean, Topology::appendix_a()).unwrap();
         let b = run_scenario_on(&faulty, Topology::appendix_a()).unwrap();
         assert!(diff_traces(&a.trace, &a.trace).is_none());
@@ -1509,10 +1508,7 @@ mod tests {
 
     fn bfd_datagram(state: bfd::SessionState) -> Vec<u8> {
         let control = bfd::build_control_packet(state, 1, 2, 3, false);
-        let segment = udp::build_datagram(1, 2, 49152, BFD_CONTROL_PORT, control.as_bytes());
-        ipv4::build_packet(1, 2, ipv4::PROTO_UDP, 255, segment.as_bytes())
-            .as_bytes()
-            .to_vec()
+        control_datagram(1, 2, &control).as_bytes().to_vec()
     }
 
     #[test]

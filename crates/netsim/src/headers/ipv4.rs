@@ -31,7 +31,7 @@ pub const FIELDS: &[FieldSpec] = &[
 ];
 
 /// An IPv4 address as a u32 (network order when serialised).
-pub fn addr(a: u8, b: u8, c: u8, d: u8) -> u32 {
+pub const fn addr(a: u8, b: u8, c: u8, d: u8) -> u32 {
     u32::from_be_bytes([a, b, c, d])
 }
 

@@ -1,5 +1,6 @@
 //! UDP header codec (RFC 768) — needed for NTP encapsulation (§6.3).
 
+use super::ipv4;
 use crate::buffer::{FieldSpec, PacketBuf};
 use crate::checksum::ones_complement_checksum;
 
@@ -49,7 +50,7 @@ pub fn compute_checksum(src_addr: u32, dst_addr: u32, segment: &[u8]) -> u16 {
     data.extend_from_slice(&src_addr.to_be_bytes());
     data.extend_from_slice(&dst_addr.to_be_bytes());
     data.push(0);
-    data.push(super::ipv4::PROTO_UDP);
+    data.push(ipv4::PROTO_UDP);
     data.extend_from_slice(&(segment.len() as u16).to_be_bytes());
     data.extend_from_slice(segment);
     // Zero the checksum field within the copied segment (offset 6 in UDP).
@@ -82,6 +83,38 @@ pub fn payload(segment: &PacketBuf) -> &[u8] {
     } else {
         &segment.as_bytes()[HEADER_LEN..]
     }
+}
+
+/// A UDP datagram unwrapped from the IPv4 packet that carried it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Received {
+    /// The IP source address.
+    pub src_addr: u32,
+    /// The IP destination address.
+    pub dst_addr: u32,
+    /// The UDP source port (where a reply goes).
+    pub src_port: u16,
+    /// The UDP payload.
+    pub payload: PacketBuf,
+}
+
+/// Unwrap `packet` (a full IPv4 packet) when it carries a UDP datagram
+/// addressed to `port`; `None` for any other protocol or port.
+pub fn receive(packet: &PacketBuf, port: u16) -> Option<Received> {
+    let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
+    if proto != ipv4::PROTO_UDP {
+        return None;
+    }
+    let datagram = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
+    if datagram.get_field(FIELDS, "destination_port").unwrap_or(0) as u16 != port {
+        return None;
+    }
+    Some(Received {
+        src_addr: ipv4::source_address(packet),
+        dst_addr: ipv4::destination_address(packet),
+        src_port: datagram.get_field(FIELDS, "source_port").unwrap_or(0) as u16,
+        payload: PacketBuf::from_bytes(payload(&datagram).to_vec()),
+    })
 }
 
 #[cfg(test)]

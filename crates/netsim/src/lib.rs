@@ -52,7 +52,7 @@ pub use fuzz::{
 pub use headers::{bfd, icmp, igmp, ipv4, ntp, udp};
 pub use net::{Host, Interface, Network, RouterConfig};
 pub use scenario::{
-    reference_scenarios, run_scenario, run_scenario_on, Scenario, ScenarioOutcome,
+    reference_scenarios, run_scenario, run_scenario_on, Responders, Scenario, ScenarioOutcome,
     ScenarioRegistry, ScenarioRun,
 };
 pub use sim::{

@@ -1,14 +1,17 @@
 //! The unified `Scenario` API over the discrete-event kernel.
 //!
-//! This replaces the four ad-hoc driver entry points
-//! (`tools::ping::ping_once`, `tools::igmp::membership_exchange`,
-//! `tools::ntp_exchange::client_server_exchange`,
-//! `tools::bfd_session::session_bring_up`) with one trait: a [`Scenario`]
-//! names a protocol exercise, binds event handlers onto any [`Topology`],
-//! and asserts over the resulting [`EventTrace`].  The sweep binary and the
-//! test suites iterate a [`ScenarioRegistry`] instead of hard-coding driver
-//! calls, so the same exercise runs unchanged on the Appendix-A network, a
-//! line, a star, a ring or a mesh.
+//! One trait covers every protocol exercise: a [`Scenario`] names a
+//! protocol session, binds event handlers onto any [`Topology`], and
+//! asserts over the resulting [`EventTrace`].  The sweep binary and the
+//! test suites iterate a [`ScenarioRegistry`], so the same exercise runs
+//! unchanged on the Appendix-A network, a line, a star, a ring or a mesh.
+//!
+//! A [`Responders`] bundle holds the pluggable role of each protocol — the
+//! hand-written references or SAGE-generated code — and is the one place
+//! that wires those roles into the happy-path registry
+//! ([`Responders::scenarios`]) and the chaos-recovery registry
+//! ([`crate::tools::chaos::chaos_scenarios`]).  Each session's packets come
+//! from its protocol module in [`crate::tools`].
 //!
 //! # Contract
 //!
@@ -20,23 +23,28 @@
 //! * `assert` judges only the trace (originated packets and notes), which
 //!   keeps verdicts replayable from a rendered trace alone.
 //!
-//! On the Appendix-A topology the originated packets of each scenario are
-//! byte-identical to the exchanges the legacy synchronous drivers produced;
-//! `tests/scenario_parity.rs` pins that equivalence.
+//! `tests/scenario_parity.rs` pins the packets each session originates on
+//! the Appendix-A topology, and `tests/session_traces.rs` pins the full
+//! trace of every registered session on every library topology.
 
 use crate::buffer::PacketBuf;
-use crate::headers::{bfd, icmp, igmp, ipv4, ntp, udp};
+use crate::headers::{bfd, igmp, ipv4, ntp, udp};
 use crate::net::{IcmpResponder, ReferenceResponder};
 use crate::sim::{
     Ctx, EventTrace, Node, NodeId, RouterNode, SimBuilder, Topology, TopologyError, TraceEventKind,
 };
 use crate::tcpdump::decode_packet;
-use crate::tools::bfd_session::{BfdEndpoint, ReferenceBfdEndpoint, BFD_CONTROL_PORT};
-use crate::tools::igmp::{IgmpResponder, ReferenceIgmpResponder};
-use crate::tools::ntp_exchange::{
-    NtpServer, NtpTimeoutPolicy, ReferenceNtpServer, ReferenceTimeoutPolicy,
+use crate::tools::bfd_session::{
+    control_datagram, BfdEndpoint, ReferenceBfdEndpoint, BFD_CONTROL_PORT,
 };
-use crate::tools::ping::{validate_reply, PingOutcome};
+use crate::tools::igmp::{
+    query_packet, report_packet, IgmpResponder, ReferenceIgmpResponder, SESSION_GROUP,
+};
+use crate::tools::ntp_exchange::{
+    reply_packet, request_packet, NtpServer, NtpTimeoutPolicy, ReferenceNtpServer,
+    ReferenceTimeoutPolicy,
+};
+use crate::tools::ping::{echo_request, validate_reply, PingOutcome, ECHO_PAYLOAD};
 use std::sync::Arc;
 
 /// Factory for the router-side ICMP responder under test.
@@ -210,14 +218,99 @@ impl ScenarioRegistry {
     }
 }
 
-/// The four protocol scenarios wired to the hand-written references.
+/// The peer every NTP session polls: its timer has reached the threshold,
+/// so the Table 11 timeout procedure fires.
+pub(crate) const DUE_PEER: ntp::PeerVariables = ntp::PeerVariables {
+    timer: 64,
+    threshold: 64,
+    mode: ntp::mode::CLIENT,
+};
+
+/// The pluggable role of each protocol session, as factories.  A bundle
+/// builds both the happy-path registry ([`Responders::scenarios`]) and the
+/// chaos-recovery one ([`crate::tools::chaos::chaos_scenarios`]); a `None`
+/// role registers no session for its protocol.
+#[derive(Clone, Default)]
+pub struct Responders {
+    /// The first router's ICMP responder.
+    pub icmp: Option<IcmpFactory>,
+    /// The IGMP host, a member of [`SESSION_GROUP`].
+    pub igmp: Option<IgmpFactory>,
+    /// The NTP client's timeout policy and the NTP server.
+    pub ntp: Option<(NtpPolicyFactory, NtpServerFactory)>,
+    /// Both BFD endpoints.
+    pub bfd: Option<BfdFactory>,
+}
+
+impl Responders {
+    /// The hand-written references in every role.
+    pub fn reference() -> Responders {
+        Responders {
+            icmp: Some(Arc::new(|| Box::new(ReferenceResponder))),
+            igmp: Some(Arc::new(|| {
+                Box::new(ReferenceIgmpResponder {
+                    group: SESSION_GROUP,
+                })
+            })),
+            ntp: Some((
+                Arc::new(|| Box::new(ReferenceTimeoutPolicy)),
+                Arc::new(|| {
+                    Box::new(ReferenceNtpServer {
+                        stratum: 2,
+                        clock: 0x1000,
+                    })
+                }),
+            )),
+            bfd: Some(Arc::new(|local, remote| {
+                Box::new(ReferenceBfdEndpoint::new(local, remote))
+            })),
+        }
+    }
+
+    /// The happy-path session of every filled role, named
+    /// `<prefix>/<label>` with prefixes `ping`, `igmp`, `ntp` and `bfd`.
+    pub fn scenarios(&self, label: &str) -> ScenarioRegistry {
+        let mut reg = ScenarioRegistry::new();
+        if let Some(responder) = &self.icmp {
+            let name = format!("ping/{label}");
+            reg.register(Arc::new(PingScenario::new(&name, responder.clone())));
+        }
+        if let Some(host) = &self.igmp {
+            let name = format!("igmp/{label}");
+            reg.register(Arc::new(IgmpScenario::new(
+                &name,
+                SESSION_GROUP,
+                host.clone(),
+            )));
+        }
+        if let Some((policy, server)) = &self.ntp {
+            let name = format!("ntp/{label}");
+            reg.register(Arc::new(NtpScenario::new(
+                &name,
+                policy.clone(),
+                server.clone(),
+                DUE_PEER,
+                0xDEAD_BEEF,
+            )));
+        }
+        if let Some(endpoint) = &self.bfd {
+            let name = format!("bfd/{label}");
+            reg.register(Arc::new(BfdScenario::new(
+                &name,
+                endpoint.clone(),
+                endpoint.clone(),
+                (7, 9),
+                (9, 7),
+            )));
+        }
+        reg
+    }
+}
+
+/// The four protocol sessions wired to the hand-written references, named
+/// `<prefix>/reference`.
 pub fn reference_scenarios() -> ScenarioRegistry {
-    let mut reg = ScenarioRegistry::new();
-    reg.register(Arc::new(PingScenario::reference()));
-    reg.register(Arc::new(IgmpScenario::reference()));
-    reg.register(Arc::new(NtpScenario::reference()));
-    reg.register(Arc::new(BfdScenario::reference()));
-    reg
+    Responders::reference().scenarios("reference")
 }
 
 /// Bind reference [`RouterNode`]s on every router except `skip` — the
@@ -250,8 +343,6 @@ pub struct PingScenario {
 const PING_IDENT: u16 = 0x77;
 /// The echo sequence number every ping scenario uses.
 const PING_SEQ: u16 = 1;
-/// The echo payload every ping scenario uses (the classic 16-byte pattern).
-const PING_PAYLOAD: &[u8] = b"0123456789abcdef";
 
 impl PingScenario {
     /// A ping scenario with a custom name and router responder.
@@ -260,11 +351,6 @@ impl PingScenario {
             name: name.to_string(),
             responder,
         }
-    }
-
-    /// The reference-responder ping scenario.
-    pub fn reference() -> PingScenario {
-        PingScenario::new("ping/reference", Arc::new(|| Box::new(ReferenceResponder)))
     }
 }
 
@@ -275,18 +361,17 @@ struct PingClientNode {
 
 impl Node for PingClientNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let echo = icmp::build_echo(false, PING_IDENT, PING_SEQ, PING_PAYLOAD);
-        ctx.send(ipv4::build_packet(
+        ctx.send(echo_request(
             self.src,
             self.dst,
-            ipv4::PROTO_ICMP,
-            64,
-            echo.as_bytes(),
+            PING_IDENT,
+            PING_SEQ,
+            ECHO_PAYLOAD,
         ));
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &PacketBuf) {
-        match validate_reply(packet, self.src, PING_IDENT, PING_SEQ, PING_PAYLOAD) {
+        match validate_reply(packet, self.src, PING_IDENT, PING_SEQ, ECHO_PAYLOAD) {
             PingOutcome::Reply { .. } => ctx.note("ping=ok"),
             PingOutcome::Error(e) => ctx.note(format!("ping=error:{e}")),
             PingOutcome::Rejected(r) => ctx.note(format!("ping=rejected:{r}")),
@@ -351,16 +436,6 @@ impl IgmpScenario {
             responder,
         }
     }
-
-    /// The reference-responder IGMP scenario (group 224.0.0.251).
-    pub fn reference() -> IgmpScenario {
-        let group = ipv4::addr(224, 0, 0, 251);
-        IgmpScenario::new(
-            "igmp/reference",
-            group,
-            Arc::new(move || Box::new(ReferenceIgmpResponder { group })),
-        )
-    }
 }
 
 /// The querier side: sends one Host Membership Query at start, consumes
@@ -371,15 +446,7 @@ struct IgmpQuerierNode {
 
 impl Node for IgmpQuerierNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let query = igmp::build_message(igmp::msg_type::MEMBERSHIP_QUERY, 0);
-        let all_hosts = ipv4::addr(224, 0, 0, 1);
-        ctx.send(ipv4::build_packet(
-            self.router_addr,
-            all_hosts,
-            ipv4::PROTO_IGMP,
-            1,
-            query.as_bytes(),
-        ));
+        ctx.send(query_packet(self.router_addr));
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _packet: &PacketBuf) {
@@ -405,13 +472,7 @@ impl Node for IgmpHostNode {
         }
         let delivered = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
         match self.responder.respond(&delivered) {
-            Some(msg) => ctx.send(ipv4::build_packet(
-                self.host_addr,
-                self.group,
-                ipv4::PROTO_IGMP,
-                1,
-                msg.as_bytes(),
-            )),
+            Some(msg) => ctx.send(report_packet(self.host_addr, self.group, &msg)),
             None => ctx.note("igmp=silent"),
         }
     }
@@ -493,9 +554,6 @@ pub struct NtpScenario {
     expect_exchange: bool,
 }
 
-/// The ephemeral client port every NTP scenario uses.
-const NTP_CLIENT_PORT: u16 = 45123;
-
 impl NtpScenario {
     /// An NTP scenario expecting a full request/reply exchange.
     pub fn new(
@@ -532,26 +590,6 @@ impl NtpScenario {
             expect_exchange: false,
         }
     }
-
-    /// The reference policy/server scenario (due peer, stratum-2 server).
-    pub fn reference() -> NtpScenario {
-        NtpScenario::new(
-            "ntp/reference",
-            Arc::new(|| Box::new(ReferenceTimeoutPolicy)),
-            Arc::new(|| {
-                Box::new(ReferenceNtpServer {
-                    stratum: 2,
-                    clock: 0x1000,
-                })
-            }),
-            ntp::PeerVariables {
-                timer: 64,
-                threshold: 64,
-                mode: ntp::mode::CLIENT,
-            },
-            0xDEAD_BEEF,
-        )
-    }
 }
 
 struct NtpClientNode {
@@ -569,19 +607,10 @@ impl Node for NtpClientNode {
             return;
         }
         ctx.note("ntp=timeout-fired");
-        let request = ntp::build_packet(0, 1, ntp::mode::CLIENT, 0, self.transmit_timestamp);
-        let datagram = ntp::encapsulate_in_udp(
+        ctx.send(request_packet(
             self.client_addr,
             self.server_addr,
-            NTP_CLIENT_PORT,
-            &request,
-        );
-        ctx.send(ipv4::build_packet(
-            self.client_addr,
-            self.server_addr,
-            ipv4::PROTO_UDP,
-            64,
-            datagram.as_bytes(),
+            self.transmit_timestamp,
         ));
     }
 
@@ -599,43 +628,19 @@ pub(crate) struct NtpServerNode {
 
 impl Node for NtpServerNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &PacketBuf) {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_UDP {
+        let Some(request) = udp::receive(packet, udp::NTP_PORT) else {
             ctx.deliver_local();
             return;
-        }
-        let datagram = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        let dst_port = datagram
-            .get_field(udp::FIELDS, "destination_port")
-            .unwrap_or(0) as u16;
-        if dst_port != udp::NTP_PORT {
-            ctx.deliver_local();
-            return;
-        }
-        let src_addr = packet
-            .get_field(ipv4::FIELDS, "source_address")
-            .unwrap_or(0) as u32;
-        let src_port = datagram.get_field(udp::FIELDS, "source_port").unwrap_or(0) as u16;
-        let request = PacketBuf::from_bytes(udp::payload(&datagram).to_vec());
-        let Some(reply) = self.server.respond(&request) else {
+        };
+        let Some(reply) = self.server.respond(&request.payload) else {
             ctx.note("ntp=server-silent");
             return;
         };
-        // Appendix A: the reply's destination port is copied from the
-        // request's source port.
-        let reply_udp = udp::build_datagram(
+        ctx.send(reply_packet(
             self.server_addr,
-            src_addr,
-            udp::NTP_PORT,
-            src_port,
-            reply.as_bytes(),
-        );
-        ctx.send(ipv4::build_packet(
-            self.server_addr,
-            src_addr,
-            ipv4::PROTO_UDP,
-            64,
-            reply_udp.as_bytes(),
+            request.src_addr,
+            request.src_port,
+            &reply,
         ));
     }
 }
@@ -782,21 +787,14 @@ impl BfdScenario {
         self.expect_path = path;
         self
     }
-
-    /// The reference-endpoint scenario with discriminators 7/9.
-    pub fn reference() -> BfdScenario {
-        let factory: BfdFactory =
-            Arc::new(|local, remote| Box::new(ReferenceBfdEndpoint::new(local, remote)));
-        BfdScenario::new("bfd/reference", factory.clone(), factory, (7, 9), (9, 7))
-    }
 }
 
 /// One BFD endpoint as an event handler.  Transmission is receive-driven:
 /// the initiator transmits at start, and every endpoint transmits after a
 /// reception unless both it and the received packet already report Up —
-/// which reproduces exactly the alternating a→b / b→a schedule (and packet
-/// sequence) of the legacy synchronous driver.  A per-node transmission
-/// budget guarantees termination for endpoints that never come up.
+/// which yields the alternating a→b / b→a schedule of a bring-up
+/// handshake.  A per-node transmission budget guarantees termination for
+/// endpoints that never come up.
 struct BfdEndpointNode {
     endpoint: Box<dyn BfdEndpoint>,
     local_addr: u32,
@@ -812,20 +810,7 @@ impl BfdEndpointNode {
         }
         self.budget -= 1;
         let control = self.endpoint.control_packet();
-        let datagram = udp::build_datagram(
-            self.local_addr,
-            self.peer_addr,
-            49152,
-            BFD_CONTROL_PORT,
-            control.as_bytes(),
-        );
-        ctx.send(ipv4::build_packet(
-            self.local_addr,
-            self.peer_addr,
-            ipv4::PROTO_UDP,
-            255,
-            datagram.as_bytes(),
-        ));
+        ctx.send(control_datagram(self.local_addr, self.peer_addr, &control));
     }
 }
 
@@ -837,20 +822,11 @@ impl Node for BfdEndpointNode {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &PacketBuf) {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_UDP {
+        let Some(received) = udp::receive(packet, BFD_CONTROL_PORT) else {
             ctx.deliver_local();
             return;
-        }
-        let datagram = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        let dst_port = datagram
-            .get_field(udp::FIELDS, "destination_port")
-            .unwrap_or(0) as u16;
-        if dst_port != BFD_CONTROL_PORT {
-            ctx.deliver_local();
-            return;
-        }
-        let control = PacketBuf::from_bytes(udp::payload(&datagram).to_vec());
+        };
+        let control = received.payload;
         self.endpoint.receive(&control);
         ctx.note(format!("bfd_state={:?}", self.endpoint.state()));
         let received_up = control.get_field(bfd::FIELDS, "state").unwrap_or(0)
@@ -995,7 +971,9 @@ mod tests {
         // One host, no routers: NTP needs two hosts, ping needs a router.
         let mut topo = Topology::named("tiny");
         topo.host("only", ipv4::addr(10, 0, 1, 1), 24);
-        let err = run_scenario_on(&NtpScenario::reference(), topo.clone()).unwrap_err();
+        let registry = reference_scenarios();
+        let ntp = registry.find("ntp/reference").unwrap();
+        let err = run_scenario_on(ntp.as_ref(), topo.clone()).unwrap_err();
         assert_eq!(
             err,
             TopologyError::NotEnoughHosts {
@@ -1003,7 +981,8 @@ mod tests {
                 available: 1
             }
         );
-        let err = run_scenario_on(&PingScenario::reference(), topo).unwrap_err();
+        let ping = registry.find("ping/reference").unwrap();
+        let err = run_scenario_on(ping.as_ref(), topo).unwrap_err();
         assert!(
             matches!(err, TopologyError::NotEnoughRouters { .. }),
             "{err}"
@@ -1033,9 +1012,43 @@ mod tests {
     }
 
     #[test]
+    fn silent_igmp_host_is_reported() {
+        struct Mute;
+        impl IgmpResponder for Mute {
+            fn respond(&mut self, _query: &PacketBuf) -> Option<PacketBuf> {
+                None
+            }
+        }
+        let scenario = IgmpScenario::new("igmp/silent", SESSION_GROUP, Arc::new(|| Box::new(Mute)));
+        let run = run_scenario(&scenario).unwrap();
+        assert!(run.outcome.failures().contains(&"report_sent"));
+        assert!(run.outcome.checks.contains(&("query_clean", true)));
+        assert_eq!(run.originated(), 1, "only the query goes out");
+        assert!(run.trace.notes().iter().any(|(_, t)| *t == "igmp=silent"));
+    }
+
+    #[test]
+    fn admin_down_bfd_endpoint_never_comes_up() {
+        let admin_down: BfdFactory = Arc::new(|local, remote| {
+            let mut endpoint = ReferenceBfdEndpoint::new(local, remote);
+            endpoint.session.session_state = bfd::SessionState::AdminDown;
+            Box::new(endpoint)
+        });
+        let reference = Responders::reference().bfd.unwrap();
+        let scenario = BfdScenario::new("bfd/admin-down", admin_down, reference, (7, 9), (9, 7));
+        let run = run_scenario(&scenario).unwrap();
+        assert!(
+            run.outcome.failures().contains(&"came_up"),
+            "{:?}\n{}",
+            run.outcome,
+            run.trace.render()
+        );
+        assert!(run.trace.notes().iter().all(|(_, t)| *t != "bfd_state=Up"));
+    }
+
+    #[test]
     fn misconfigured_bfd_discriminator_still_comes_up() {
-        let factory: BfdFactory =
-            Arc::new(|local, remote| Box::new(ReferenceBfdEndpoint::new(local, remote)));
+        let factory = Responders::reference().bfd.unwrap();
         let scenario = BfdScenario::new(
             "bfd/misconfigured",
             factory.clone(),

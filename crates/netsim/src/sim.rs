@@ -1213,9 +1213,8 @@ impl EventTrace {
         }
     }
 
-    /// Every originated packet, in order — the kernel analogue of the
-    /// legacy drivers' `report.packets` (forwarded transit copies are
-    /// excluded, as the legacy drivers captured pre-forward bytes).
+    /// Every originated packet, in order — the packets a session put on
+    /// the wire (forwarded transit copies are excluded).
     pub fn originated_packets(&self) -> Vec<Vec<u8>> {
         self.events
             .iter()

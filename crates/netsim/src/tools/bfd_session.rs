@@ -1,19 +1,20 @@
-//! The BFD session bring-up scenario (§6.4): two endpoints exchange control
-//! packets until both sessions reach Up (Down → Init → Up).
+//! The BFD session (§6.4): its wire format and pluggable endpoint role.
 //!
-//! The reception behaviour of each endpoint is pluggable — the hand-written
-//! [`ReferenceBfdEndpoint`] (built on
+//! Two endpoints exchange control packets until both sessions reach Up
+//! (Down → Init → Up).  The reception behaviour of each endpoint is
+//! pluggable — the hand-written [`ReferenceBfdEndpoint`] (built on
 //! [`bfd::session_state_transition`]) or SAGE-generated state-management
-//! code — while the driver owns the things RFC 5880 assigns to the
-//! environment: alternating transmission, UDP/IP encapsulation on the BFD
-//! control port, and packet capture.
+//! code — while the environment RFC 5880 assumes, UDP/IP encapsulation on
+//! the BFD control port, lives here once.
 
 use crate::buffer::PacketBuf;
 use crate::headers::{bfd, ipv4, udp};
-use crate::tcpdump::decode_packet;
 
 /// The destination UDP port for BFD single-hop control packets (RFC 5881).
 pub const BFD_CONTROL_PORT: u16 = 3784;
+
+/// The UDP source port BFD endpoints transmit control packets from.
+pub const SOURCE_PORT: u16 = 49152;
 
 /// One side of a BFD session — the role filled by SAGE-generated code.
 pub trait BfdEndpoint {
@@ -111,127 +112,17 @@ impl BfdEndpoint for ReferenceBfdEndpoint {
     }
 }
 
-/// The trace of a bring-up attempt.
-#[derive(Debug, Clone)]
-pub struct BringUpReport {
-    /// `(state of a, state of b)` after each delivered packet.
-    pub states: Vec<(bfd::SessionState, bfd::SessionState)>,
-    /// True if both sessions reached Up within the round budget.
-    pub came_up: bool,
-    /// Every control packet, UDP/IP-encapsulated, decoded cleanly in the
-    /// tcpdump substitute.
-    pub decoded_clean: bool,
-    /// The raw IP packets exchanged.
-    pub packets: Vec<Vec<u8>>,
-}
-
-impl BringUpReport {
-    /// The sequence of states endpoint `b` moved through (deduplicated) —
-    /// the classic bring-up is Down → Init → Up.
-    pub fn b_state_path(&self) -> Vec<bfd::SessionState> {
-        let mut path = vec![bfd::SessionState::Down];
-        for (_, b) in &self.states {
-            if path.last() != Some(b) {
-                path.push(*b);
-            }
-        }
-        path
-    }
-
-    /// True if the session came up and every capture was clean.
-    pub fn all_ok(&self) -> bool {
-        self.came_up && self.decoded_clean
-    }
-}
-
-/// Drive the two endpoints until both report Up (or the round budget runs
-/// out): each round, `a` transmits and `b` receives, then `b` transmits and
-/// `a` receives.  Control packets are captured UDP/IP-encapsulated on the
-/// BFD control port, between the first two hosts' addresses.
-#[deprecated(
-    note = "use scenario::BfdScenario on the event kernel instead; this synchronous driver is kept as the parity oracle"
-)]
-pub fn session_bring_up(
-    a: &mut dyn BfdEndpoint,
-    b: &mut dyn BfdEndpoint,
-    max_rounds: usize,
-) -> BringUpReport {
-    let addr_a = ipv4::addr(10, 0, 1, 100);
-    let addr_b = ipv4::addr(10, 0, 1, 200);
-    let mut states = Vec::new();
-    let mut packets = Vec::new();
-    let mut decoded_clean = true;
-
-    let deliver = |from: &mut dyn BfdEndpoint,
-                   to: &mut dyn BfdEndpoint,
-                   src: u32,
-                   dst: u32,
-                   packets: &mut Vec<Vec<u8>>,
-                   decoded_clean: &mut bool| {
-        let control = from.control_packet();
-        let datagram = udp::build_datagram(src, dst, 49152, BFD_CONTROL_PORT, control.as_bytes());
-        let ip = ipv4::build_packet(src, dst, ipv4::PROTO_UDP, 255, datagram.as_bytes());
-        if !decode_packet(ip.as_bytes()).clean() {
-            *decoded_clean = false;
-        }
-        packets.push(ip.as_bytes().to_vec());
-        to.receive(&control);
-    };
-
-    for _ in 0..max_rounds {
-        deliver(a, b, addr_a, addr_b, &mut packets, &mut decoded_clean);
-        states.push((a.state(), b.state()));
-        if a.state() == bfd::SessionState::Up && b.state() == bfd::SessionState::Up {
-            break;
-        }
-        deliver(b, a, addr_b, addr_a, &mut packets, &mut decoded_clean);
-        states.push((a.state(), b.state()));
-        if a.state() == bfd::SessionState::Up && b.state() == bfd::SessionState::Up {
-            break;
-        }
-    }
-
-    let came_up = states
-        .last()
-        .is_some_and(|(sa, sb)| *sa == bfd::SessionState::Up && *sb == bfd::SessionState::Up);
-    BringUpReport {
-        states,
-        came_up,
-        decoded_clean,
-        packets,
-    }
+/// A `control` packet from `src` to `dst`, UDP/IP-encapsulated on the BFD
+/// control port with TTL 255 (RFC 5881's single-hop rule).
+pub fn control_datagram(src: u32, dst: u32, control: &PacketBuf) -> PacketBuf {
+    let datagram = udp::build_datagram(src, dst, SOURCE_PORT, BFD_CONTROL_PORT, control.as_bytes());
+    ipv4::build_packet(src, dst, ipv4::PROTO_UDP, 255, datagram.as_bytes())
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // exercising the legacy drivers is the point of these tests
 mod tests {
     use super::*;
     use bfd::SessionState::{Down, Init, Up};
-
-    #[test]
-    fn reference_endpoints_bring_the_session_up() {
-        let mut a = ReferenceBfdEndpoint::new(7, 9);
-        let mut b = ReferenceBfdEndpoint::new(9, 7);
-        let report = session_bring_up(&mut a, &mut b, 4);
-        assert!(report.all_ok(), "{report:#?}");
-        // b walks the classic three-way handshake path.
-        assert_eq!(report.b_state_path(), vec![Down, Init, Up]);
-        assert_eq!(a.session.remote_discr, 9);
-        assert_eq!(b.session.remote_discr, 7);
-    }
-
-    #[test]
-    fn misconfigured_discriminator_is_learned_from_the_peer() {
-        // a is configured with the wrong remote discriminator (999), so its
-        // first packet is discarded by b — but the §6.8.6 bookkeeping (Set
-        // bfd.RemoteDiscr to the value of My Discriminator) lets a learn the
-        // real discriminator from b's reply and the session still comes up.
-        let mut a = ReferenceBfdEndpoint::new(7, 999);
-        let mut b = ReferenceBfdEndpoint::new(9, 7);
-        let report = session_bring_up(&mut a, &mut b, 4);
-        assert!(report.came_up, "{report:#?}");
-        assert_eq!(a.session.remote_discr, 9);
-    }
 
     #[test]
     fn wrong_discriminator_and_malformed_packets_are_discarded() {
@@ -263,14 +154,5 @@ mod tests {
         // State Down with zero discriminator is the bootstrap case.
         b.receive(&bfd::build_control_packet(Down, 7, 0, 3, false));
         assert_eq!(b.state(), Init);
-    }
-
-    #[test]
-    fn admin_down_endpoint_never_comes_up() {
-        let mut a = ReferenceBfdEndpoint::new(7, 9);
-        a.session.session_state = bfd::SessionState::AdminDown;
-        let mut b = ReferenceBfdEndpoint::new(9, 7);
-        let report = session_bring_up(&mut a, &mut b, 4);
-        assert!(!report.came_up);
     }
 }

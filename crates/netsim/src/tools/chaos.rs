@@ -28,16 +28,17 @@
 //! [`crate::fuzz::recovery_time_ns`] consume.
 
 use crate::buffer::PacketBuf;
-use crate::headers::{bfd, icmp, igmp, ipv4, ntp, udp};
+use crate::headers::{bfd, ipv4, ntp, udp};
 use crate::scenario::{
     bind_infrastructure_routers, BfdFactory, IcmpFactory, IgmpFactory, IgmpHostNode,
-    NtpPolicyFactory, NtpServerFactory, NtpServerNode, Scenario, ScenarioOutcome,
+    NtpPolicyFactory, NtpServerFactory, NtpServerNode, Responders, Scenario, ScenarioOutcome,
+    ScenarioRegistry, DUE_PEER,
 };
 use crate::sim::{Ctx, EventTrace, Node, RouterNode, SimBuilder, TopologyError};
-use crate::tools::bfd_session::{BfdEndpoint, ReferenceBfdEndpoint, BFD_CONTROL_PORT};
-use crate::tools::ntp_exchange::{ReferenceNtpServer, ReferenceTimeoutPolicy};
-use crate::tools::ping::{validate_reply, PingOutcome};
-use crate::tools::ReferenceIgmpResponder;
+use crate::tools::bfd_session::{control_datagram, BfdEndpoint, BFD_CONTROL_PORT};
+use crate::tools::igmp::{query_packet, SESSION_GROUP};
+use crate::tools::ntp_exchange::request_packet;
+use crate::tools::ping::{echo_request, validate_reply, PingOutcome, ECHO_PAYLOAD};
 use std::sync::Arc;
 
 /// The virtual time chaos drivers stop arming timers at.  Fault schedules
@@ -82,18 +83,9 @@ impl ChaosPingScenario {
             responder,
         }
     }
-
-    /// The reference-responder chaos ping scenario.
-    pub fn reference() -> ChaosPingScenario {
-        ChaosPingScenario::new(
-            "ping/chaos",
-            Arc::new(|| Box::new(crate::net::ReferenceResponder)),
-        )
-    }
 }
 
 const CHAOS_PING_IDENT: u16 = 0x77;
-const CHAOS_PING_PAYLOAD: &[u8] = b"0123456789abcdef";
 
 struct ChaosPingClient {
     src: u32,
@@ -104,18 +96,12 @@ struct ChaosPingClient {
 impl ChaosPingClient {
     fn ping(&mut self, ctx: &mut Ctx<'_>) {
         self.round += 1;
-        let echo = icmp::build_echo(
-            false,
-            CHAOS_PING_IDENT,
-            self.round as u16,
-            CHAOS_PING_PAYLOAD,
-        );
-        ctx.send(ipv4::build_packet(
+        ctx.send(echo_request(
             self.src,
             self.dst,
-            ipv4::PROTO_ICMP,
-            64,
-            echo.as_bytes(),
+            CHAOS_PING_IDENT,
+            self.round as u16,
+            ECHO_PAYLOAD,
         ));
         arm(ctx, ChaosPingScenario::INTERVAL_NS, self.round);
     }
@@ -142,7 +128,7 @@ impl Node for ChaosPingClient {
             self.src,
             CHAOS_PING_IDENT,
             self.round as u16,
-            CHAOS_PING_PAYLOAD,
+            ECHO_PAYLOAD,
         ) {
             PingOutcome::Reply { .. } => ctx.note("ping=ok"),
             _ => ctx.note("ping=stale"),
@@ -207,16 +193,6 @@ impl ChaosIgmpScenario {
             responder,
         }
     }
-
-    /// The reference-responder chaos IGMP scenario (group 224.0.0.251).
-    pub fn reference() -> ChaosIgmpScenario {
-        let group = ipv4::addr(224, 0, 0, 251);
-        ChaosIgmpScenario::new(
-            "igmp/chaos",
-            group,
-            Arc::new(move || Box::new(ReferenceIgmpResponder { group })),
-        )
-    }
 }
 
 struct ChaosIgmpQuerier {
@@ -230,15 +206,7 @@ struct ChaosIgmpQuerier {
 
 impl ChaosIgmpQuerier {
     fn query(&mut self, ctx: &mut Ctx<'_>) {
-        let query = igmp::build_message(igmp::msg_type::MEMBERSHIP_QUERY, 0);
-        let all_hosts = ipv4::addr(224, 0, 0, 1);
-        ctx.send(ipv4::build_packet(
-            self.router_addr,
-            all_hosts,
-            ipv4::PROTO_IGMP,
-            1,
-            query.as_bytes(),
-        ));
+        ctx.send(query_packet(self.router_addr));
     }
 
     fn new_round(&mut self, ctx: &mut Ctx<'_>) {
@@ -378,29 +346,7 @@ impl ChaosNtpScenario {
             peer,
         }
     }
-
-    /// The reference policy/server chaos scenario (due peer, stratum-2
-    /// server).
-    pub fn reference() -> ChaosNtpScenario {
-        ChaosNtpScenario::new(
-            "ntp/chaos",
-            Arc::new(|| Box::new(ReferenceTimeoutPolicy)),
-            Arc::new(|| {
-                Box::new(ReferenceNtpServer {
-                    stratum: 2,
-                    clock: 0x1000,
-                })
-            }),
-            ntp::PeerVariables {
-                timer: 64,
-                threshold: 64,
-                mode: ntp::mode::CLIENT,
-            },
-        )
-    }
 }
-
-const CHAOS_NTP_CLIENT_PORT: u16 = 45123;
 
 struct ChaosNtpClient {
     client_addr: u32,
@@ -423,19 +369,10 @@ impl ChaosNtpClient {
             return;
         }
         ctx.note("ntp=timeout-fired");
-        let request = ntp::build_packet(0, 1, ntp::mode::CLIENT, 0, self.round);
-        let datagram = ntp::encapsulate_in_udp(
+        ctx.send(request_packet(
             self.client_addr,
             self.server_addr,
-            CHAOS_NTP_CLIENT_PORT,
-            &request,
-        );
-        ctx.send(ipv4::build_packet(
-            self.client_addr,
-            self.server_addr,
-            ipv4::PROTO_UDP,
-            64,
-            datagram.as_bytes(),
+            self.round,
         ));
         arm(ctx, self.backoff_ns, self.round);
         self.backoff_ns = (self.backoff_ns * 2).min(ChaosNtpScenario::BACKOFF_CAP_NS);
@@ -566,13 +503,6 @@ impl ChaosBfdScenario {
             discr_b,
         }
     }
-
-    /// The reference-endpoint chaos scenario with discriminators 7/9.
-    pub fn reference() -> ChaosBfdScenario {
-        let factory: BfdFactory =
-            Arc::new(|local, remote| Box::new(ReferenceBfdEndpoint::new(local, remote)));
-        ChaosBfdScenario::new("bfd/chaos", factory.clone(), factory, (7, 9), (9, 7))
-    }
 }
 
 /// One chaos BFD endpoint in the RFC 5880 active/passive discipline: the
@@ -600,20 +530,7 @@ struct ChaosBfdEndpoint {
 impl ChaosBfdEndpoint {
     fn transmit(&mut self, ctx: &mut Ctx<'_>) {
         let control = self.endpoint.control_packet();
-        let datagram = udp::build_datagram(
-            self.local_addr,
-            self.peer_addr,
-            49152,
-            BFD_CONTROL_PORT,
-            control.as_bytes(),
-        );
-        ctx.send(ipv4::build_packet(
-            self.local_addr,
-            self.peer_addr,
-            ipv4::PROTO_UDP,
-            255,
-            datagram.as_bytes(),
-        ));
+        ctx.send(control_datagram(self.local_addr, self.peer_addr, &control));
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
@@ -663,20 +580,11 @@ impl Node for ChaosBfdEndpoint {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &PacketBuf) {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_UDP {
+        let Some(received) = udp::receive(packet, BFD_CONTROL_PORT) else {
             ctx.deliver_local();
             return;
-        }
-        let datagram = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        let dst_port = datagram
-            .get_field(udp::FIELDS, "destination_port")
-            .unwrap_or(0) as u16;
-        if dst_port != BFD_CONTROL_PORT {
-            ctx.deliver_local();
-            return;
-        }
-        let control = PacketBuf::from_bytes(udp::payload(&datagram).to_vec());
+        };
+        let control = received.payload;
         self.endpoint.receive(&control);
         self.last_rx = ctx.now().0;
         let received_down = control.get_field(bfd::FIELDS, "state").unwrap_or(u64::MAX)
@@ -754,21 +662,52 @@ impl Scenario for ChaosBfdScenario {
     }
 }
 
-/// The four chaos scenarios wired to the hand-written references.
-pub fn chaos_reference_scenarios() -> Vec<Arc<dyn Scenario>> {
-    vec![
-        Arc::new(ChaosPingScenario::reference()),
-        Arc::new(ChaosIgmpScenario::reference()),
-        Arc::new(ChaosNtpScenario::reference()),
-        Arc::new(ChaosBfdScenario::reference()),
-    ]
+/// The chaos-recovery session of every role `responders` fills, named
+/// `<prefix>/<label>` — the recovery counterpart of
+/// [`Responders::scenarios`], with the same roles and parameters.
+pub fn chaos_scenarios(responders: &Responders, label: &str) -> ScenarioRegistry {
+    let mut reg = ScenarioRegistry::new();
+    if let Some(responder) = &responders.icmp {
+        let name = format!("ping/{label}");
+        reg.register(Arc::new(ChaosPingScenario::new(&name, responder.clone())));
+    }
+    if let Some(host) = &responders.igmp {
+        let name = format!("igmp/{label}");
+        reg.register(Arc::new(ChaosIgmpScenario::new(
+            &name,
+            SESSION_GROUP,
+            host.clone(),
+        )));
+    }
+    if let Some((policy, server)) = &responders.ntp {
+        let name = format!("ntp/{label}");
+        reg.register(Arc::new(ChaosNtpScenario::new(
+            &name,
+            policy.clone(),
+            server.clone(),
+            DUE_PEER,
+        )));
+    }
+    if let Some(endpoint) = &responders.bfd {
+        let name = format!("bfd/{label}");
+        reg.register(Arc::new(ChaosBfdScenario::new(
+            &name,
+            endpoint.clone(),
+            endpoint.clone(),
+            (7, 9),
+            (9, 7),
+        )));
+    }
+    reg
 }
 
-/// The chaos scenario for `protocol`, from the reference set.
+/// The reference chaos scenario for `protocol`, named `<prefix>/chaos`.
 pub fn chaos_reference_scenario(protocol: &str) -> Arc<dyn Scenario> {
-    chaos_reference_scenarios()
-        .into_iter()
+    chaos_scenarios(&Responders::reference(), "chaos")
+        .scenarios()
+        .iter()
         .find(|s| s.protocol() == protocol)
+        .cloned()
         .unwrap_or_else(|| panic!("no chaos scenario for protocol {protocol:?}"))
 }
 
@@ -784,7 +723,7 @@ mod tests {
 
     #[test]
     fn chaos_scenarios_converge_without_faults() {
-        for scenario in chaos_reference_scenarios() {
+        for scenario in chaos_scenarios(&Responders::reference(), "chaos").scenarios() {
             let run = run_scenario_on(scenario.as_ref(), Topology::appendix_a()).unwrap();
             assert!(
                 run.ok(),
@@ -826,7 +765,7 @@ mod tests {
         };
         assert!(schedule.is_recoverable());
         let recover_after = SimTime(schedule.last_fault_ns());
-        for scenario in chaos_reference_scenarios() {
+        for scenario in chaos_scenarios(&Responders::reference(), "chaos").scenarios() {
             let fuzzed = FuzzedScenario::new(scenario.clone(), schedule.clone());
             let run = run_scenario_on(&fuzzed, Topology::appendix_a()).unwrap();
             assert!(

@@ -1,20 +1,19 @@
-//! The IGMP host-membership exchange scenario (§6.3).
+//! The IGMP host-membership session (§6.3): its wire format and pluggable
+//! host role.
 //!
-//! A multicast router on the Appendix-A topology sends a Host Membership
-//! Query to the all-hosts group; a host answers with a Host Membership
-//! Report for the group it belongs to.  The host side is pluggable — the
-//! hand-written [`ReferenceIgmpResponder`] or SAGE-generated code — and the
-//! exchange is validated the way §6.3 validates it: both packets must
-//! decode cleanly in the tcpdump substitute and the report must carry the
-//! reported group address with a correct checksum.
+//! A multicast router queries the all-hosts group; a host answers with a
+//! Host Membership Report for the group it belongs to.  The host side is
+//! pluggable — the hand-written [`ReferenceIgmpResponder`] or SAGE-generated
+//! code.  IGMP is link-local, so both packets carry TTL 1.
 
 use crate::buffer::PacketBuf;
 use crate::headers::{igmp, ipv4};
-use crate::net::Network;
-use crate::tcpdump::decode_packet;
 
 /// The all-hosts multicast group queries are addressed to (RFC 1112).
-pub const ALL_HOSTS_GROUP: [u8; 4] = [224, 0, 0, 1];
+pub const ALL_HOSTS: u32 = ipv4::addr(224, 0, 0, 1);
+
+/// The group every IGMP session's host reports membership of.
+pub const SESSION_GROUP: u32 = ipv4::addr(224, 0, 0, 251);
 
 /// Something that answers Host Membership Queries — the role filled by
 /// SAGE-generated IGMP code.
@@ -37,138 +36,21 @@ impl IgmpResponder for ReferenceIgmpResponder {
     }
 }
 
-/// The observable outcome of one membership query/report exchange.
-#[derive(Debug, Clone)]
-pub struct IgmpExchangeReport {
-    /// The query decoded cleanly at the host.
-    pub query_clean: bool,
-    /// The host produced a report.
-    pub report_sent: bool,
-    /// The report's type field is Host Membership Report.
-    pub report_type_ok: bool,
-    /// The report carries the group address the host belongs to.
-    pub group_echoed: bool,
-    /// The report's IGMP checksum verifies.
-    pub checksum_ok: bool,
-    /// The IP-encapsulated report decoded cleanly in the tcpdump substitute.
-    pub report_clean: bool,
-    /// The raw IP packets exchanged (query, then report if sent).
-    pub packets: Vec<Vec<u8>>,
-}
-
-impl IgmpExchangeReport {
-    /// True if every check succeeded.
-    pub fn all_ok(&self) -> bool {
-        self.query_clean
-            && self.report_sent
-            && self.report_type_ok
-            && self.group_echoed
-            && self.checksum_ok
-            && self.report_clean
-    }
-}
-
-/// Run the membership query/report exchange on `net`'s first subnet: the
-/// router queries the all-hosts group, the first host answers through
-/// `responder` for `group`.  IGMP is link-local (TTL 1), so the packets do
-/// not traverse the router — the topology only supplies the addresses.
-#[deprecated(
-    note = "use scenario::IgmpScenario on the event kernel instead; this synchronous driver is kept as the parity oracle"
-)]
-pub fn membership_exchange(
-    net: &Network,
-    responder: &mut dyn IgmpResponder,
-    group: u32,
-) -> IgmpExchangeReport {
-    let router_addr = net
-        .router
-        .interfaces
-        .first()
-        .map(|i| i.addr)
-        .unwrap_or_else(|| ipv4::addr(10, 0, 1, 1));
-    let host_addr = net
-        .hosts
-        .first()
-        .map(|h| h.iface.addr)
-        .unwrap_or_else(|| ipv4::addr(10, 0, 1, 100));
-    let all_hosts = ipv4::addr(
-        ALL_HOSTS_GROUP[0],
-        ALL_HOSTS_GROUP[1],
-        ALL_HOSTS_GROUP[2],
-        ALL_HOSTS_GROUP[3],
-    );
-
-    // Router → all-hosts: Host Membership Query, TTL 1.
+/// The Host Membership Query a router at `router_addr` sends to the
+/// all-hosts group.
+pub fn query_packet(router_addr: u32) -> PacketBuf {
     let query = igmp::build_message(igmp::msg_type::MEMBERSHIP_QUERY, 0);
-    let query_ip = ipv4::build_packet(
+    ipv4::build_packet(
         router_addr,
-        all_hosts,
+        ALL_HOSTS,
         ipv4::PROTO_IGMP,
         1,
         query.as_bytes(),
-    );
-    let mut packets = vec![query_ip.as_bytes().to_vec()];
-    let query_clean = decode_packet(query_ip.as_bytes()).clean();
-
-    // Host answers with a report for its group.
-    let delivered = PacketBuf::from_bytes(ipv4::payload(&query_ip).to_vec());
-    let report = responder.respond(&delivered);
-    let (report_sent, report_type_ok, group_echoed, checksum_ok, report_clean) = match &report {
-        Some(msg) => {
-            let report_ip =
-                ipv4::build_packet(host_addr, group, ipv4::PROTO_IGMP, 1, msg.as_bytes());
-            packets.push(report_ip.as_bytes().to_vec());
-            (
-                true,
-                msg.get_field(igmp::FIELDS, "type").ok()
-                    == Some(u64::from(igmp::msg_type::MEMBERSHIP_REPORT)),
-                msg.get_field(igmp::FIELDS, "group_address").ok() == Some(u64::from(group)),
-                igmp::checksum_ok(msg),
-                decode_packet(report_ip.as_bytes()).clean(),
-            )
-        }
-        None => (false, false, false, false, false),
-    };
-
-    IgmpExchangeReport {
-        query_clean,
-        report_sent,
-        report_type_ok,
-        group_echoed,
-        checksum_ok,
-        report_clean,
-        packets,
-    }
+    )
 }
 
-#[cfg(test)]
-#[allow(deprecated)] // exercising the legacy drivers is the point of these tests
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reference_host_completes_the_exchange() {
-        let net = Network::appendix_a();
-        let group = ipv4::addr(224, 0, 0, 251);
-        let mut host = ReferenceIgmpResponder { group };
-        let report = membership_exchange(&net, &mut host, group);
-        assert!(report.all_ok(), "{report:#?}");
-        assert_eq!(report.packets.len(), 2);
-    }
-
-    #[test]
-    fn silent_host_is_reported() {
-        struct Mute;
-        impl IgmpResponder for Mute {
-            fn respond(&mut self, _query: &PacketBuf) -> Option<PacketBuf> {
-                None
-            }
-        }
-        let net = Network::appendix_a();
-        let report = membership_exchange(&net, &mut Mute, ipv4::addr(224, 1, 2, 3));
-        assert!(!report.all_ok());
-        assert!(report.query_clean);
-        assert!(!report.report_sent);
-        assert_eq!(report.packets.len(), 1);
-    }
+/// A host's membership `report` (a bare IGMP message), addressed to the
+/// reported `group`.
+pub fn report_packet(host_addr: u32, group: u32, report: &PacketBuf) -> PacketBuf {
+    ipv4::build_packet(host_addr, group, ipv4::PROTO_IGMP, 1, report.as_bytes())
 }

@@ -1,20 +1,16 @@
-//! Simulated Linux network tools and protocol scenario drivers.
+//! Simulated Linux network tools and the protocol sessions' wire formats.
 //!
 //! §6.2 tests SAGE-generated ICMP code against `ping` and `traceroute`;
 //! [`mod@ping`] and [`mod@traceroute`] reproduce the relevant client-side behaviour
 //! of those tools against the virtual network in [`crate::net`].  The
-//! generality studies add one scenario driver per protocol, each with a
-//! pluggable responder trait so the same exchange runs against the
-//! hand-written reference or SAGE-generated code: [`igmp`] (§6.3 host
-//! membership query/report), [`ntp_exchange`] (§6.3 client/server exchange
-//! triggered by the Table 11 timeout rule) and [`bfd_session`] (§6.4
-//! session bring-up, Down → Init → Up).
-
-//!
-//! The synchronous drivers (`ping_once`, `membership_exchange`,
-//! `client_server_exchange`, `session_bring_up`) are deprecated in favour of
-//! the [`crate::scenario`] API over the event kernel; they remain as
-//! independent oracles for the trace-parity tests.
+//! generality studies add one module per protocol session, each owning the
+//! session's pluggable responder trait with its hand-written reference and
+//! the packets the session exchanges: [`igmp`] (§6.3 host membership
+//! query/report), [`ntp_exchange`] (§6.3 client/server exchange triggered
+//! by the Table 11 timeout rule) and [`bfd_session`] (§6.4 session
+//! bring-up, Down → Init → Up).  The happy-path ([`crate::scenario`]),
+//! recovery ([`chaos`]) and load ([`soak`]) nodes all build and unwrap
+//! their packets through these modules.
 
 pub mod bfd_session;
 pub mod chaos;
@@ -24,26 +20,16 @@ pub mod ping;
 pub mod soak;
 pub mod traceroute;
 
-#[allow(deprecated)]
-pub use bfd_session::session_bring_up;
-pub use bfd_session::{BfdEndpoint, BringUpReport, ReferenceBfdEndpoint};
+pub use bfd_session::{BfdEndpoint, ReferenceBfdEndpoint};
 pub use chaos::{
-    chaos_reference_scenario, chaos_reference_scenarios, ChaosBfdScenario, ChaosIgmpScenario,
+    chaos_reference_scenario, chaos_scenarios, ChaosBfdScenario, ChaosIgmpScenario,
     ChaosNtpScenario, ChaosPingScenario, CHAOS_HORIZON_NS, CHAOS_RECOVERY_BOUND_NS,
 };
-#[allow(deprecated)]
-pub use igmp::membership_exchange;
-pub use igmp::{IgmpExchangeReport, IgmpResponder, ReferenceIgmpResponder};
-#[allow(deprecated)]
-pub use ntp_exchange::client_server_exchange;
-pub use ntp_exchange::{
-    NtpExchangeReport, NtpServer, NtpTimeoutPolicy, ReferenceNtpServer, ReferenceTimeoutPolicy,
-};
-#[allow(deprecated)]
-pub use ping::ping_once;
-pub use ping::PingOutcome;
+pub use igmp::{IgmpResponder, ReferenceIgmpResponder};
+pub use ntp_exchange::{NtpServer, NtpTimeoutPolicy, ReferenceNtpServer, ReferenceTimeoutPolicy};
+pub use ping::{ping_once, PingOutcome};
 pub use soak::{
-    soak_group, soak_pair_topology, BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder,
-    NtpSoakResponder, SoakClientNode, SoakProtocol, SoakResponder, SoakServerNode,
+    soak_pair_topology, BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder, NtpSoakResponder,
+    SoakClientNode, SoakProtocol, SoakResponder, SoakServerNode,
 };
 pub use traceroute::{traceroute, Hop, TracerouteReport};

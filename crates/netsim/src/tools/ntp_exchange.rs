@@ -1,4 +1,5 @@
-//! The NTP client/server exchange scenario (§6.3, Table 11).
+//! The NTP client/server session (§6.3, Table 11): its wire format and
+//! pluggable roles.
 //!
 //! RFC 1059's timeout procedure is the trigger: "The timeout procedure is
 //! called in client mode and symmetric mode when the peer timer reaches the
@@ -10,12 +11,13 @@
 //! client's timeout procedure fire for the current peer variables?) and the
 //! *server* (how is the reply message formed?).  The static framework
 //! supplies everything the RFC assigns to lower layers — UDP encapsulation
-//! on port 123, IP, and routing across the Appendix-A topology.
+//! on port 123 and IP.
 
 use crate::buffer::PacketBuf;
 use crate::headers::{ipv4, ntp, udp};
-use crate::net::{Network, ReferenceResponder, RouterAction};
-use crate::tcpdump::decode_packet;
+
+/// The ephemeral UDP port NTP clients send their requests from.
+pub const CLIENT_PORT: u16 = 45123;
 
 /// The client-side decision of Table 11: whether the timeout procedure runs
 /// for the given peer variables — the role filled by SAGE-generated code.
@@ -75,195 +77,48 @@ impl NtpServer for ReferenceNtpServer {
     }
 }
 
-/// The observable outcome of one client/server exchange.
-#[derive(Debug, Clone)]
-pub struct NtpExchangeReport {
-    /// The client's timeout procedure fired (the Table 11 condition held).
-    pub timeout_fired: bool,
-    /// The request was routed towards the server.
-    pub request_forwarded: bool,
-    /// The server produced a reply.
-    pub reply_sent: bool,
-    /// The reply is in server mode.
-    pub reply_mode_ok: bool,
-    /// The reply's originate timestamp echoes the request's transmit
-    /// timestamp (how NTP pairs replies with requests).
-    pub originate_echoed: bool,
-    /// Both UDP datagrams carried valid checksums.
-    pub udp_checksums_ok: bool,
-    /// Every exchanged IP packet decoded cleanly in the tcpdump substitute.
-    pub decoded_clean: bool,
-    /// The raw IP packets exchanged (request, then reply if sent).
-    pub packets: Vec<Vec<u8>>,
-}
-
-impl NtpExchangeReport {
-    /// True if every check succeeded.
-    pub fn all_ok(&self) -> bool {
-        self.timeout_fired
-            && self.request_forwarded
-            && self.reply_sent
-            && self.reply_mode_ok
-            && self.originate_echoed
-            && self.udp_checksums_ok
-            && self.decoded_clean
-    }
-}
-
-/// Run the exchange on the Appendix-A topology: the client (first host)
-/// waits for its peer timer, then sends a client-mode message over UDP port
-/// 123 through the router to the server (second host); the server answers
-/// through `server`.
-#[deprecated(
-    note = "use scenario::NtpScenario on the event kernel instead; this synchronous driver is kept as the parity oracle"
-)]
-pub fn client_server_exchange(
-    net: &mut Network,
-    policy: &mut dyn NtpTimeoutPolicy,
-    server: &mut dyn NtpServer,
-    peer: &ntp::PeerVariables,
-    transmit_timestamp: u64,
-) -> NtpExchangeReport {
-    let client_addr = net
-        .hosts
-        .first()
-        .map(|h| h.iface.addr)
-        .unwrap_or_else(|| ipv4::addr(10, 0, 1, 100));
-    let server_addr = net
-        .hosts
-        .get(1)
-        .map(|h| h.iface.addr)
-        .unwrap_or_else(|| ipv4::addr(192, 168, 2, 100));
-    let client_port = 45123u16;
-
-    let mut report = NtpExchangeReport {
-        timeout_fired: false,
-        request_forwarded: false,
-        reply_sent: false,
-        reply_mode_ok: false,
-        originate_echoed: false,
-        udp_checksums_ok: false,
-        decoded_clean: false,
-        packets: Vec::new(),
-    };
-
-    // Table 11: does the timeout procedure run?
-    report.timeout_fired = policy.timeout_due(peer);
-    if !report.timeout_fired {
-        return report;
-    }
-
-    // The timeout procedure constructs a new NTP message; the framework
-    // sends it to the peer address on the NTP UDP port.
+/// The client-mode message the timeout procedure constructs, sent from
+/// [`CLIENT_PORT`] to the server's NTP port.
+pub fn request_packet(client_addr: u32, server_addr: u32, transmit_timestamp: u64) -> PacketBuf {
     let request = ntp::build_packet(0, 1, ntp::mode::CLIENT, 0, transmit_timestamp);
-    let request_udp = ntp::encapsulate_in_udp(client_addr, server_addr, client_port, &request);
-    let request_ip = ipv4::build_packet(
+    let datagram = ntp::encapsulate_in_udp(client_addr, server_addr, CLIENT_PORT, &request);
+    ipv4::build_packet(
         client_addr,
         server_addr,
         ipv4::PROTO_UDP,
         64,
-        request_udp.as_bytes(),
-    );
-    report.packets.push(request_ip.as_bytes().to_vec());
-    report.request_forwarded = matches!(
-        net.router_process(&request_ip, 0, &mut ReferenceResponder),
-        RouterAction::Forwarded(_)
-    );
-    if !report.request_forwarded {
-        return report;
-    }
+        datagram.as_bytes(),
+    )
+}
 
-    // Server side: unwrap UDP, let the pluggable server form the reply, and
-    // send it back with the port pair reversed (the Appendix A rule: "for a
-    // server reply it is copied from the source port field of the request").
-    let request_msg = PacketBuf::from_bytes(udp::payload(&request_udp).to_vec());
-    let Some(reply) = server.respond(&request_msg) else {
-        return report;
-    };
-    report.reply_sent = true;
-    report.reply_mode_ok =
-        reply.get_field(ntp::FIELDS, "mode").ok() == Some(u64::from(ntp::mode::SERVER));
-    report.originate_echoed =
-        reply.get_field(ntp::FIELDS, "originate_timestamp").ok() == Some(transmit_timestamp);
-
-    let reply_udp = udp::build_datagram(
+/// The server's `reply` (a bare NTP message) to a request from
+/// `client_addr`.  Appendix A: the reply's destination port "is copied from
+/// the source port field of the request", passed as `client_port`.
+pub fn reply_packet(
+    server_addr: u32,
+    client_addr: u32,
+    client_port: u16,
+    reply: &PacketBuf,
+) -> PacketBuf {
+    let datagram = udp::build_datagram(
         server_addr,
         client_addr,
         udp::NTP_PORT,
         client_port,
         reply.as_bytes(),
     );
-    let reply_ip = ipv4::build_packet(
+    ipv4::build_packet(
         server_addr,
         client_addr,
         ipv4::PROTO_UDP,
         64,
-        reply_udp.as_bytes(),
-    );
-    report.packets.push(reply_ip.as_bytes().to_vec());
-    let reply_forwarded = matches!(
-        net.router_process(&reply_ip, 1, &mut ReferenceResponder),
-        RouterAction::Forwarded(0)
-    );
-
-    report.udp_checksums_ok = udp::checksum_ok(client_addr, server_addr, &request_udp)
-        && udp::checksum_ok(server_addr, client_addr, &reply_udp);
-    report.decoded_clean = reply_forwarded
-        && report
-            .packets
-            .iter()
-            .all(|bytes| decode_packet(bytes).clean());
-    report
+        datagram.as_bytes(),
+    )
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // exercising the legacy drivers is the point of these tests
 mod tests {
     use super::*;
-
-    fn due_peer() -> ntp::PeerVariables {
-        ntp::PeerVariables {
-            timer: 64,
-            threshold: 64,
-            mode: ntp::mode::CLIENT,
-        }
-    }
-
-    #[test]
-    fn reference_exchange_completes() {
-        let mut net = Network::appendix_a();
-        let mut server = ReferenceNtpServer {
-            stratum: 2,
-            clock: 0x1000,
-        };
-        let report = client_server_exchange(
-            &mut net,
-            &mut ReferenceTimeoutPolicy,
-            &mut server,
-            &due_peer(),
-            0xDEAD_BEEF,
-        );
-        assert!(report.all_ok(), "{report:#?}");
-        assert_eq!(report.packets.len(), 2);
-    }
-
-    #[test]
-    fn no_exchange_before_the_timer_reaches_the_threshold() {
-        let mut net = Network::appendix_a();
-        let mut server = ReferenceNtpServer {
-            stratum: 2,
-            clock: 1,
-        };
-        let peer = ntp::PeerVariables {
-            timer: 10,
-            threshold: 64,
-            mode: ntp::mode::CLIENT,
-        };
-        let report =
-            client_server_exchange(&mut net, &mut ReferenceTimeoutPolicy, &mut server, &peer, 1);
-        assert!(!report.timeout_fired);
-        assert!(report.packets.is_empty());
-    }
 
     #[test]
     fn server_ignores_non_client_requests() {

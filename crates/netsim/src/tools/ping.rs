@@ -32,11 +32,18 @@ impl PingOutcome {
     }
 }
 
+/// The echo payload every ping session carries (the classic 16-byte
+/// pattern).
+pub const ECHO_PAYLOAD: &[u8] = b"0123456789abcdef";
+
+/// The IP-encapsulated echo request `ping` sends from `src` to `dst`.
+pub fn echo_request(src: u32, dst: u32, identifier: u16, seq: u16, payload: &[u8]) -> PacketBuf {
+    let echo = icmp::build_echo(false, identifier, seq, payload);
+    ipv4::build_packet(src, dst, ipv4::PROTO_ICMP, 64, echo.as_bytes())
+}
+
 /// Send one echo request from `src` to `dst` through the network, having the
 /// router answer with `responder`, and validate the reply.
-#[deprecated(
-    note = "use scenario::PingScenario on the event kernel instead; this synchronous driver is kept as the parity oracle"
-)]
 pub fn ping_once(
     net: &mut Network,
     responder: &mut dyn IcmpResponder,
@@ -46,8 +53,7 @@ pub fn ping_once(
     seq: u16,
     payload: &[u8],
 ) -> PingOutcome {
-    let echo = icmp::build_echo(false, identifier, seq, payload);
-    let request = ipv4::build_packet(src, dst, ipv4::PROTO_ICMP, 64, echo.as_bytes());
+    let request = echo_request(src, dst, identifier, seq, payload);
     match net.router_process(&request, 0, responder) {
         RouterAction::IcmpReply(reply) => validate_reply(&reply, src, identifier, seq, payload),
         RouterAction::Forwarded(_) | RouterAction::DeliveredLocally => PingOutcome::NoReply,
@@ -111,7 +117,6 @@ pub fn validate_reply(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // exercising the legacy drivers is the point of these tests
 mod tests {
     use super::*;
     use crate::headers::ipv4::addr;
@@ -127,7 +132,7 @@ mod tests {
             addr(10, 0, 1, 1),
             0x77,
             1,
-            b"0123456789abcdef",
+            ECHO_PAYLOAD,
         );
         assert!(outcome.success(), "outcome: {outcome:?}");
         assert_eq!(

@@ -16,19 +16,14 @@
 //! quarantine) wraps this trait one level up, in `sage-interp`.
 
 use crate::buffer::PacketBuf;
-use crate::headers::{bfd, icmp, igmp, ipv4, ntp, udp};
+use crate::headers::{bfd, icmp, ipv4, udp};
 use crate::net::{IcmpEvent, IcmpResponder};
 use crate::sim::{Ctx, Node, NodeId, Topology};
-use crate::tools::bfd_session::{BfdEndpoint, BFD_CONTROL_PORT};
-use crate::tools::igmp::IgmpResponder;
-use crate::tools::ntp_exchange::NtpServer;
+use crate::tools::bfd_session::{control_datagram, BfdEndpoint, BFD_CONTROL_PORT};
+use crate::tools::igmp::{query_packet, report_packet, IgmpResponder};
+use crate::tools::ntp_exchange::{reply_packet, request_packet, NtpServer};
+use crate::tools::ping::{echo_request, ECHO_PAYLOAD};
 
-/// The ephemeral client port soak BFD sessions transmit from.
-const SOAK_BFD_SRC_PORT: u16 = 49152;
-/// The ephemeral client port soak NTP sessions transmit from.
-const SOAK_NTP_CLIENT_PORT: u16 = 45123;
-/// The echo payload soak ICMP sessions carry (the classic pattern).
-const SOAK_PING_PAYLOAD: &[u8] = b"0123456789abcdef";
 /// The timer token soak clients schedule their rounds with.
 const SOAK_ROUND_TOKEN: u64 = 0x50AC;
 
@@ -65,11 +60,6 @@ impl SoakProtocol {
             SoakProtocol::Bfd => "bfd",
         }
     }
-}
-
-/// The multicast group soak IGMP sessions report membership of.
-pub fn soak_group() -> u32 {
-    ipv4::addr(224, 0, 0, 251)
 }
 
 /// A topology of `sessions` disconnected client/server host pairs, each
@@ -126,12 +116,8 @@ impl<R: IcmpResponder> SoakResponder for IcmpSoakResponder<R> {
         if msg.get_field(icmp::FIELDS, "type").unwrap_or(0) != u64::from(icmp::msg_type::ECHO) {
             return Ok(None);
         }
-        let src = packet
-            .get_field(ipv4::FIELDS, "source_address")
-            .unwrap_or(0) as u32;
-        let dst = packet
-            .get_field(ipv4::FIELDS, "destination_address")
-            .unwrap_or(0) as u32;
+        let src = ipv4::source_address(packet);
+        let dst = ipv4::destination_address(packet);
         Ok(self
             .inner
             .respond(IcmpEvent::EchoRequest, packet)
@@ -157,15 +143,10 @@ impl<R: IgmpResponder> SoakResponder for IgmpSoakResponder<R> {
             return Ok(None);
         }
         let query = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        Ok(self.inner.respond(&query).map(|msg| {
-            ipv4::build_packet(
-                self.host_addr,
-                self.group,
-                ipv4::PROTO_IGMP,
-                1,
-                msg.as_bytes(),
-            )
-        }))
+        Ok(self
+            .inner
+            .respond(&query)
+            .map(|msg| report_packet(self.host_addr, self.group, &msg)))
     }
 }
 
@@ -178,40 +159,11 @@ pub struct NtpSoakResponder<S: NtpServer> {
 
 impl<S: NtpServer> SoakResponder for NtpSoakResponder<S> {
     fn respond(&mut self, packet: &PacketBuf) -> Result<Option<PacketBuf>, String> {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_UDP {
+        let Some(request) = udp::receive(packet, udp::NTP_PORT) else {
             return Ok(None);
-        }
-        let datagram = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        let dst_port = datagram
-            .get_field(udp::FIELDS, "destination_port")
-            .unwrap_or(0) as u16;
-        if dst_port != udp::NTP_PORT {
-            return Ok(None);
-        }
-        let src_addr = packet
-            .get_field(ipv4::FIELDS, "source_address")
-            .unwrap_or(0) as u32;
-        let dst_addr = packet
-            .get_field(ipv4::FIELDS, "destination_address")
-            .unwrap_or(0) as u32;
-        let src_port = datagram.get_field(udp::FIELDS, "source_port").unwrap_or(0) as u16;
-        let request = PacketBuf::from_bytes(udp::payload(&datagram).to_vec());
-        Ok(self.inner.respond(&request).map(|reply| {
-            let reply_udp = udp::build_datagram(
-                dst_addr,
-                src_addr,
-                udp::NTP_PORT,
-                src_port,
-                reply.as_bytes(),
-            );
-            ipv4::build_packet(
-                dst_addr,
-                src_addr,
-                ipv4::PROTO_UDP,
-                64,
-                reply_udp.as_bytes(),
-            )
+        };
+        Ok(self.inner.respond(&request.payload).map(|reply| {
+            reply_packet(request.dst_addr, request.src_addr, request.src_port, &reply)
         }))
     }
 }
@@ -225,39 +177,15 @@ pub struct BfdSoakResponder<E: BfdEndpoint> {
 
 impl<E: BfdEndpoint> SoakResponder for BfdSoakResponder<E> {
     fn respond(&mut self, packet: &PacketBuf) -> Result<Option<PacketBuf>, String> {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_UDP {
+        let Some(received) = udp::receive(packet, BFD_CONTROL_PORT) else {
             return Ok(None);
-        }
-        let datagram = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        let dst_port = datagram
-            .get_field(udp::FIELDS, "destination_port")
-            .unwrap_or(0) as u16;
-        if dst_port != BFD_CONTROL_PORT {
-            return Ok(None);
-        }
-        let control = PacketBuf::from_bytes(udp::payload(&datagram).to_vec());
-        self.inner.receive(&control);
-        let src_addr = packet
-            .get_field(ipv4::FIELDS, "source_address")
-            .unwrap_or(0) as u32;
-        let dst_addr = packet
-            .get_field(ipv4::FIELDS, "destination_address")
-            .unwrap_or(0) as u32;
+        };
+        self.inner.receive(&received.payload);
         let reply = self.inner.control_packet();
-        let reply_udp = udp::build_datagram(
-            dst_addr,
-            src_addr,
-            SOAK_BFD_SRC_PORT,
-            BFD_CONTROL_PORT,
-            reply.as_bytes(),
-        );
-        Ok(Some(ipv4::build_packet(
-            dst_addr,
-            src_addr,
-            ipv4::PROTO_UDP,
-            255,
-            reply_udp.as_bytes(),
+        Ok(Some(control_datagram(
+            received.dst_addr,
+            received.src_addr,
+            &reply,
         )))
     }
 }
@@ -345,42 +273,18 @@ impl SoakClientNode {
         match self.protocol {
             SoakProtocol::Icmp => {
                 let seq = (round.wrapping_mul(self.burst).wrapping_add(index)) as u16;
-                let echo = icmp::build_echo(false, self.session as u16, seq, SOAK_PING_PAYLOAD);
-                ipv4::build_packet(
+                echo_request(
                     self.client_addr,
                     self.server_addr,
-                    ipv4::PROTO_ICMP,
-                    64,
-                    echo.as_bytes(),
+                    self.session as u16,
+                    seq,
+                    ECHO_PAYLOAD,
                 )
             }
-            SoakProtocol::Igmp => {
-                let query = igmp::build_message(igmp::msg_type::MEMBERSHIP_QUERY, 0);
-                let all_hosts = ipv4::addr(224, 0, 0, 1);
-                ipv4::build_packet(
-                    self.client_addr,
-                    all_hosts,
-                    ipv4::PROTO_IGMP,
-                    1,
-                    query.as_bytes(),
-                )
-            }
+            SoakProtocol::Igmp => query_packet(self.client_addr),
             SoakProtocol::Ntp => {
                 let transmit = (u64::from(self.session) << 32) | u64::from(round);
-                let request = ntp::build_packet(0, 1, ntp::mode::CLIENT, 0, transmit);
-                let datagram = ntp::encapsulate_in_udp(
-                    self.client_addr,
-                    self.server_addr,
-                    SOAK_NTP_CLIENT_PORT,
-                    &request,
-                );
-                ipv4::build_packet(
-                    self.client_addr,
-                    self.server_addr,
-                    ipv4::PROTO_UDP,
-                    64,
-                    datagram.as_bytes(),
-                )
+                request_packet(self.client_addr, self.server_addr, transmit)
             }
             SoakProtocol::Bfd => {
                 // Legal bring-up against a fresh peer: Down first, Init
@@ -393,20 +297,7 @@ impl SoakClientNode {
                 let local = self.session * 2 + 1;
                 let remote = self.session * 2 + 2;
                 let control = bfd::build_control_packet(state, local, remote, 3, false);
-                let datagram = udp::build_datagram(
-                    self.client_addr,
-                    self.server_addr,
-                    SOAK_BFD_SRC_PORT,
-                    BFD_CONTROL_PORT,
-                    control.as_bytes(),
-                );
-                ipv4::build_packet(
-                    self.client_addr,
-                    self.server_addr,
-                    ipv4::PROTO_UDP,
-                    255,
-                    datagram.as_bytes(),
-                )
+                control_datagram(self.client_addr, self.server_addr, &control)
             }
         }
     }
@@ -449,7 +340,7 @@ mod tests {
     use crate::net::ReferenceResponder;
     use crate::sim::{SimBuilder, TraceMode};
     use crate::tools::bfd_session::ReferenceBfdEndpoint;
-    use crate::tools::igmp::ReferenceIgmpResponder;
+    use crate::tools::igmp::{ReferenceIgmpResponder, SESSION_GROUP};
     use crate::tools::ntp_exchange::ReferenceNtpServer;
 
     fn reference_service(
@@ -463,10 +354,10 @@ mod tests {
             }),
             SoakProtocol::Igmp => Box::new(IgmpSoakResponder {
                 inner: ReferenceIgmpResponder {
-                    group: soak_group(),
+                    group: SESSION_GROUP,
                 },
                 host_addr: server_addr,
-                group: soak_group(),
+                group: SESSION_GROUP,
             }),
             SoakProtocol::Ntp => Box::new(NtpSoakResponder {
                 inner: ReferenceNtpServer {

@@ -1,21 +1,30 @@
 //! The §6.4 BFD study end to end: generate the RFC 5880 §6.8.6 reception
 //! procedure from the state-management corpus, then let two generated
 //! endpoints bring a session up (Down → Init → Up) while the hand-written
-//! reference pair does the same, and compare the traces.
+//! reference pair does the same, and compare the state traces.  Exits
+//! nonzero if the generated session fails a check or diverges.
 //!
 //! ```sh
 //! cargo run --example bfd_session
 //! ```
 
-// Deliberately runs the deprecated synchronous driver: it is the oracle the
-// kernel `Scenario` traces are pinned against (tests/scenario_parity.rs).
-#![allow(deprecated)]
+use std::process::ExitCode;
 
 use sage_repro::core::programs::generate_bfd_program;
-use sage_repro::interp::GeneratedBfdEndpoint;
-use sage_repro::netsim::tools::bfd_session::{session_bring_up, ReferenceBfdEndpoint};
+use sage_repro::interp::{generated_scenarios, ResponderRegistry};
+use sage_repro::netsim::scenario::{reference_scenarios, run_scenario, ScenarioRun};
 
-fn main() {
+/// The endpoints' `bfd_state=` notes, in trace order.
+fn state_trace(run: &ScenarioRun) -> Vec<String> {
+    run.trace
+        .notes()
+        .into_iter()
+        .filter(|(_, note)| note.starts_with("bfd_state="))
+        .map(|(node, note)| format!("{node} {}", note.trim_start_matches("bfd_state=")))
+        .collect()
+}
+
+fn main() -> ExitCode {
     println!("generating BFD reception code from the RFC 5880 §6.8.6 corpus...\n");
     let program = generate_bfd_program();
 
@@ -25,32 +34,31 @@ fn main() {
     }
 
     println!("--- session bring-up: generated endpoints ---");
-    let mut a = GeneratedBfdEndpoint::new(program.clone(), 7, 9);
-    let mut b = GeneratedBfdEndpoint::new(program, 9, 7);
-    let generated = session_bring_up(&mut a, &mut b, 4);
-    for (i, (sa, sb)) in generated.states.iter().enumerate() {
-        println!("  after packet {i}: a={sa:?} b={sb:?}");
+    let mut registry = ResponderRegistry::new();
+    registry.register("bfd", program);
+    let scenarios = generated_scenarios(&registry);
+    let scenario = scenarios.find("bfd/generated").expect("bfd registered");
+    let generated = run_scenario(scenario.as_ref()).expect("Appendix A has two hosts");
+    for state in state_trace(&generated) {
+        println!("  {state}");
     }
-    println!("  b state path: {:?}", generated.b_state_path());
-    println!(
-        "  session up: {}, captures clean: {}, exec errors: {}",
-        generated.came_up,
-        generated.decoded_clean,
-        a.errors.len() + b.errors.len()
-    );
+    for (check, ok) in &generated.outcome.checks {
+        println!("  {check:<16} {}", if *ok { "ok" } else { "FAILED" });
+    }
 
     println!("\n--- session bring-up: reference endpoints ---");
-    let mut ra = ReferenceBfdEndpoint::new(7, 9);
-    let mut rb = ReferenceBfdEndpoint::new(9, 7);
-    let reference = session_bring_up(&mut ra, &mut rb, 4);
-    println!("  reference state trace: {:?}", reference.states);
+    let references = reference_scenarios();
+    let scenario = references.find("bfd/reference").expect("registered");
+    let reference = run_scenario(scenario.as_ref()).expect("Appendix A has two hosts");
+    println!("  reference state trace: {:?}", state_trace(&reference));
 
-    println!(
-        "\noverall: {}",
-        if generated.all_ok() && generated.states == reference.states {
-            "generated BFD code matches the reference bring-up, Down -> Init -> Up"
-        } else {
-            "FAILURE — traces diverged or captures were not clean"
-        }
-    );
+    if generated.ok() && state_trace(&generated) == state_trace(&reference) {
+        println!(
+            "\noverall: generated BFD code matches the reference bring-up, Down -> Init -> Up"
+        );
+        ExitCode::SUCCESS
+    } else {
+        println!("\noverall: FAILURE — traces diverged or a check failed");
+        ExitCode::FAILURE
+    }
 }

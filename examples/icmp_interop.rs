@@ -1,14 +1,17 @@
 //! The §6.2 end-to-end experiment: generate ICMP code from RFC 792, plug it
 //! into the virtual network, and interoperate with the simulated `ping`,
-//! `traceroute` and `tcpdump` tools (Appendix A scenarios).
+//! `traceroute` and `tcpdump` tools (Appendix A scenarios).  Exits nonzero
+//! if any experiment fails.
 //!
 //! ```sh
 //! cargo run --example icmp_interop
 //! ```
 
+use std::process::ExitCode;
+
 use sage_repro::core::{generate_icmp_program, icmp_end_to_end};
 
-fn main() {
+fn main() -> ExitCode {
     println!("generating ICMP implementation from the RFC 792 corpus...\n");
     let program = generate_icmp_program();
 
@@ -37,12 +40,13 @@ fn main() {
         result.packets_checked,
         if result.tcpdump_clean { "ok" } else { "FAILED" }
     );
-    println!(
-        "\noverall: {}",
-        if result.all_ok() {
-            "generated code interoperates correctly with the simulated Linux tools"
-        } else {
-            "FAILURE — see above"
-        }
-    );
+    if result.all_ok() {
+        println!(
+            "\noverall: generated code interoperates correctly with the simulated Linux tools"
+        );
+        ExitCode::SUCCESS
+    } else {
+        println!("\noverall: FAILURE — see above");
+        ExitCode::FAILURE
+    }
 }

@@ -1,23 +1,20 @@
 //! The §6.3 IGMP generality study end to end: generate host-side IGMP code
 //! from the RFC 1112 Appendix I corpus, plug it into the virtual network,
 //! and answer a multicast router's Host Membership Query with a report.
+//! Exits nonzero if any check of the exchange fails.
 //!
 //! ```sh
 //! cargo run --example igmp_e2e
 //! ```
 
-// Deliberately runs the deprecated synchronous driver: it is the oracle the
-// kernel `Scenario` traces are pinned against (tests/scenario_parity.rs).
-#![allow(deprecated)]
+use std::process::ExitCode;
 
 use sage_repro::core::programs::generate_igmp_program;
-use sage_repro::interp::GeneratedIgmpResponder;
-use sage_repro::netsim::headers::ipv4;
-use sage_repro::netsim::net::Network;
+use sage_repro::interp::{generated_scenarios, ResponderRegistry};
+use sage_repro::netsim::scenario::run_scenario;
 use sage_repro::netsim::tcpdump::decode_packet;
-use sage_repro::netsim::tools::igmp::membership_exchange;
 
-fn main() {
+fn main() -> ExitCode {
     println!("generating IGMP host code from the RFC 1112 Appendix I corpus...\n");
     let program = generate_igmp_program();
 
@@ -33,34 +30,23 @@ fn main() {
     }
 
     println!("--- membership query/report exchange (Appendix A subnet) ---");
-    let group = ipv4::addr(224, 0, 0, 251);
-    let mut host = GeneratedIgmpResponder::new(program, group);
-    let report = membership_exchange(&Network::appendix_a(), &mut host, group);
+    let mut registry = ResponderRegistry::new();
+    registry.register("igmp", program);
+    let scenarios = generated_scenarios(&registry);
+    let scenario = scenarios.find("igmp/generated").expect("igmp registered");
+    let run = run_scenario(scenario.as_ref()).expect("Appendix A has a router and a host");
 
-    for (i, packet) in report.packets.iter().enumerate() {
-        let decoded = decode_packet(packet);
-        println!("  packet {i}: {}", decoded.summary);
+    for (i, packet) in run.trace.originated_packets().iter().enumerate() {
+        println!("  packet {i}: {}", decode_packet(packet).summary);
     }
-    println!("  query decoded clean        {}", ok(report.query_clean));
-    println!("  report sent                {}", ok(report.report_sent));
-    println!("  report type = 2            {}", ok(report.report_type_ok));
-    println!("  group address echoed       {}", ok(report.group_echoed));
-    println!("  IGMP checksum valid        {}", ok(report.checksum_ok));
-    println!("  report decoded clean       {}", ok(report.report_clean));
-    println!(
-        "\noverall: {}",
-        if report.all_ok() && host.errors.is_empty() {
-            "generated IGMP code interoperates with the membership query"
-        } else {
-            "FAILURE — see above"
-        }
-    );
-}
-
-fn ok(flag: bool) -> &'static str {
-    if flag {
-        "ok"
+    for (check, ok) in &run.outcome.checks {
+        println!("  {check:<26} {}", if *ok { "ok" } else { "FAILED" });
+    }
+    if run.ok() {
+        println!("\noverall: generated IGMP code interoperates with the membership query");
+        ExitCode::SUCCESS
     } else {
-        "FAILED"
+        println!("\noverall: FAILURE — see above");
+        ExitCode::FAILURE
     }
 }

@@ -2,11 +2,6 @@
 //! experiment (RFC text → pipeline → generated code → virtual network →
 //! simulated Linux tools).
 
-// The legacy synchronous drivers are deprecated in favour of the kernel
-// `Scenario` API, but this suite deliberately exercises them: they are the
-// oracles that `tests/scenario_parity.rs` pins the kernel traces against.
-#![allow(deprecated)]
-
 use sage_repro::core::{generate_icmp_program, icmp_end_to_end};
 use sage_repro::interp::GeneratedResponder;
 use sage_repro::netsim::headers::{icmp, ipv4};

@@ -340,7 +340,9 @@ fn bfd_cases() -> Vec<ParityCase> {
     // Full bring-up parity, observed on the event kernel: the generated
     // endpoints and the reference endpoints must leave byte-identical event
     // traces (same packets, same delivery times, same state notes).
-    use sage_repro::netsim::scenario::{run_scenario, BfdFactory, BfdScenario};
+    use sage_repro::netsim::scenario::{
+        reference_scenarios, run_scenario, BfdFactory, BfdScenario,
+    };
     use std::sync::Arc;
     let gen_program = program.clone();
     let generated_factory: BfdFactory = Arc::new(move |local, remote| {
@@ -358,7 +360,9 @@ fn bfd_cases() -> Vec<ParityCase> {
         (9, 7),
     ))
     .expect("scenario binds");
-    let reference_run = run_scenario(&BfdScenario::reference()).expect("scenario binds");
+    let references = reference_scenarios();
+    let reference_bfd = references.find("bfd/reference").expect("registered");
+    let reference_run = run_scenario(reference_bfd.as_ref()).expect("scenario binds");
     assert!(generated_run.ok(), "{:?}", generated_run.outcome.failures());
     assert!(reference_run.ok(), "{:?}", reference_run.outcome.failures());
     cases.push(ParityCase {
