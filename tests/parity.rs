@@ -13,7 +13,9 @@ use sage_repro::interp::{
 };
 use sage_repro::netsim::buffer::PacketBuf;
 use sage_repro::netsim::headers::{bfd, icmp, igmp, ipv4, ntp};
-use sage_repro::netsim::net::{Network, ReferenceResponder, RouterAction};
+use sage_repro::netsim::net::{
+    IcmpEvent, IcmpResponder, Network, ReferenceResponder, RouterAction,
+};
 use sage_repro::netsim::tools::bfd_session::{BfdEndpoint, ReferenceBfdEndpoint};
 use sage_repro::netsim::tools::igmp::IgmpResponder;
 use sage_repro::netsim::tools::ntp_exchange::{
@@ -34,46 +36,65 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+/// A bare reply message as hex, or `silent` when there is none.
+fn render_message(message: Option<PacketBuf>) -> String {
+    match message {
+        Some(msg) => hex(msg.as_bytes()),
+        None => "silent".to_string(),
+    }
+}
+
 /// How a reply is projected for comparison.
 #[derive(Clone, Copy)]
 enum Compare {
     /// The RFC pins the reply bytes: full payload hex must match.
     Bytes,
-    /// The reference fills framework-chosen values (timestamps, the
-    /// redirect code granularity): compare the message type and that the
-    /// checksum verifies.
+    /// The reference fills framework-chosen values (timestamps): compare
+    /// the message type and that the checksum verifies.
     TypeAndChecksum,
+    /// The redirect code's granularity is the framework's choice, but the
+    /// gateway address (bytes 4..8) is pinned: compare type, checksum and
+    /// gateway.
+    Gateway,
 }
 
-fn render_reply(action: RouterAction, compare: Compare) -> String {
-    match action {
-        RouterAction::IcmpReply(reply) => {
-            let payload = ipv4::payload(&reply);
-            match compare {
-                Compare::Bytes => format!("reply {}", hex(payload)),
-                Compare::TypeAndChecksum => {
-                    let msg = PacketBuf::from_bytes(payload.to_vec());
-                    format!(
-                        "reply type={} checksum_ok={}",
-                        msg.get_field(icmp::FIELDS, "type").unwrap_or(255),
-                        icmp::checksum_ok(&msg)
-                    )
-                }
-            }
-        }
-        other => format!("{other:?}"),
+/// One ICMP message (no IP header) projected by `compare`.
+fn render_icmp(message: &[u8], compare: Compare) -> String {
+    let msg = PacketBuf::from_bytes(message.to_vec());
+    let kind = format!(
+        "reply type={} checksum_ok={}",
+        msg.get_field(icmp::FIELDS, "type").unwrap_or(255),
+        icmp::checksum_ok(&msg)
+    );
+    match compare {
+        Compare::Bytes => format!("reply {}", hex(message)),
+        Compare::TypeAndChecksum => kind,
+        Compare::Gateway => format!("{kind} gateway={}", hex(message.get(4..8).unwrap_or(&[]))),
     }
 }
 
-/// ICMP: the Appendix A router scenarios, reply payloads compared.
+/// ICMP: the Appendix A router scenarios, plus the events the router never
+/// raises with these payloads handed straight to the responder; reply
+/// payloads compared.
 fn icmp_cases() -> Vec<ParityCase> {
     let client = ipv4::addr(10, 0, 1, 100);
     let router = ipv4::addr(10, 0, 1, 1);
     let program = generate_program(Protocol::Icmp);
-    let stimuli: Vec<(String, Compare, PacketBuf)> = vec![
+    let echo_to = |dst: u32, ttl: u8, id: u16, data: &[u8]| {
+        ipv4::build_packet(
+            client,
+            dst,
+            ipv4::PROTO_ICMP,
+            ttl,
+            icmp::build_echo(false, id, 1, data).as_bytes(),
+        )
+    };
+    // `None` routes the datagram through the router, which picks the event.
+    let stimuli: Vec<(&str, Compare, Option<IcmpEvent>, PacketBuf)> = vec![
         (
-            "echo request".into(),
+            "echo request",
             Compare::Bytes,
+            None,
             ipv4::build_packet(
                 client,
                 router,
@@ -83,8 +104,9 @@ fn icmp_cases() -> Vec<ParityCase> {
             ),
         ),
         (
-            "timestamp request".into(),
+            "timestamp request",
             Compare::TypeAndChecksum,
+            None,
             ipv4::build_packet(
                 client,
                 router,
@@ -94,8 +116,9 @@ fn icmp_cases() -> Vec<ParityCase> {
             ),
         ),
         (
-            "information request".into(),
+            "information request",
             Compare::Bytes,
+            None,
             ipv4::build_packet(
                 client,
                 router,
@@ -105,56 +128,54 @@ fn icmp_cases() -> Vec<ParityCase> {
             ),
         ),
         (
-            "unknown destination".into(),
+            "unknown destination",
             Compare::Bytes,
-            ipv4::build_packet(
-                client,
-                ipv4::addr(8, 8, 8, 8),
-                ipv4::PROTO_ICMP,
-                64,
-                icmp::build_echo(false, 2, 1, b"x").as_bytes(),
-            ),
+            None,
+            echo_to(ipv4::addr(8, 8, 8, 8), 64, 2, b"x"),
         ),
         (
-            "ttl expiry".into(),
+            "ttl expiry",
             Compare::Bytes,
-            ipv4::build_packet(
-                client,
-                ipv4::addr(192, 168, 2, 100),
-                ipv4::PROTO_ICMP,
-                1,
-                icmp::build_echo(false, 3, 1, b"x").as_bytes(),
-            ),
+            None,
+            echo_to(ipv4::addr(192, 168, 2, 100), 1, 3, b"x"),
         ),
         (
-            "same-subnet redirect".into(),
-            Compare::TypeAndChecksum,
-            ipv4::build_packet(
-                client,
-                ipv4::addr(10, 0, 1, 200),
-                ipv4::PROTO_ICMP,
-                64,
-                icmp::build_echo(false, 4, 1, b"x").as_bytes(),
-            ),
+            "same-subnet redirect",
+            Compare::Gateway,
+            None,
+            echo_to(ipv4::addr(10, 0, 1, 200), 64, 4, b"x"),
+        ),
+        (
+            "parameter problem at octet 1",
+            Compare::Bytes,
+            Some(IcmpEvent::ParameterProblem(1)),
+            echo_to(router, 64, 7, b"pointer"),
+        ),
+        (
+            "parameter problem at octet 9",
+            Compare::Bytes,
+            Some(IcmpEvent::ParameterProblem(9)),
+            echo_to(router, 64, 8, b"pointer"),
         ),
     ];
     stimuli
         .into_iter()
-        .map(|(case, compare, request)| {
-            let mut net = Network::appendix_a();
-            let generated = render_reply(
-                net.router_process(&request, 0, &mut GeneratedResponder::new(program.clone())),
-                compare,
-            );
-            let reference = render_reply(
-                net.router_process(&request, 0, &mut ReferenceResponder),
-                compare,
-            );
+        .map(|(case, compare, event, request)| {
+            let render = |responder: &mut dyn IcmpResponder| match event {
+                None => match Network::appendix_a().router_process(&request, 0, responder) {
+                    RouterAction::IcmpReply(reply) => render_icmp(ipv4::payload(&reply), compare),
+                    other => format!("{other:?}"),
+                },
+                Some(event) => match responder.respond(event, &request) {
+                    Some(msg) => render_icmp(msg.as_bytes(), compare),
+                    None => "silent".to_string(),
+                },
+            };
             ParityCase {
                 protocol: "ICMP",
-                case,
-                generated,
-                reference,
+                case: case.to_string(),
+                generated: render(&mut GeneratedResponder::new(program.clone())),
+                reference: render(&mut ReferenceResponder),
             }
         })
         .collect()
@@ -178,15 +199,9 @@ fn igmp_cases() -> Vec<ParityCase> {
         .into_iter()
         .map(|(case, query)| {
             let mut gen_host = GeneratedIgmpResponder::new(program.clone(), group);
-            let generated = match gen_host.respond(&query) {
-                Some(msg) => hex(msg.as_bytes()),
-                None => "silent".to_string(),
-            };
+            let generated = render_message(gen_host.respond(&query));
             assert!(gen_host.errors.is_empty(), "{case}: {:?}", gen_host.errors);
-            let reference = match igmp::respond_to_query(&query, group) {
-                Some(msg) => hex(msg.as_bytes()),
-                None => "silent".to_string(),
-            };
+            let reference = render_message(igmp::respond_to_query(&query, group));
             ParityCase {
                 protocol: "IGMP",
                 case,
@@ -240,19 +255,13 @@ fn ntp_cases() -> Vec<ParityCase> {
         ),
     ] {
         let mut generated_server = GeneratedNtpServer::new(program.clone(), 2, 0x1234_5678);
-        let generated = match generated_server.respond(&request) {
-            Some(msg) => hex(msg.as_bytes()),
-            None => "silent".to_string(),
-        };
+        let generated = render_message(generated_server.respond(&request));
         assert!(generated_server.errors.is_empty());
         let mut reference_server = ReferenceNtpServer {
             stratum: 2,
             clock: 0x1234_5678,
         };
-        let reference = match reference_server.respond(&request) {
-            Some(msg) => hex(msg.as_bytes()),
-            None => "silent".to_string(),
-        };
+        let reference = render_message(reference_server.respond(&request));
         cases.push(ParityCase {
             protocol: "NTP",
             case,
@@ -407,6 +416,43 @@ fn engine_transcript(mode: ExecMode) -> String {
         );
         out.push(format!("icmp/{case}: {rendered}"));
     }
+    // The events whose payload the adapter seeds as a state variable, and
+    // a datagram cut short inside the IP header (its errors are part of
+    // the transcript).
+    let request = ipv4::build_packet(
+        client,
+        ipv4::addr(10, 0, 1, 200),
+        ipv4::PROTO_ICMP,
+        64,
+        icmp::build_echo(false, 0xE2, 1, b"seeded").as_bytes(),
+    );
+    let truncated = PacketBuf::from_bytes(request.as_bytes()[..4].to_vec());
+    for (case, event, datagram) in [
+        (
+            "redirect",
+            IcmpEvent::Redirect(ipv4::addr(10, 0, 1, 1)),
+            &request,
+        ),
+        (
+            "parameter-problem-1",
+            IcmpEvent::ParameterProblem(1),
+            &request,
+        ),
+        (
+            "parameter-problem-9",
+            IcmpEvent::ParameterProblem(9),
+            &request,
+        ),
+        ("truncated", IcmpEvent::EchoRequest, &truncated),
+    ] {
+        let mut responder = GeneratedResponder::new(icmp_program.clone()).with_mode(mode);
+        let reply = responder.respond(event, datagram);
+        out.push(format!(
+            "icmp/{case}: {} errors={:?}",
+            render_message(reply),
+            responder.errors
+        ));
+    }
 
     // IGMP: report bytes for a query, silence for a report.
     let igmp_program = generate_program(Protocol::Igmp);
@@ -422,13 +468,18 @@ fn engine_transcript(mode: ExecMode) -> String {
         ),
     ] {
         let mut host = GeneratedIgmpResponder::new(igmp_program.clone(), group).with_mode(mode);
-        let rendered = match host.respond(&query) {
-            Some(msg) => hex(msg.as_bytes()),
-            None => "silent".to_string(),
-        };
+        let rendered = render_message(host.respond(&query));
         assert!(host.errors.is_empty(), "{case}: {:?}", host.errors);
         out.push(format!("igmp/{case}: {rendered}"));
     }
+    let query = igmp::build_message(igmp::msg_type::MEMBERSHIP_QUERY, 0);
+    let mut host = GeneratedIgmpResponder::new(igmp_program.clone(), group).with_mode(mode);
+    let reply = host.respond(&PacketBuf::from_bytes(query.as_bytes()[..1].to_vec()));
+    out.push(format!(
+        "igmp/truncated: {} errors={:?}",
+        render_message(reply),
+        host.errors
+    ));
 
     // NTP: the timeout grid and the server reply bytes.
     let ntp_program = generate_program(Protocol::Ntp);
@@ -436,6 +487,8 @@ fn engine_transcript(mode: ExecMode) -> String {
         ntp::mode::CLIENT,
         ntp::mode::SERVER,
         ntp::mode::SYMMETRIC_ACTIVE,
+        ntp::mode::SYMMETRIC_PASSIVE,
+        ntp::mode::BROADCAST,
     ] {
         for (timer, threshold) in [(64u64, 64u64), (63, 64)] {
             let peer = ntp::PeerVariables {
@@ -455,16 +508,19 @@ fn engine_transcript(mode: ExecMode) -> String {
     let mut server = GeneratedNtpServer::new(ntp_program.clone(), 2, 0x1234_5678).with_mode(mode);
     out.push(format!(
         "ntp/server: {}",
-        match server.respond(&request) {
-            Some(msg) => hex(msg.as_bytes()),
-            None => "silent".to_string(),
-        }
+        render_message(server.respond(&request))
     ));
     assert!(server.errors.is_empty());
+    let reply = server.respond(&PacketBuf::from_bytes(request.as_bytes()[..3].to_vec()));
+    out.push(format!(
+        "ntp/truncated: {} errors={:?}",
+        render_message(reply),
+        server.errors
+    ));
 
     // BFD: the endpoint state machine over a packet battery.
     let bfd_program = generate_program(Protocol::Bfd);
-    use bfd::SessionState::{Down, Init, Up};
+    use bfd::SessionState::{AdminDown, Down, Init, Up};
     for (case, packet) in [
         ("down", bfd::build_control_packet(Down, 41, 9, 3, false)),
         ("init", bfd::build_control_packet(Init, 42, 9, 3, false)),
@@ -477,6 +533,25 @@ fn engine_transcript(mode: ExecMode) -> String {
         assert!(ep.errors.is_empty(), "{case}: {:?}", ep.errors);
         out.push(format!(
             "bfd/{case}: {}",
+            render_bfd_endpoint(ep.state(), &ep.session)
+        ));
+    }
+    let packet = bfd::build_control_packet(Down, 41, 9, 3, false);
+    let mut ep = GeneratedBfdEndpoint::new(bfd_program.clone(), 9, 41).with_mode(mode);
+    ep.receive(&PacketBuf::from_bytes(packet.as_bytes()[..2].to_vec()));
+    out.push(format!(
+        "bfd/truncated: {} errors={:?}",
+        render_bfd_endpoint(ep.state(), &ep.session),
+        ep.errors
+    ));
+    // One endpoint carried through bring-up and back down: each packet
+    // starts from the session variables the previous one left behind.
+    let mut ep = GeneratedBfdEndpoint::new(bfd_program.clone(), 9, 41).with_mode(mode);
+    for remote in [Down, Up, Up, AdminDown] {
+        ep.receive(&bfd::build_control_packet(remote, 41, 9, 3, false));
+        assert!(ep.errors.is_empty(), "walk/{remote:?}: {:?}", ep.errors);
+        out.push(format!(
+            "bfd/walk {remote:?}: {}",
             render_bfd_endpoint(ep.state(), &ep.session)
         ));
     }

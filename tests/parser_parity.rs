@@ -1,19 +1,23 @@
-//! Differential parity suite for the interned CKY engine.
+//! Parser-output golden for the interned CKY engine.
 //!
-//! The chart parser was rewritten around interned, id-compared items
-//! (`sage_ccg::parser`); the pre-refactor boxed engine survives as
-//! `sage_ccg::reference` and acts as the behavioural specification.  These
-//! tests drive **every sentence of all four RFC corpora** through both
-//! engines and assert they agree — first exactly (logical-form list, order,
-//! fragment flag and chart-item count), then at the representation level
-//! the refactor is allowed to guarantee: identical LF *sets* as canonical
-//! arena ids.
+//! Every sentence of all four RFC corpora, under four parser
+//! configurations, plus six hand-picked sentences, is pinned in
+//! `tests/parses/corpora.txt`: one line per parse, `config protocol index
+//! lfs=<n> fragment=<b> items=<n> <hash>`, the hash being the FNV-1a of the
+//! logical forms' `{:?}` rendering in order.  While the pre-refactor boxed
+//! engine (`sage_ccg::reference`) still exists, every parse is also compared
+//! against it, exactly and as canonical arena-id LF sets.
+//!
+//! To refresh after an intentional change:
+//! `UPDATE_GOLDEN=1 cargo test --test parser_parity` — then review the diff.
 
 use sage_ccg::{parse_sentence_cached, reference, Lexicon, ParserConfig, ParserWorkspace};
 use sage_logic::{LfArena, LfId};
 use sage_nlp::{ChunkerConfig, TermDictionary};
 use sage_spec::corpus::Protocol;
 use std::collections::BTreeSet;
+use std::fs;
+use std::path::PathBuf;
 
 /// Every sentence of the evaluation: the ICMP/IGMP/NTP documents plus the
 /// BFD state-management sentence list, labelled by protocol.
@@ -47,69 +51,134 @@ fn canonical_ids(forms: &[sage_logic::Lf], arena: &mut LfArena) -> BTreeSet<LfId
         .collect()
 }
 
-fn assert_parity(config: ParserConfig, lexicon: &Lexicon) -> usize {
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/parses/corpora.txt")
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The parser configurations the golden pins, by label, with the lexicon
+/// each parses with.
+fn configurations() -> Vec<(&'static str, ParserConfig, Lexicon)> {
+    let default = ParserConfig::default();
+    vec![
+        ("default", default, Lexicon::bfd()),
+        (
+            "no-fragments",
+            ParserConfig {
+                allow_fragments: false,
+                ..default
+            },
+            Lexicon::bfd(),
+        ),
+        (
+            "no-nominal-fallback",
+            ParserConfig {
+                unknown_nominals_as_np: false,
+                ..default
+            },
+            Lexicon::bfd(),
+        ),
+        // A small beam exercises the cap/dedup interaction; the ICMP-only
+        // lexicon exercises the unknown-phrase fallback paths.
+        (
+            "cap6-icmp",
+            ParserConfig {
+                max_items_per_cell: 6,
+                ..default
+            },
+            Lexicon::icmp(),
+        ),
+    ]
+}
+
+/// Hand-picked sentences covering fragments, coordination, possessives and
+/// a dotted state variable, parsed with the default configuration.
+const HAND_SENTENCES: [&str; 6] = [
+    "The checksum is zero.",
+    "For computing the checksum, the checksum field should be zero.",
+    "The checksum of the header of the message is zero.",
+    "The source address and the destination address are reversed.",
+    "If bfd.RemoteDemandMode is 1, the local system must cease the \
+     periodic transmission of BFD Control packets.",
+    "The internet header plus the first 64 bits of the original datagram's data",
+];
+
+#[test]
+fn parses_match_the_committed_golden() {
     let dict = TermDictionary::networking();
-    let mut ws = ParserWorkspace::new(lexicon);
     let mut arena = LfArena::new();
-    let mut compared = 0usize;
-    for (label, sentences) in corpus_sentences() {
-        for text in sentences {
-            let oracle =
-                reference::parse_sentence(&text, lexicon, &dict, ChunkerConfig::default(), config);
-            let interned =
-                parse_sentence_cached(&text, &mut ws, &dict, ChunkerConfig::default(), config);
-            // Strict layer: the engines agree on everything, including LF
-            // order, the fragment flag and the chart-effort counter.
-            assert_eq!(interned, oracle, "{label}: engines diverged on {text:?}");
-            // Representation layer (the refactor's contract): identical LF
-            // sets as canonical arena ids.
-            assert_eq!(
-                canonical_ids(&interned.logical_forms, &mut arena),
-                canonical_ids(&oracle.logical_forms, &mut arena),
-                "{label}: canonical LF sets diverged on {text:?}"
-            );
-            compared += 1;
+    let mut lines = Vec::new();
+    for (config_label, config, lexicon) in configurations() {
+        let mut ws = ParserWorkspace::new(&lexicon);
+        let mut inputs = corpus_sentences();
+        if config_label == "default" {
+            inputs.push(("hand", HAND_SENTENCES.map(String::from).to_vec()));
+        }
+        for (label, sentences) in inputs {
+            for (index, text) in sentences.iter().enumerate() {
+                let parse =
+                    parse_sentence_cached(text, &mut ws, &dict, ChunkerConfig::default(), config);
+                let oracle = reference::parse_sentence(
+                    text,
+                    &lexicon,
+                    &dict,
+                    ChunkerConfig::default(),
+                    config,
+                );
+                assert_eq!(parse, oracle, "{label}: engines diverged on {text:?}");
+                assert_eq!(
+                    canonical_ids(&parse.logical_forms, &mut arena),
+                    canonical_ids(&oracle.logical_forms, &mut arena),
+                    "{label}: canonical LF sets diverged on {text:?}"
+                );
+                lines.push(format!(
+                    "{config_label} {label} {index} lfs={} fragment={} items={} {:016x}",
+                    parse.lf_count(),
+                    parse.from_fragment,
+                    parse.chart_items,
+                    fnv1a(format!("{:?}", parse.logical_forms).as_bytes())
+                ));
+            }
         }
     }
-    compared
-}
-
-#[test]
-fn interned_parser_matches_reference_on_all_corpora() {
-    let compared = assert_parity(ParserConfig::default(), &Lexicon::bfd());
     assert!(
-        compared > 100,
-        "expected the four corpora to contribute >100 sentences, got {compared}"
+        lines.len() > 400,
+        "expected four configurations of >100 sentences, got {} lines",
+        lines.len()
     );
-}
 
-#[test]
-fn parity_holds_with_fragments_disabled() {
-    let config = ParserConfig {
-        allow_fragments: false,
-        ..ParserConfig::default()
-    };
-    assert_parity(config, &Lexicon::bfd());
-}
-
-#[test]
-fn parity_holds_without_nominal_fallback() {
-    let config = ParserConfig {
-        unknown_nominals_as_np: false,
-        ..ParserConfig::default()
-    };
-    assert_parity(config, &Lexicon::bfd());
-}
-
-#[test]
-fn parity_holds_with_tight_cell_cap_and_icmp_lexicon() {
-    // A small beam exercises the cap/dedup interaction; the ICMP-only
-    // lexicon exercises the unknown-phrase fallback paths.
-    let config = ParserConfig {
-        max_items_per_cell: 6,
-        ..ParserConfig::default()
-    };
-    assert_parity(config, &Lexicon::icmp());
+    let text = lines.join("\n") + "\n";
+    let path = golden_path();
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
+        fs::write(&path, &text).expect("write golden");
+        return;
+    }
+    let golden = fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing {}: {e}; run with UPDATE_GOLDEN=1", path.display()));
+    let diverged: Vec<String> = golden
+        .lines()
+        .zip(text.lines())
+        .filter(|(want, got)| want != got)
+        .map(|(want, got)| format!("  want {want}\n  got  {got}"))
+        .take(10)
+        .collect();
+    assert!(
+        diverged.is_empty() && golden.lines().count() == text.lines().count(),
+        "parses diverged from {} ({} vs {} lines):\n{}",
+        path.display(),
+        golden.lines().count(),
+        text.lines().count(),
+        diverged.join("\n")
+    );
 }
 
 #[test]
