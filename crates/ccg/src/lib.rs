@@ -13,9 +13,8 @@
 //!   composition and coordination, returning *all* logical forms of a
 //!   sentence.  The engine is interned and zero-clone: chart items are
 //!   `Copy` pairs of arena ids on a packed flat chart, built through a
-//!   recyclable [`ParserWorkspace`];
-//! * [`mod@reference`] — the pre-refactor boxed engine, kept as the
-//!   differential-testing oracle the parity suite compares against;
+//!   recyclable [`ParserWorkspace`]; `tests/parser_parity.rs` pins its
+//!   output over all four RFC corpora in a committed golden;
 //! * [`overgenerate`] — reproduction of CCG's well-known over-generation
 //!   behaviours (argument-order swaps for `If`-sentences, comma
 //!   distributivity), which the disambiguation stage then winnows.
@@ -42,7 +41,6 @@ pub mod category;
 pub mod lexicon;
 pub mod overgenerate;
 pub mod parser;
-pub mod reference;
 pub mod semantics;
 
 pub use category::{CatArena, CatId, Category, Slash};

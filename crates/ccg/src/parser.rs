@@ -25,9 +25,9 @@
 //! All of that state lives in a [`ParserWorkspace`], which clones the
 //! lexicon's pre-interned arenas once at construction (clones preserve ids,
 //! so the lexicon's [`InternedEntry`] ids stay valid) and is recycled
-//! across sentences.  The pre-refactor boxed engine survives as
-//! [`crate::reference`], and `tests/parser_parity.rs` pins the two engines
-//! to identical output over all four RFC corpora.
+//! across sentences.  `tests/parser_parity.rs` pins its output over all
+//! four RFC corpora, under four configurations, in a committed golden
+//! recorded while the pre-refactor boxed engine still agreed with it.
 
 use crate::category::{CatArena, CatId, Slash};
 use crate::lexicon::{InternedEntry, Lexicon, LookupCache};
@@ -203,8 +203,7 @@ impl<'lex> ParserWorkspace<'lex> {
 
         // Cells are completed in CKY order (spans small to large), so each
         // cell's items are one contiguous run of the flat chart: lexical
-        // items first, then combinations — the same in-cell order the
-        // reference engine produces.
+        // items first, then combinations.
         for span in 1..=n {
             for i in 0..=n - span {
                 let j = i + span;
@@ -363,8 +362,7 @@ impl<'lex> ParserWorkspace<'lex> {
     }
 
     /// Try every combination rule on a pair of adjacent items, pushing the
-    /// results straight into the current cell (dedup makes this equivalent
-    /// to the reference engine's collect-then-insert).
+    /// results straight into the current cell.
     fn combine(&mut self, l: Item, r: Item, cell_start: usize, cap: usize, total: &mut usize) {
         self.forward_application(l, r, cell_start, cap, total);
         self.backward_application(l, r, cell_start, cap, total);
@@ -742,38 +740,6 @@ mod tests {
         let (cats, sems) = ws.arena_sizes();
         assert!(cats >= 6 && sems > 0);
         assert_eq!(ws.lexicon().len(), lexicon.len());
-    }
-
-    #[test]
-    fn interned_engine_matches_reference_engine() {
-        let lexicon = Lexicon::bfd();
-        let dict = TermDictionary::networking();
-        let mut ws = ParserWorkspace::new(&lexicon);
-        for sentence in [
-            "The checksum is zero.",
-            "For computing the checksum, the checksum field should be zero.",
-            "The checksum of the header of the message is zero.",
-            "The source address and the destination address are reversed.",
-            "If bfd.RemoteDemandMode is 1, the local system must cease the \
-             periodic transmission of BFD Control packets.",
-            "The internet header plus the first 64 bits of the original datagram's data",
-        ] {
-            let reference = crate::reference::parse_sentence(
-                sentence,
-                &lexicon,
-                &dict,
-                ChunkerConfig::default(),
-                ParserConfig::default(),
-            );
-            let interned = parse_sentence_cached(
-                sentence,
-                &mut ws,
-                &dict,
-                ChunkerConfig::default(),
-                ParserConfig::default(),
-            );
-            assert_eq!(interned, reference, "engines diverged on {sentence:?}");
-        }
     }
 
     #[test]

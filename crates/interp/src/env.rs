@@ -32,50 +32,53 @@ pub struct Env {
 }
 
 impl Env {
+    /// Environment over an explicit start state: the received datagram, the
+    /// initial reply buffer and its addresses, with the reply tagged as
+    /// holding `protocol`'s header.
+    pub(crate) fn new(
+        request_ip: PacketBuf,
+        reply: PacketBuf,
+        reply_src: u32,
+        reply_dst: u32,
+        protocol: &str,
+    ) -> Env {
+        Env {
+            request_ip,
+            reply,
+            reply_src,
+            reply_dst,
+            vars: HashMap::new(),
+            discarded: false,
+            sent: false,
+            transmission_ceased: false,
+            reply_proto: protocol.to_string(),
+        }
+    }
+
     /// Environment for a reply to `event`, applying the static framework's
     /// scaffolding rules (§5.1): echo/timestamp/info replies start from a
     /// copy of the received ICMP message; error messages start from a fresh
     /// header followed by the quoted original datagram.
     pub fn for_event(event: IcmpEvent, request_ip: &PacketBuf) -> Env {
+        // The reply initially flows back the way the request came; the
+        // generated "reverse the source and destination addresses" code
+        // operates on these.
         let (reply, src, dst) = reply_scaffold(event, request_ip);
-        let mut vars = HashMap::new();
+        let mut env = Env::new(request_ip.clone(), reply, src, dst, "icmp");
         if let IcmpEvent::Redirect(gateway) = event {
-            vars.insert("next_gateway".to_string(), i64::from(gateway));
+            env.set_var("next_gateway", i64::from(gateway));
         }
         if let IcmpEvent::ParameterProblem(pointer) = event {
-            vars.insert("error_octet".to_string(), i64::from(pointer));
+            env.set_var("error_octet", i64::from(pointer));
         }
-        Env {
-            request_ip: request_ip.clone(),
-            // The reply initially flows back the way the request came; the
-            // generated "reverse the source and destination addresses" code
-            // operates on these.
-            reply_src: src,
-            reply_dst: dst,
-            reply,
-            vars,
-            discarded: false,
-            sent: false,
-            transmission_ceased: false,
-            reply_proto: "icmp".to_string(),
-        }
+        env
     }
 
     /// Environment for processing a received non-ICMP message (e.g. a BFD
     /// control packet), where the "reply" buffer is the received message
     /// itself and generated code mostly manipulates state variables.
     pub fn for_received_message(message: &PacketBuf) -> Env {
-        Env {
-            request_ip: PacketBuf::new(),
-            reply: message.clone(),
-            reply_src: 0,
-            reply_dst: 0,
-            vars: HashMap::new(),
-            discarded: false,
-            sent: false,
-            transmission_ceased: false,
-            reply_proto: "icmp".to_string(),
-        }
+        Env::new(PacketBuf::new(), message.clone(), 0, 0, "icmp")
     }
 
     /// Tag the reply buffer with the protocol whose header it holds, so
@@ -131,9 +134,10 @@ impl Env {
 
 /// The static framework's reply scaffolding for an ICMP router event
 /// (§5.1): the initial reply message buffer plus the reply source and
-/// destination addresses, before generated code runs.  Shared by
-/// [`Env::for_event`] (the tree-walking interpreter) and the bytecode VM's
-/// state constructor so both paths start from byte-identical state.
+/// destination addresses, before generated code runs.  The ICMP adapter
+/// computes it once per event and starts whichever engine runs from it,
+/// and [`Env::for_event`] builds its environment from it, so every path
+/// starts from byte-identical state.
 pub fn reply_scaffold(event: IcmpEvent, request_ip: &PacketBuf) -> (PacketBuf, u32, u32) {
     let icmp_payload = ipv4::payload(request_ip);
     let reply = match event {

@@ -23,7 +23,9 @@
 //!   roles of the protocol sessions in `sage_netsim::tools`;
 //!   [`ResponderRegistry`] holds one generated program per protocol,
 //!   dispatches to the right adapter, and bundles them as the sessions'
-//!   roles ([`ResponderRegistry::responders`]).  Adapters execute on the VM
+//!   roles ([`ResponderRegistry::responders`]).  Every adapter runs its
+//!   program through one shared runner that seeds and reads back the
+//!   role's state variables on either engine; adapters execute on the VM
 //!   by default and fall back to the tree-walker whenever a program is
 //!   outside the lowerable subset;
 //! * [`harness`] — the tri-engine differential harness: one fuzzed
@@ -58,8 +60,7 @@ pub use quarantine::{
     DEFAULT_ERROR_BUDGET,
 };
 pub use responder::{
-    generated_scenarios, BfdGeneratedReceiver, ExecMode, GeneratedBfdEndpoint,
-    GeneratedIgmpResponder, GeneratedNtpServer, GeneratedNtpTimeoutPolicy, GeneratedResponder,
-    ResponderRegistry,
+    generated_scenarios, ExecMode, GeneratedBfdEndpoint, GeneratedIgmpResponder,
+    GeneratedNtpServer, GeneratedNtpTimeoutPolicy, GeneratedResponder, ResponderRegistry,
 };
 pub use vm::{CompiledFunction, CompiledProgram, VmScratch, VmState};

@@ -20,10 +20,10 @@ use sage_netsim::buffer::PacketBuf;
 use sage_netsim::net::ReferenceResponder;
 use sage_netsim::tools::bfd_session::ReferenceBfdEndpoint;
 use sage_netsim::tools::igmp::{ReferenceIgmpResponder, SESSION_GROUP};
-use sage_netsim::tools::ntp_exchange::ReferenceNtpServer;
+use sage_netsim::tools::ntp_exchange::{ReferenceNtpServer, SERVER_CLOCK, SERVER_STRATUM};
 use sage_netsim::tools::soak::{
-    BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder, NtpSoakResponder, SoakProtocol,
-    SoakResponder,
+    soak_discriminators, BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder, NtpSoakResponder,
+    SoakProtocol, SoakResponder,
 };
 
 use crate::responder::{
@@ -216,11 +216,6 @@ draining_soak!(
     "Error-draining soak wrapper over the generated BFD endpoint."
 );
 
-/// BFD discriminators for soak session `session`: (client, server) locals.
-fn soak_discriminators(session: u32) -> (u32, u32) {
-    (session * 2 + 1, session * 2 + 2)
-}
-
 /// The hand-written reference soak service for one session — the
 /// quarantine fallback, and the whole engine of reference-only shards.
 pub fn reference_soak_service(
@@ -242,8 +237,8 @@ pub fn reference_soak_service(
         }),
         SoakProtocol::Ntp => Box::new(NtpSoakResponder {
             inner: ReferenceNtpServer {
-                stratum: 2,
-                clock: 0x1000,
+                stratum: SERVER_STRATUM,
+                clock: SERVER_CLOCK,
             },
         }),
         SoakProtocol::Bfd => Box::new(BfdSoakResponder {
@@ -276,7 +271,7 @@ pub fn generated_soak_service(
         }),
         SoakProtocol::Ntp => Box::new(DrainingNtpSoak {
             adapter: NtpSoakResponder {
-                inner: registry.ntp_server(2, 0x1000)?,
+                inner: registry.ntp_server(SERVER_STRATUM, SERVER_CLOCK)?,
             },
         }),
         SoakProtocol::Bfd => Box::new(DrainingBfdSoak {

@@ -413,13 +413,6 @@ impl<'a> VmState<'a> {
         }
     }
 
-    /// Read a slot by resolved index, falling back to `default` when the
-    /// program never mentions the variable (so it has no slot).
-    pub fn slot_or(&self, slot: Option<u16>, default: i64) -> i64 {
-        slot.map(|s| self.scratch.slots[s as usize])
-            .unwrap_or(default)
-    }
-
     /// Seed a slot when the program has one for the variable.
     pub fn seed(scratch: &mut VmScratch, slot: Option<u16>, value: i64) {
         if let Some(s) = slot {

@@ -42,7 +42,7 @@ use crate::tools::igmp::{
 };
 use crate::tools::ntp_exchange::{
     reply_packet, request_packet, NtpServer, NtpTimeoutPolicy, ReferenceNtpServer,
-    ReferenceTimeoutPolicy,
+    ReferenceTimeoutPolicy, SERVER_CLOCK, SERVER_STRATUM,
 };
 use crate::tools::ping::{echo_request, validate_reply, PingOutcome, ECHO_PAYLOAD};
 use std::sync::Arc;
@@ -256,8 +256,8 @@ impl Responders {
                 Arc::new(|| Box::new(ReferenceTimeoutPolicy)),
                 Arc::new(|| {
                     Box::new(ReferenceNtpServer {
-                        stratum: 2,
-                        clock: 0x1000,
+                        stratum: SERVER_STRATUM,
+                        clock: SERVER_CLOCK,
                     })
                 }),
             )),

@@ -19,6 +19,12 @@ use crate::headers::{ipv4, ntp, udp};
 /// The ephemeral UDP port NTP clients send their requests from.
 pub const CLIENT_PORT: u16 = 45123;
 
+/// The stratum the session servers answer with.
+pub const SERVER_STRATUM: u8 = 2;
+
+/// The clock the session servers stamp their replies with.
+pub const SERVER_CLOCK: u64 = 0x1000;
+
 /// The client-side decision of Table 11: whether the timeout procedure runs
 /// for the given peer variables — the role filled by SAGE-generated code.
 pub trait NtpTimeoutPolicy {

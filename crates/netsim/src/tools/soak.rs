@@ -27,6 +27,12 @@ use crate::tools::ping::{echo_request, ECHO_PAYLOAD};
 /// The timer token soak clients schedule their rounds with.
 const SOAK_ROUND_TOKEN: u64 = 0x50AC;
 
+/// The BFD discriminators of soak session `session`: the client's local
+/// discriminator, then the server's.
+pub fn soak_discriminators(session: u32) -> (u32, u32) {
+    (session * 2 + 1, session * 2 + 2)
+}
+
 /// The protocol a soak session speaks; one of the four generated corpora.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SoakProtocol {
@@ -294,8 +300,7 @@ impl SoakClientNode {
                     1 => bfd::SessionState::Init,
                     _ => bfd::SessionState::Up,
                 };
-                let local = self.session * 2 + 1;
-                let remote = self.session * 2 + 2;
+                let (local, remote) = soak_discriminators(self.session);
                 let control = bfd::build_control_packet(state, local, remote, 3, false);
                 control_datagram(self.client_addr, self.server_addr, &control)
             }
@@ -341,7 +346,7 @@ mod tests {
     use crate::sim::{SimBuilder, TraceMode};
     use crate::tools::bfd_session::ReferenceBfdEndpoint;
     use crate::tools::igmp::{ReferenceIgmpResponder, SESSION_GROUP};
-    use crate::tools::ntp_exchange::ReferenceNtpServer;
+    use crate::tools::ntp_exchange::{ReferenceNtpServer, SERVER_CLOCK, SERVER_STRATUM};
 
     fn reference_service(
         protocol: SoakProtocol,
@@ -361,13 +366,16 @@ mod tests {
             }),
             SoakProtocol::Ntp => Box::new(NtpSoakResponder {
                 inner: ReferenceNtpServer {
-                    stratum: 2,
-                    clock: 0x1000,
+                    stratum: SERVER_STRATUM,
+                    clock: SERVER_CLOCK,
                 },
             }),
-            SoakProtocol::Bfd => Box::new(BfdSoakResponder {
-                inner: ReferenceBfdEndpoint::new(session * 2 + 2, session * 2 + 1),
-            }),
+            SoakProtocol::Bfd => {
+                let (client_discr, server_discr) = soak_discriminators(session);
+                Box::new(BfdSoakResponder {
+                    inner: ReferenceBfdEndpoint::new(server_discr, client_discr),
+                })
+            }
         }
     }
 

@@ -73,9 +73,9 @@ fn render_icmp(message: &[u8], compare: Compare) -> String {
     }
 }
 
-/// ICMP: the Appendix A router scenarios, plus the events the router never
-/// raises with these payloads handed straight to the responder; reply
-/// payloads compared.
+/// ICMP: the Appendix A router scenarios, plus parameter-problem events
+/// handed straight to the responder (the router only ever raises pointer
+/// 1); reply payloads compared.
 fn icmp_cases() -> Vec<ParityCase> {
     let client = ipv4::addr(10, 0, 1, 100);
     let router = ipv4::addr(10, 0, 1, 1);

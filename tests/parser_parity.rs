@@ -4,18 +4,17 @@
 //! configurations, plus six hand-picked sentences, is pinned in
 //! `tests/parses/corpora.txt`: one line per parse, `config protocol index
 //! lfs=<n> fragment=<b> items=<n> <hash>`, the hash being the FNV-1a of the
-//! logical forms' `{:?}` rendering in order.  While the pre-refactor boxed
-//! engine (`sage_ccg::reference`) still exists, every parse is also compared
-//! against it, exactly and as canonical arena-id LF sets.
+//! logical forms' `{:?}` rendering in order.  The golden was recorded while
+//! the pre-refactor boxed engine still existed and agreed with the interned
+//! one on every line, exactly and as canonical arena-id LF sets; it now
+//! stands in for that engine as the parser's specification.
 //!
 //! To refresh after an intentional change:
 //! `UPDATE_GOLDEN=1 cargo test --test parser_parity` — then review the diff.
 
-use sage_ccg::{parse_sentence_cached, reference, Lexicon, ParserConfig, ParserWorkspace};
-use sage_logic::{LfArena, LfId};
+use sage_ccg::{parse_sentence_cached, Lexicon, ParserConfig, ParserWorkspace};
 use sage_nlp::{ChunkerConfig, TermDictionary};
 use sage_spec::corpus::Protocol;
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
@@ -39,16 +38,6 @@ fn corpus_sentences() -> Vec<(&'static str, Vec<String>)> {
         out.push((protocol.name(), sentences));
     }
     out
-}
-
-fn canonical_ids(forms: &[sage_logic::Lf], arena: &mut LfArena) -> BTreeSet<LfId> {
-    forms
-        .iter()
-        .map(|lf| {
-            let id = arena.intern_lf(lf);
-            arena.canonical(id)
-        })
-        .collect()
 }
 
 fn golden_path() -> PathBuf {
@@ -114,7 +103,6 @@ const HAND_SENTENCES: [&str; 6] = [
 #[test]
 fn parses_match_the_committed_golden() {
     let dict = TermDictionary::networking();
-    let mut arena = LfArena::new();
     let mut lines = Vec::new();
     for (config_label, config, lexicon) in configurations() {
         let mut ws = ParserWorkspace::new(&lexicon);
@@ -126,19 +114,6 @@ fn parses_match_the_committed_golden() {
             for (index, text) in sentences.iter().enumerate() {
                 let parse =
                     parse_sentence_cached(text, &mut ws, &dict, ChunkerConfig::default(), config);
-                let oracle = reference::parse_sentence(
-                    text,
-                    &lexicon,
-                    &dict,
-                    ChunkerConfig::default(),
-                    config,
-                );
-                assert_eq!(parse, oracle, "{label}: engines diverged on {text:?}");
-                assert_eq!(
-                    canonical_ids(&parse.logical_forms, &mut arena),
-                    canonical_ids(&oracle.logical_forms, &mut arena),
-                    "{label}: canonical LF sets diverged on {text:?}"
-                );
                 lines.push(format!(
                     "{config_label} {label} {index} lfs={} fragment={} items={} {:016x}",
                     parse.lf_count(),
