@@ -55,9 +55,10 @@ pub struct SweepCell {
     pub originated: usize,
     /// Virtual duration of the run in nanoseconds.
     pub virtual_ns: u64,
-    /// FNV-1a digest of the rendered event trace; equal digests mean
-    /// byte-identical traces, which is how the determinism tests compare
-    /// sweeps across worker counts without keeping every trace alive.
+    /// The event trace's [`digest`](sage_netsim::sim::EventTrace::digest),
+    /// FNV-1a of its rendering; equal digests mean byte-identical traces,
+    /// which is how the determinism tests compare sweeps across worker
+    /// counts without keeping every trace alive.
     pub trace_digest: u64,
     /// Wall-clock nanoseconds per simulation of this cell (averaged over
     /// [`SweepReport::iterations`] repeats).  The only non-deterministic
@@ -176,17 +177,6 @@ impl SweepReport {
     }
 }
 
-/// FNV-1a over a byte string; a stable digest (unlike `DefaultHasher`,
-/// whose algorithm the standard library does not pin across releases).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Run one cell: simulate once for the metrics and trace, then time
 /// `iterations` further runs for the wall-clock figure.
 fn run_cell(
@@ -231,7 +221,7 @@ fn run_cell(
         delivered: run.delivered(),
         originated: run.originated(),
         virtual_ns: run.duration_ns(),
-        trace_digest: fnv1a(run.trace.render().as_bytes()),
+        trace_digest: run.trace.digest(),
         wall_ns_per_iter: elapsed / f64::from(iterations.max(1)),
     }
 }

@@ -22,8 +22,9 @@
 //!   network as [`sage_netsim::net::IcmpResponder`]s and into the pluggable
 //!   roles of the protocol sessions in `sage_netsim::tools`;
 //!   [`ResponderRegistry`] holds one generated program per protocol,
-//!   dispatches to the right adapter, and bundles them as the sessions'
-//!   roles ([`ResponderRegistry::responders`]).  Every adapter runs its
+//!   lowered once per role at registration, dispatches to the right
+//!   adapter, and bundles them as the sessions' roles
+//!   ([`ResponderRegistry::responders`]).  Every adapter runs its
 //!   program through one shared runner that seeds and reads back the
 //!   role's state variables on either engine; adapters execute on the VM
 //!   by default and fall back to the tree-walker whenever a program is

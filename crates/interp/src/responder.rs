@@ -9,11 +9,14 @@
 //! protocol.
 //!
 //! Every adapter is one private `Engine` runner plus its role's own step.
-//! The runner lowers the program to bytecode once, seeds the role's state
-//! variables on whichever of the two engines runs (slots on the VM, names
-//! on the tree-walker), runs the chosen functions and reads the variables
-//! back; the adapter picks the functions, fills the start state and
-//! interprets what comes back.
+//! The runner seeds the role's state variables on whichever of the two
+//! engines runs (slots on the VM, names on the tree-walker), runs the
+//! chosen functions and reads the variables back; the adapter picks the
+//! functions, fills the start state and interprets what comes back.  The
+//! program and its bytecode are lowered once per role and shared by `Arc`:
+//! the registry lowers at [`ResponderRegistry::register`], and every adapter
+//! it hands out reads the same lowering, keeping only its execution mode,
+//! VM scratch and session state of its own.
 
 use crate::env::{self, Env};
 use crate::exec::{exec_function, ExecError};
@@ -35,11 +38,11 @@ use std::sync::Arc;
 
 /// Which engine an adapter executes its generated program on.
 ///
-/// Every adapter lowers its program to bytecode at construction and runs
-/// the VM by default; the tree-walking interpreter remains available as
-/// the semantic oracle (parity suites run both and compare bit-for-bit).
-/// A program outside the lowerable subset silently stays on the
-/// tree-walker regardless of the requested mode.
+/// Every adapter's program is lowered to bytecode once, at construction or
+/// at registration, and runs on the VM by default; the tree-walking
+/// interpreter remains available as the semantic oracle (parity suites run
+/// both and compare bit-for-bit).  A program outside the lowerable subset
+/// silently stays on the tree-walker regardless of the requested mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Run the compiled register bytecode (the per-packet fast path).
@@ -87,49 +90,126 @@ struct Outcome {
     ceased: bool,
 }
 
-/// A generated program on its two engines: the program, its bytecode
-/// (lowered once, with `vars` pre-allocated as slots), the requested
-/// [`ExecMode`] and the VM's reusable scratch.
+/// A role a generated program fills: the protocol whose program fills it,
+/// which is also the protocol of the reply buffer's header, and the state
+/// variables a run exchanges with the program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Icmp,
+    Igmp,
+    NtpPolicy,
+    NtpServer,
+    Bfd,
+}
+
+impl Role {
+    const ALL: [Role; 5] = [
+        Role::Icmp,
+        Role::Igmp,
+        Role::NtpPolicy,
+        Role::NtpServer,
+        Role::Bfd,
+    ];
+
+    fn protocol(self) -> &'static str {
+        match self {
+            Role::Icmp => "icmp",
+            Role::Igmp => "igmp",
+            Role::NtpPolicy | Role::NtpServer => "ntp",
+            Role::Bfd => "bfd",
+        }
+    }
+
+    /// The state variables a run seeds and reads back, in the order the
+    /// role's adapter fills `values`.
+    fn vars(self) -> &'static [&'static str] {
+        match self {
+            Role::Icmp => &["next_gateway", "error_octet"],
+            Role::Igmp => &["reported_group"],
+            Role::NtpPolicy => &[
+                "peer.timer",
+                "peer.threshold",
+                "client_mode",
+                "symmetric_mode",
+                "timeout_procedure_called",
+            ],
+            Role::NtpServer => &["server_stratum", "server_clock"],
+            // The five session variables, then the state-name constants.
+            Role::Bfd => &[
+                "bfd.SessionState",
+                "bfd.RemoteSessionState",
+                "bfd.RemoteDiscr",
+                "bfd.RemoteDemandMode",
+                "periodic_transmission_active",
+                "admindown",
+                "down",
+                "init",
+                "up",
+            ],
+        }
+    }
+}
+
+/// A generated program lowered for one role: the read-only part of an
+/// [`Engine`], shared by every adapter of the role over one program.
+#[derive(Debug)]
+struct Lowering {
+    program: Arc<Program>,
+    role: Role,
+    /// The bytecode and the slot of each of the role's variables, when the
+    /// program lowered.
+    compiled: Option<(CompiledProgram, Vec<u16>)>,
+}
+
+impl Lowering {
+    /// Lower `program` for `role`, the role's variables pre-allocated as
+    /// slots.
+    fn new(program: Arc<Program>, role: Role) -> Arc<Lowering> {
+        let vars = role.vars();
+        let compiled = lower_program(&program, role.protocol(), vars)
+            .ok()
+            .and_then(|c| {
+                let slots = vars.iter().map(|v| c.slot(v)).collect::<Option<_>>()?;
+                Some((c, slots))
+            });
+        Arc::new(Lowering {
+            program,
+            role,
+            compiled,
+        })
+    }
+}
+
+/// A generated program on its two engines: the shared [`Lowering`], the
+/// requested [`ExecMode`] and this adapter's own VM scratch.
 #[derive(Debug, Clone)]
 struct Engine {
-    program: Program,
-    /// The protocol whose header the reply buffer holds.
-    protocol: &'static str,
-    /// The state variables a run seeds and reads back, in `values` order.
-    vars: &'static [&'static str],
-    /// The bytecode and the slot of each of `vars`, when the program
-    /// lowered.
-    compiled: Option<(CompiledProgram, Vec<u16>)>,
+    lowering: Arc<Lowering>,
     mode: ExecMode,
     scratch: VmScratch,
 }
 
 impl Engine {
-    fn new(program: Program, protocol: &'static str, vars: &'static [&'static str]) -> Engine {
-        let compiled = lower_program(&program, protocol, vars).ok().and_then(|c| {
-            let slots = vars.iter().map(|v| c.slot(v)).collect::<Option<_>>()?;
-            Some((c, slots))
-        });
+    fn new(lowering: Arc<Lowering>) -> Engine {
         Engine {
-            program,
-            protocol,
-            vars,
-            compiled,
+            lowering,
             mode: ExecMode::default(),
             scratch: VmScratch::default(),
         }
     }
 
-    /// Seed `values` into `vars`, run `functions` in order until one
-    /// discards, and read `vars` back into `values`.
+    /// Seed `values` into the role's variables, run `functions` in order
+    /// until one discards, and read the variables back into `values`.
     fn run(
         &mut self,
         functions: &[usize],
         start: Start<'_>,
         values: &mut [i64],
     ) -> Result<Outcome, ExecError> {
-        debug_assert_eq!(values.len(), self.vars.len());
-        if let (ExecMode::Vm, Some((compiled, slots))) = (self.mode, &self.compiled) {
+        let lowering = &*self.lowering;
+        let vars = lowering.role.vars();
+        debug_assert_eq!(values.len(), vars.len());
+        if let (ExecMode::Vm, Some((compiled, slots))) = (self.mode, &lowering.compiled) {
             self.scratch.reset(compiled);
             for (&slot, &value) in slots.iter().zip(values.iter()) {
                 self.scratch.slots[usize::from(slot)] = value;
@@ -162,21 +242,21 @@ impl Engine {
             start.reply,
             start.reply_src,
             start.reply_dst,
-            self.protocol,
+            lowering.role.protocol(),
         );
-        for (name, &value) in self.vars.iter().zip(values.iter()) {
+        for (name, &value) in vars.iter().zip(values.iter()) {
             env.set_var(name, value);
         }
         for discr in start.sessions {
             env.set_var(&format!("session.{discr}"), 1);
         }
         for &i in functions {
-            exec_function(&mut env, &self.program.functions[i])?;
+            exec_function(&mut env, &lowering.program.functions[i])?;
             if env.discarded {
                 break;
             }
         }
-        for (value, name) in values.iter_mut().zip(self.vars) {
+        for (value, name) in values.iter_mut().zip(vars) {
             *value = env.var(name);
         }
         Ok(Outcome {
@@ -213,15 +293,16 @@ macro_rules! engine_accessors {
 
             /// The engine packets actually execute on.
             pub fn engine(&self) -> ExecMode {
-                match (&self.engine.compiled, self.engine.mode) {
+                match (&self.engine.lowering.compiled, self.engine.mode) {
                     (Some(_), ExecMode::Vm) => ExecMode::Vm,
                     _ => ExecMode::TreeWalk,
                 }
             }
 
-            /// The generated program (lowered once at construction).
+            /// The generated program (lowered once, at construction or at
+            /// registration).
             pub fn program(&self) -> &Program {
-                &self.engine.program
+                &self.engine.lowering.program
             }
         }
     )*};
@@ -295,11 +376,15 @@ fn resolve_fragment(functions: &[Function], fragment: &str) -> Option<usize> {
 impl GeneratedResponder {
     /// Wrap a generated program, lowering it to bytecode.
     pub fn new(program: Program) -> GeneratedResponder {
-        let fn_index =
-            EVENT_FRAGMENTS.map(|fragment| resolve_fragment(&program.functions, fragment));
+        GeneratedResponder::over(Lowering::new(Arc::new(program), Role::Icmp))
+    }
+
+    fn over(lowering: Arc<Lowering>) -> GeneratedResponder {
+        let functions = &lowering.program.functions;
+        let fn_index = EVENT_FRAGMENTS.map(|fragment| resolve_fragment(functions, fragment));
         GeneratedResponder {
             errors: Vec::new(),
-            engine: Engine::new(program, "icmp", &["next_gateway", "error_octet"]),
+            engine: Engine::new(lowering),
             fn_index,
         }
     }
@@ -307,7 +392,7 @@ impl GeneratedResponder {
     /// Select the function for an event: prefer the receiver-side function
     /// for the matching message, falling back to the role-less one.
     pub fn function_for(&self, event: IcmpEvent) -> Option<&Function> {
-        self.fn_index[event_kind(event)].map(|i| &self.engine.program.functions[i])
+        self.fn_index[event_kind(event)].map(|i| &self.program().functions[i])
     }
 }
 
@@ -347,14 +432,19 @@ pub struct GeneratedIgmpResponder {
 impl GeneratedIgmpResponder {
     /// Wrap a generated program for a host in `group`.
     pub fn new(program: Program, group: u32) -> GeneratedIgmpResponder {
-        let fn_idx = program
+        GeneratedIgmpResponder::over(Lowering::new(Arc::new(program), Role::Igmp), group)
+    }
+
+    fn over(lowering: Arc<Lowering>, group: u32) -> GeneratedIgmpResponder {
+        let fn_idx = lowering
+            .program
             .functions
             .iter()
             .position(|f| f.name.starts_with("igmp"));
         GeneratedIgmpResponder {
             group,
             errors: Vec::new(),
-            engine: Engine::new(program, "igmp", &["reported_group"]),
+            engine: Engine::new(lowering),
             fn_idx,
         }
     }
@@ -383,23 +473,18 @@ pub struct GeneratedNtpTimeoutPolicy {
 impl GeneratedNtpTimeoutPolicy {
     /// Wrap a generated program.
     pub fn new(program: Program) -> GeneratedNtpTimeoutPolicy {
-        let fn_idx = program
+        GeneratedNtpTimeoutPolicy::over(Lowering::new(Arc::new(program), Role::NtpPolicy))
+    }
+
+    fn over(lowering: Arc<Lowering>) -> GeneratedNtpTimeoutPolicy {
+        let fn_idx = lowering
+            .program
             .functions
             .iter()
             .position(|f| f.name.contains("timeout"));
         GeneratedNtpTimeoutPolicy {
             errors: Vec::new(),
-            engine: Engine::new(
-                program,
-                "ntp",
-                &[
-                    "peer.timer",
-                    "peer.threshold",
-                    "client_mode",
-                    "symmetric_mode",
-                    "timeout_procedure_called",
-                ],
-            ),
+            engine: Engine::new(lowering),
             fn_idx,
         }
     }
@@ -451,7 +536,13 @@ pub struct GeneratedNtpServer {
 impl GeneratedNtpServer {
     /// Wrap a generated program for a server at `stratum` with `clock`.
     pub fn new(program: Program, stratum: u8, clock: u64) -> GeneratedNtpServer {
-        let fn_idx = program
+        let lowering = Lowering::new(Arc::new(program), Role::NtpServer);
+        GeneratedNtpServer::over(lowering, stratum, clock)
+    }
+
+    fn over(lowering: Arc<Lowering>, stratum: u8, clock: u64) -> GeneratedNtpServer {
+        let fn_idx = lowering
+            .program
             .functions
             .iter()
             .position(|f| f.name.contains("data_format"));
@@ -459,7 +550,7 @@ impl GeneratedNtpServer {
             stratum,
             clock,
             errors: Vec::new(),
-            engine: Engine::new(program, "ntp", &["server_stratum", "server_clock"]),
+            engine: Engine::new(lowering),
             fn_idx,
         }
     }
@@ -475,20 +566,6 @@ impl NtpServer for GeneratedNtpServer {
         reply_of(run, &mut self.errors)
     }
 }
-
-/// The state variables a BFD endpoint exchanges with generated code: the
-/// five session variables, then the state-name constants.
-const BFD_VARS: &[&str] = &[
-    "bfd.SessionState",
-    "bfd.RemoteSessionState",
-    "bfd.RemoteDiscr",
-    "bfd.RemoteDemandMode",
-    "periodic_transmission_active",
-    "admindown",
-    "down",
-    "init",
-    "up",
-];
 
 /// One side of a BFD session driven by SAGE-generated state-management code
 /// (§6.4): fills the [`BfdEndpoint`] role of the BFD sessions.
@@ -506,7 +583,13 @@ pub struct GeneratedBfdEndpoint {
 impl GeneratedBfdEndpoint {
     /// A Down session with the given local/remote discriminator pair.
     pub fn new(program: Program, local_discr: u32, remote_discr: u32) -> GeneratedBfdEndpoint {
-        let reception_indices = program
+        let lowering = Lowering::new(Arc::new(program), Role::Bfd);
+        GeneratedBfdEndpoint::over(lowering, local_discr, remote_discr)
+    }
+
+    fn over(lowering: Arc<Lowering>, local_discr: u32, remote_discr: u32) -> GeneratedBfdEndpoint {
+        let reception_indices = lowering
+            .program
             .functions
             .iter()
             .enumerate()
@@ -520,7 +603,7 @@ impl GeneratedBfdEndpoint {
                 ..bfd::SessionVariables::default()
             },
             errors: Vec::new(),
-            engine: Engine::new(program, "bfd", BFD_VARS),
+            engine: Engine::new(lowering),
             reception_indices,
             reply_buf: PacketBuf::new(),
         }
@@ -586,9 +669,20 @@ impl BfdEndpoint for GeneratedBfdEndpoint {
 /// A protocol-dispatching registry of generated programs: the multi-protocol
 /// responder surface.  Register one [`Program`] per protocol (keyed by name,
 /// case-insensitive), then hand out the protocol-specific adapter.
+///
+/// Registration lowers the program once for each role its protocol fills
+/// (ICMP, IGMP and BFD one each, NTP the timeout policy and the server);
+/// every adapter handed out shares that lowering.
 #[derive(Debug, Clone, Default)]
 pub struct ResponderRegistry {
-    programs: BTreeMap<String, Program>,
+    entries: BTreeMap<String, Entry>,
+}
+
+/// A registered program and its lowering for each role its protocol fills.
+#[derive(Debug, Clone)]
+struct Entry {
+    program: Arc<Program>,
+    lowerings: Vec<Arc<Lowering>>,
 }
 
 impl ResponderRegistry {
@@ -597,43 +691,60 @@ impl ResponderRegistry {
         ResponderRegistry::default()
     }
 
-    /// Register (or replace) the generated program for `protocol`.
+    /// Register (or replace) the generated program for `protocol`, lowering
+    /// it for each role the protocol fills.
     pub fn register(&mut self, protocol: &str, program: Program) {
-        self.programs.insert(protocol.to_ascii_lowercase(), program);
+        let protocol = protocol.to_ascii_lowercase();
+        let program = Arc::new(program);
+        let lowerings = Role::ALL
+            .into_iter()
+            .filter(|role| role.protocol() == protocol)
+            .map(|role| Lowering::new(Arc::clone(&program), role))
+            .collect();
+        self.entries.insert(protocol, Entry { program, lowerings });
     }
 
     /// The program registered for `protocol`, if any.
     pub fn program(&self, protocol: &str) -> Option<&Program> {
-        self.programs.get(&protocol.to_ascii_lowercase())
+        let entry = self.entries.get(&protocol.to_ascii_lowercase())?;
+        Some(&entry.program)
     }
 
     /// The registered protocol names, sorted.
     pub fn protocols(&self) -> Vec<&str> {
-        self.programs.keys().map(String::as_str).collect()
+        self.entries.keys().map(String::as_str).collect()
+    }
+
+    /// The registered program's lowering for `role`, if any.
+    fn lowering(&self, role: Role) -> Option<Arc<Lowering>> {
+        let entry = self.entries.get(role.protocol())?;
+        entry.lowerings.iter().find(|l| l.role == role).cloned()
     }
 
     /// An ICMP responder over the registered ICMP program.
     pub fn icmp_responder(&self) -> Option<GeneratedResponder> {
-        Some(GeneratedResponder::new(self.program("icmp")?.clone()))
+        Some(GeneratedResponder::over(self.lowering(Role::Icmp)?))
     }
 
     /// An IGMP host (member of `group`) over the registered IGMP program.
     pub fn igmp_responder(&self, group: u32) -> Option<GeneratedIgmpResponder> {
-        Some(GeneratedIgmpResponder::new(
-            self.program("igmp")?.clone(),
+        Some(GeneratedIgmpResponder::over(
+            self.lowering(Role::Igmp)?,
             group,
         ))
     }
 
     /// The Table 11 timeout policy over the registered NTP program.
     pub fn ntp_timeout_policy(&self) -> Option<GeneratedNtpTimeoutPolicy> {
-        Some(GeneratedNtpTimeoutPolicy::new(self.program("ntp")?.clone()))
+        Some(GeneratedNtpTimeoutPolicy::over(
+            self.lowering(Role::NtpPolicy)?,
+        ))
     }
 
     /// An NTP server over the registered NTP program.
     pub fn ntp_server(&self, stratum: u8, clock: u64) -> Option<GeneratedNtpServer> {
-        Some(GeneratedNtpServer::new(
-            self.program("ntp")?.clone(),
+        Some(GeneratedNtpServer::over(
+            self.lowering(Role::NtpServer)?,
             stratum,
             clock,
         ))
@@ -645,8 +756,8 @@ impl ResponderRegistry {
         local_discr: u32,
         remote_discr: u32,
     ) -> Option<GeneratedBfdEndpoint> {
-        Some(GeneratedBfdEndpoint::new(
-            self.program("bfd")?.clone(),
+        Some(GeneratedBfdEndpoint::over(
+            self.lowering(Role::Bfd)?,
             local_discr,
             remote_discr,
         ))
@@ -658,36 +769,47 @@ impl ResponderRegistry {
     /// `chaos-generated` registries are built.  Protocols without a program
     /// stay `None`.
     pub fn responders(&self, mode: ExecMode) -> Responders {
-        let program = |protocol: &str| self.program(protocol).cloned();
+        let ntp = self
+            .lowering(Role::NtpPolicy)
+            .zip(self.lowering(Role::NtpServer));
         Responders {
-            icmp: program("icmp").map(|program| -> IcmpFactory {
-                Arc::new(move || Box::new(GeneratedResponder::new(program.clone()).with_mode(mode)))
+            icmp: self.lowering(Role::Icmp).map(|lowering| -> IcmpFactory {
+                Arc::new(move || {
+                    Box::new(GeneratedResponder::over(Arc::clone(&lowering)).with_mode(mode))
+                })
             }),
-            igmp: program("igmp").map(|program| -> IgmpFactory {
+            igmp: self.lowering(Role::Igmp).map(|lowering| -> IgmpFactory {
                 Arc::new(move || {
                     Box::new(
-                        GeneratedIgmpResponder::new(program.clone(), SESSION_GROUP).with_mode(mode),
+                        GeneratedIgmpResponder::over(Arc::clone(&lowering), SESSION_GROUP)
+                            .with_mode(mode),
                     )
                 })
             }),
-            ntp: program("ntp").map(|program| -> (NtpPolicyFactory, NtpServerFactory) {
-                let server = program.clone();
+            ntp: ntp.map(|(policy, server)| -> (NtpPolicyFactory, NtpServerFactory) {
                 (
                     Arc::new(move || {
-                        Box::new(GeneratedNtpTimeoutPolicy::new(program.clone()).with_mode(mode))
+                        Box::new(
+                            GeneratedNtpTimeoutPolicy::over(Arc::clone(&policy)).with_mode(mode),
+                        )
                     }),
                     Arc::new(move || {
                         Box::new(
-                            GeneratedNtpServer::new(server.clone(), SERVER_STRATUM, SERVER_CLOCK)
-                                .with_mode(mode),
+                            GeneratedNtpServer::over(
+                                Arc::clone(&server),
+                                SERVER_STRATUM,
+                                SERVER_CLOCK,
+                            )
+                            .with_mode(mode),
                         )
                     }),
                 )
             }),
-            bfd: program("bfd").map(|program| -> BfdFactory {
+            bfd: self.lowering(Role::Bfd).map(|lowering| -> BfdFactory {
                 Arc::new(move |local, remote| {
                     Box::new(
-                        GeneratedBfdEndpoint::new(program.clone(), local, remote).with_mode(mode),
+                        GeneratedBfdEndpoint::over(Arc::clone(&lowering), local, remote)
+                            .with_mode(mode),
                     )
                 })
             }),
@@ -924,6 +1046,194 @@ mod tests {
         );
         assert!(reg.ntp_server(2, 1).is_none());
         assert!(reg.bfd_endpoint(1, 2).is_some());
+    }
+
+    #[test]
+    fn adapters_share_the_registry_lowering_until_it_is_replaced() {
+        let mut reg = ResponderRegistry::new();
+        reg.register("icmp", echo_reply_program());
+        reg.register("ntp", Program::default());
+        let lowering = |r: &GeneratedResponder| Arc::clone(&r.engine.lowering);
+        let first = lowering(&reg.icmp_responder().unwrap());
+        assert!(Arc::ptr_eq(
+            &first,
+            &lowering(&reg.icmp_responder().unwrap())
+        ));
+        // NTP's two roles share the program, each with its own lowering.
+        let policy = reg.ntp_timeout_policy().unwrap().engine.lowering;
+        let server = reg.ntp_server(2, 1).unwrap().engine.lowering;
+        assert!(Arc::ptr_eq(&policy.program, &server.program));
+        assert!(!Arc::ptr_eq(&policy, &server));
+
+        reg.register("ICMP", echo_reply_program());
+        let second = lowering(&reg.icmp_responder().unwrap());
+        assert!(!Arc::ptr_eq(&first, &second), "re-registering re-lowers");
+        assert!(Arc::ptr_eq(
+            &second,
+            &lowering(&reg.icmp_responder().unwrap())
+        ));
+    }
+
+    /// [`echo_reply_program`] plus a redirect function that writes the
+    /// gateway it is handed into the reply.
+    fn echo_and_redirect_program() -> Program {
+        let mut program = echo_reply_program();
+        program.functions.push(Function {
+            name: "icmp_redirect_message_sender".into(),
+            role: "sender".into(),
+            body: vec![
+                Stmt::Assign {
+                    target: Expr::field("icmp", "type"),
+                    value: Expr::Num(5),
+                },
+                Stmt::Assign {
+                    target: Expr::field("icmp", "gateway_internet_address"),
+                    value: Expr::Var("next_gateway".into()),
+                },
+                Stmt::Call {
+                    name: "compute_checksum".into(),
+                    args: vec![],
+                },
+            ],
+        });
+        program
+    }
+
+    #[test]
+    fn icmp_responders_sharing_a_lowering_answer_as_if_alone() {
+        let mut reg = ResponderRegistry::new();
+        reg.register("icmp", echo_and_redirect_program());
+        // Each responder's script: echo and redirect events about its own
+        // host's request, the redirects naming its own gateway.
+        let script = |host: u8| {
+            let echo = icmp::build_echo(false, u16::from(host), 1, b"abc");
+            let request = ipv4::build_packet(
+                ipv4::addr(10, 0, 1, host),
+                ipv4::addr(10, 0, 1, 1),
+                ipv4::PROTO_ICMP,
+                64,
+                echo.as_bytes(),
+            );
+            let gateway = ipv4::addr(10, 0, 1, host + 1);
+            [
+                IcmpEvent::EchoRequest,
+                IcmpEvent::Redirect(gateway),
+                IcmpEvent::Redirect(gateway),
+                IcmpEvent::EchoRequest,
+            ]
+            .map(|event| (event, request.clone()))
+        };
+        let scripts = [script(100), script(200)];
+        let answer = |r: &mut GeneratedResponder, (event, request): &(IcmpEvent, PacketBuf)| {
+            r.respond(*event, request)
+                .map(|reply| reply.as_bytes().to_vec())
+        };
+        for mode in [ExecMode::Vm, ExecMode::TreeWalk] {
+            let responder = || reg.icmp_responder().unwrap().with_mode(mode);
+            assert_eq!(responder().engine(), mode);
+            let alone: Vec<Vec<_>> = scripts
+                .iter()
+                .map(|script| {
+                    let mut r = responder();
+                    script.iter().map(|step| answer(&mut r, step)).collect()
+                })
+                .collect();
+            let (mut first, mut second) = (responder(), responder());
+            let (mut first_answers, mut second_answers) = (Vec::new(), Vec::new());
+            for (a, b) in scripts[0].iter().zip(&scripts[1]) {
+                first_answers.push(answer(&mut first, a));
+                second_answers.push(answer(&mut second, b));
+            }
+            assert_eq!(alone, [first_answers, second_answers], "{mode:?}");
+            let redirect = alone[1][1].as_ref().expect("redirect answered");
+            assert_eq!(redirect[4..8], [10, 0, 1, 201], "{mode:?}");
+            assert_ne!(alone[0], alone[1], "{mode:?}: the scripts must differ");
+            assert!(first.errors.is_empty() && second.errors.is_empty());
+        }
+    }
+
+    /// [`bfd_reception_program`] plus the Down→Init→Up transitions on the
+    /// received state.
+    fn bfd_state_program() -> Program {
+        let var = |name: &str| Expr::Var(name.into());
+        let is = |name: &str, state: &str| Expr::binop("==", var(name), var(state));
+        let set = |state: &str| Stmt::Assign {
+            target: var("bfd.SessionState"),
+            value: var(state),
+        };
+        let mut program = bfd_reception_program();
+        program.functions[0].body.push(Stmt::If {
+            cond: is("bfd.SessionState", "down"),
+            then: vec![Stmt::If {
+                cond: is("bfd.RemoteSessionState", "down"),
+                then: vec![set("init")],
+                els: vec![Stmt::If {
+                    cond: is("bfd.RemoteSessionState", "init"),
+                    then: vec![set("up")],
+                    els: vec![],
+                }],
+            }],
+            els: vec![Stmt::If {
+                cond: Expr::binop(
+                    "&&",
+                    is("bfd.SessionState", "init"),
+                    Expr::binop(
+                        "||",
+                        is("bfd.RemoteSessionState", "init"),
+                        is("bfd.RemoteSessionState", "up"),
+                    ),
+                ),
+                then: vec![set("up")],
+                els: vec![],
+            }],
+        });
+        program
+    }
+
+    #[test]
+    fn bfd_endpoints_from_one_factory_keep_their_own_sessions() {
+        use bfd::SessionState::{Down, Init, Up};
+        let mut reg = ResponderRegistry::new();
+        reg.register("bfd", bfd_state_program());
+        // `(state, my discriminator, your discriminator)` of each packet:
+        // endpoint 1 is brought up by its peer 2; endpoint 5's packets name
+        // sessions it does not have, so it discards every one.
+        let bring_up = [(Down, 2, 0), (Init, 2, 1), (Up, 2, 1)];
+        let discarded = [(Up, 6, 999), (Init, 6, 998), (Down, 6, 997)];
+        let feed = |ep: &mut dyn BfdEndpoint, (state, my, your)| {
+            ep.receive(&bfd::build_control_packet(state, my, your, 3, false));
+            (ep.state(), ep.control_packet().as_bytes().to_vec())
+        };
+        for mode in [ExecMode::Vm, ExecMode::TreeWalk] {
+            assert_eq!(
+                reg.bfd_endpoint(1, 2).unwrap().with_mode(mode).engine(),
+                mode
+            );
+            let factory = reg.responders(mode).bfd.expect("bfd program");
+            let alone = |local, remote, packets: &[_]| {
+                let mut ep = factory(local, remote);
+                packets
+                    .iter()
+                    .map(|&p| feed(ep.as_mut(), p))
+                    .collect::<Vec<_>>()
+            };
+            let up_alone = alone(1, 2, &bring_up);
+            let discarding_alone = alone(5, 6, &discarded);
+            let states = |steps: &[(bfd::SessionState, Vec<u8>)]| {
+                steps.iter().map(|(state, _)| *state).collect::<Vec<_>>()
+            };
+            assert_eq!(states(&up_alone), [Init, Up, Up], "{mode:?}");
+            assert_eq!(states(&discarding_alone), [Down, Down, Down], "{mode:?}");
+
+            let (mut up, mut discarding) = (factory(1, 2), factory(5, 6));
+            let (mut up_steps, mut discarding_steps) = (Vec::new(), Vec::new());
+            for (&p, &q) in bring_up.iter().zip(&discarded) {
+                up_steps.push(feed(up.as_mut(), p));
+                discarding_steps.push(feed(discarding.as_mut(), q));
+            }
+            assert_eq!(up_steps, up_alone, "{mode:?}");
+            assert_eq!(discarding_steps, discarding_alone, "{mode:?}");
+        }
     }
 
     #[test]

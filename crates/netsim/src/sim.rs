@@ -1281,19 +1281,9 @@ impl EventTrace {
     /// Render one event exactly as [`EventTrace::render`] would — also
     /// the line format of the Summary-mode last-K ring.
     pub fn render_line(e: &TraceEvent) -> String {
-        fn hex(bytes: &[u8]) -> String {
-            bytes.iter().map(|b| format!("{b:02x}")).collect()
-        }
-        let body = match &e.kind {
-            TraceEventKind::Originate(b) => format!("originate {}", hex(b)),
-            TraceEventKind::Forward(b) => format!("forward {}", hex(b)),
-            TraceEventKind::Deliver(b) => format!("deliver {}", hex(b)),
-            TraceEventKind::DeliverLocal => "deliver-local".to_string(),
-            TraceEventKind::Drop(r) => format!("drop {r}"),
-            TraceEventKind::Timer(t) => format!("timer {t}"),
-            TraceEventKind::Note(n) => format!("note {n}"),
-        };
-        format!("[{:>12}] {:<8} {}", e.time, e.node_name, body)
+        let mut line = String::new();
+        write_line(&mut line, e);
+        line
     }
 
     /// Render the trace deterministically, one line per event with full
@@ -1303,10 +1293,68 @@ impl EventTrace {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&EventTrace::render_line(e));
+            write_line(&mut out, e);
             out.push('\n');
         }
         out
+    }
+
+    /// FNV-1a over exactly the bytes [`EventTrace::render`] produces: the
+    /// trace's stable digest (unlike `DefaultHasher`, whose algorithm the
+    /// standard library does not pin across releases).  Equal digests mean
+    /// byte-identical traces.
+    pub fn digest(&self) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut line = String::new();
+        for e in &self.events {
+            line.clear();
+            write_line(&mut line, e);
+            line.push('\n');
+            for &b in line.as_bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+}
+
+/// Append one event's line, without its newline, to `out`: the time, the
+/// node name padded to 8 columns, the kind word and its payload, packet
+/// bytes as lowercase hex.  The time is unpadded (`[1000ns]`), because
+/// [`SimTime`]'s `Display` ignores a width; that form is part of the
+/// pinned trace format.
+fn write_line(out: &mut String, e: &TraceEvent) {
+    use std::fmt::Write;
+    // Formatting into a `String` cannot fail.
+    let _ = write!(out, "[{}] {:<8} ", e.time, e.node_name);
+    match &e.kind {
+        TraceEventKind::Originate(bytes) => push_packet(out, "originate ", bytes),
+        TraceEventKind::Forward(bytes) => push_packet(out, "forward ", bytes),
+        TraceEventKind::Deliver(bytes) => push_packet(out, "deliver ", bytes),
+        TraceEventKind::DeliverLocal => out.push_str("deliver-local"),
+        TraceEventKind::Drop(reason) => {
+            out.push_str("drop ");
+            out.push_str(reason);
+        }
+        TraceEventKind::Timer(token) => {
+            let _ = write!(out, "timer {token}");
+        }
+        TraceEventKind::Note(note) => {
+            out.push_str("note ");
+            out.push_str(note);
+        }
+    }
+}
+
+/// Append `word` and then `packet` as two lowercase hex digits per byte.
+fn push_packet(out: &mut String, word: &str, packet: &[u8]) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(word.len() + 2 * packet.len());
+    out.push_str(word);
+    for &b in packet {
+        out.push(char::from(HEX[usize::from(b >> 4)]));
+        out.push(char::from(HEX[usize::from(b & 0x0f)]));
     }
 }
 

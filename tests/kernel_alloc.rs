@@ -1,7 +1,9 @@
-//! Heap-allocation budget of the kernel's Summary-mode event loop: per
-//! event the kernel may allocate at most the copy of a transmitted
-//! packet's arrival, never a rendered line, a name, a routing scan or a
-//! fresh action buffer.
+//! Heap-allocation budgets: per event the kernel's Summary-mode event loop
+//! may allocate at most the copy of a transmitted packet's arrival, never a
+//! rendered line, a name, a routing scan or a fresh action buffer;
+//! rendering a Full-mode trace allocates only to grow its one buffer; and
+//! handing out a generated adapter reuses the registry's lowering instead
+//! of copying and re-lowering the program.
 //!
 //! This file is its own test binary so that it can install a counting
 //! global allocator.  Counts are per thread, so other tests and the
@@ -13,9 +15,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
+use sage_core::programs::generate_program;
+use sage_interp::{generated_scenarios, ExecMode, ResponderRegistry};
 use sage_netsim::buffer::PacketBuf;
 use sage_netsim::headers::{icmp, ipv4};
+use sage_netsim::scenario::run_scenario_on;
 use sage_netsim::sim::{Ctx, Node, SimBuilder, Topology, TraceMode};
+use sage_netsim::tools::igmp::SESSION_GROUP;
+use sage_netsim::tools::ntp_exchange::{SERVER_CLOCK, SERVER_STRATUM};
+use sage_spec::corpus::Protocol;
 
 thread_local! {
     /// Allocations and reallocations made by this thread.
@@ -25,6 +33,13 @@ thread_local! {
 /// Allocations this thread has made so far.
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// `f`'s result and the allocations it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = allocations();
+    let out = f();
+    (out, allocations() - before)
 }
 
 fn count_one() {
@@ -157,5 +172,73 @@ fn summary_mode_allocates_at_most_one_arrival_copy_per_round() {
         per_event <= 0.25,
         "{per_event:.3} kernel allocations per event; the budget is one \
          arrival copy per four-event round (0.25)"
+    );
+}
+
+/// A registry holding the four generated programs.
+fn generated_registry() -> ResponderRegistry {
+    let mut registry = ResponderRegistry::new();
+    for protocol in Protocol::all() {
+        registry.register(protocol.name(), generate_program(protocol));
+    }
+    registry
+}
+
+#[test]
+fn rendering_a_full_trace_allocates_only_to_grow_its_buffer() {
+    let registry = generated_registry();
+    for scenario in generated_scenarios(&registry).scenarios() {
+        let run = run_scenario_on(scenario.as_ref(), Topology::mesh10()).expect("binds on mesh10");
+        let (rendered, allocs) = counted(|| run.trace.render());
+        eprintln!(
+            "{}: render() allocated {allocs} times for {} events, {} bytes",
+            scenario.name(),
+            run.trace.events.len(),
+            rendered.len()
+        );
+        assert!(
+            allocs <= 16,
+            "{}: render() allocated {allocs} times for {} bytes; the budget is \
+             16, for growing the one output buffer",
+            scenario.name(),
+            rendered.len()
+        );
+    }
+}
+
+#[test]
+fn handing_out_a_generated_adapter_allocates_at_most_four_times() {
+    let registry = generated_registry();
+    let factories = registry.responders(ExecMode::Vm);
+    let icmp = factories.icmp.expect("icmp program");
+    let igmp = factories.igmp.expect("igmp program");
+    let (ntp_policy, ntp_server) = factories.ntp.expect("ntp program");
+    let bfd = factories.bfd.expect("bfd program");
+    let counts = [
+        ("icmp_responder", counted(|| registry.icmp_responder()).1),
+        (
+            "igmp_responder",
+            counted(|| registry.igmp_responder(SESSION_GROUP)).1,
+        ),
+        (
+            "ntp_timeout_policy",
+            counted(|| registry.ntp_timeout_policy()).1,
+        ),
+        (
+            "ntp_server",
+            counted(|| registry.ntp_server(SERVER_STRATUM, SERVER_CLOCK)).1,
+        ),
+        ("bfd_endpoint", counted(|| registry.bfd_endpoint(1, 2)).1),
+        ("responders.icmp", counted(|| icmp()).1),
+        ("responders.igmp", counted(|| igmp()).1),
+        ("responders.ntp policy", counted(|| ntp_policy()).1),
+        ("responders.ntp server", counted(|| ntp_server()).1),
+        ("responders.bfd", counted(|| bfd(1, 2)).1),
+    ];
+    eprintln!("allocations per adapter: {counts:?}");
+    let over: Vec<_> = counts.iter().filter(|(_, allocs)| *allocs > 4).collect();
+    assert!(
+        over.is_empty(),
+        "adapters over the budget of 4 allocations: {over:?}"
     );
 }

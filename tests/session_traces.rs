@@ -47,15 +47,6 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/traces/sessions.txt")
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Every registered session: reference, generated, chaos and
 /// chaos-generated, four protocols each.
 fn sessions() -> Vec<Arc<dyn Scenario>> {
@@ -119,7 +110,7 @@ fn session_traces_match_the_committed_golden() {
                     topology.name,
                     variant,
                     run.event_count(),
-                    fnv1a(rendered.as_bytes())
+                    run.trace.digest()
                 ));
             }
         }

@@ -2,8 +2,9 @@
 //! byte-identical trace, across repeated runs and across sweep worker
 //! counts) and the delay-ordering property (packets are delivered in
 //! per-link-delay order, ties broken by link enumeration order), plus the
-//! exact trace of every routing drop and of the event cap, and first-match
-//! ownership of an address two nodes share.
+//! exact trace of every routing drop and of the event cap, the line text of
+//! the packet kinds, and first-match ownership of an address two nodes
+//! share.
 
 use proptest::prelude::*;
 use sage_repro::core::sweep::{full_registry, run_sweep};
@@ -11,7 +12,10 @@ use sage_repro::netsim::buffer::PacketBuf;
 use sage_repro::netsim::faulty::FaultyLink;
 use sage_repro::netsim::headers::{icmp, ipv4};
 use sage_repro::netsim::scenario::{reference_scenarios, run_scenario_on};
-use sage_repro::netsim::sim::{Ctx, Node, NodeId, SimBuilder, Topology, TraceMode};
+use sage_repro::netsim::sim::{
+    Ctx, EventTrace, Node, NodeId, SimBuilder, SimTime, Topology, TraceEvent, TraceEventKind,
+    TraceMode,
+};
 
 #[test]
 fn every_reference_scenario_replays_byte_identically_on_every_topology() {
@@ -477,6 +481,64 @@ fn the_event_cap_stops_a_runaway_pump() {
         ]
     );
     assert_eq!(drops, 1);
+}
+
+/// The hex of a packet holding every byte from 0x00 to 0xff, in order.
+const ALL_BYTES_HEX: &str = concat!(
+    "000102030405060708090a0b0c0d0e0f",
+    "101112131415161718191a1b1c1d1e1f",
+    "202122232425262728292a2b2c2d2e2f",
+    "303132333435363738393a3b3c3d3e3f",
+    "404142434445464748494a4b4c4d4e4f",
+    "505152535455565758595a5b5c5d5e5f",
+    "606162636465666768696a6b6c6d6e6f",
+    "707172737475767778797a7b7c7d7e7f",
+    "808182838485868788898a8b8c8d8e8f",
+    "909192939495969798999a9b9c9d9e9f",
+    "a0a1a2a3a4a5a6a7a8a9aaabacadaeaf",
+    "b0b1b2b3b4b5b6b7b8b9babbbcbdbebf",
+    "c0c1c2c3c4c5c6c7c8c9cacbcccdcecf",
+    "d0d1d2d3d4d5d6d7d8d9dadbdcdddedf",
+    "e0e1e2e3e4e5e6e7e8e9eaebecedeeef",
+    "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff",
+);
+
+#[test]
+fn packet_kinds_render_their_pinned_lines() {
+    let event = |time: u64, node_name: &str, kind: TraceEventKind| TraceEvent {
+        time: SimTime(time),
+        node: NodeId(0),
+        node_name: node_name.to_string(),
+        kind,
+    };
+    let trace = EventTrace {
+        events: vec![
+            event(
+                1_000_000_000_000,
+                "core-router",
+                TraceEventKind::Forward((0..=255).collect()),
+            ),
+            event(
+                999,
+                "routerAB",
+                TraceEventKind::Deliver(vec![0x13, 0x7f, 0xa0, 0xff]),
+            ),
+            event(u64::MAX, "b", TraceEventKind::DeliverLocal),
+        ],
+        ..EventTrace::default()
+    };
+    // The time is unpadded and a name of 8 or more characters runs on
+    // unpadded; shorter names pad to 8 columns.
+    let expected = [
+        ["[1000000000000ns] core-router forward ", ALL_BYTES_HEX].concat(),
+        "[999ns] routerAB deliver 137fa0ff".to_string(),
+        "[18446744073709551615ns] b        deliver-local".to_string(),
+    ];
+    for (e, want) in trace.events.iter().zip(&expected) {
+        assert_eq!(EventTrace::render_line(e), *want);
+    }
+    let rendered: String = expected.iter().map(|line| format!("{line}\n")).collect();
+    assert_eq!(trace.render(), rendered);
 }
 
 /// Hosts `a` (10.0.1.1), `b` and `c` (both 10.0.1.2); `a` is linked to
