@@ -1,18 +1,36 @@
 //! Golden snapshot tests for the evaluation harness: the rendered Tables
-//! 2–11 and Figures 5–6 text output is committed under `tests/golden/` and
-//! diffed against the live `sage_core::evaluation` output, so a report
-//! regression fails tier-1 immediately.
+//! 2–11 and Figures 5–6 text output, and the C text and bytecode lowering of
+//! the four generated programs, are committed under `tests/golden/` and
+//! diffed against the live output, so a report or generated-code regression
+//! fails tier-1 immediately.
 //!
 //! To refresh after an intentional change:
 //! `UPDATE_GOLDEN=1 cargo test --test golden_reports` — then review the diff.
 
 use sage_bench as render;
+use sage_repro::core::programs::{generate_program, lowering_summary};
 use sage_repro::spec::corpus::Protocol;
 use std::fs;
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+/// A generated program's C text followed by its bytecode lowering
+/// (functions/instructions/slots/widest register window).
+fn program_snapshot(protocol: Protocol) -> String {
+    let lowering = match lowering_summary(protocol) {
+        Ok(s) => format!(
+            "{}/{}/{}/{}",
+            s.functions, s.instructions, s.slots, s.max_regs
+        ),
+        Err(e) => format!("refused: {e}"),
+    };
+    format!(
+        "{}// lowering (functions/instructions/slots/max_regs): {lowering}\n",
+        generate_program(protocol).to_c()
+    )
 }
 
 fn snapshots() -> Vec<(&'static str, String)> {
@@ -37,6 +55,10 @@ fn snapshots() -> Vec<(&'static str, String)> {
             "disambiguation_summary",
             render::render_disambiguation_summary(),
         ),
+        ("program_icmp", program_snapshot(Protocol::Icmp)),
+        ("program_igmp", program_snapshot(Protocol::Igmp)),
+        ("program_ntp", program_snapshot(Protocol::Ntp)),
+        ("program_bfd", program_snapshot(Protocol::Bfd)),
     ]
 }
 
