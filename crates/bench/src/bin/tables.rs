@@ -2,7 +2,12 @@
 //!
 //! Usage: `cargo run -p sage-bench --bin tables [-- <table>...]`
 //! where `<table>` is one of `table2`..`table11`, `lexicon`, `e2e`,
-//! `protocols`, `summary`, or `all` (default).
+//! `protocols`, `summary`, `fig5a`, or `all` (default: every table but
+//! `fig5a`).
+//!
+//! `e2e` and `protocols` run the generated programs against the simulated
+//! tools: the binary exits 1 when any of those checks fails, and 2 on an
+//! unknown table name, before rendering anything.
 //!
 //! The extra `bench-diff [fresh-dir]` subcommand compares a fresh
 //! `SAGE_BENCH_JSON` run (default `target/bench-json`) against the
@@ -10,7 +15,27 @@
 //! the delta table — the CI bench-drift step's reporting half.
 
 use sage_bench as render;
+use sage_core::evaluation::end_to_end_summary;
 use sage_spec::corpus::Protocol;
+use std::process::ExitCode;
+
+/// The tables `all` renders, in order.
+const ALL: [&str; 14] = [
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "table9",
+    "table10",
+    "table11",
+    "lexicon",
+    "e2e",
+    "protocols",
+    "summary",
+];
 
 /// `(id, ns_per_iter)` pairs from every `.json` file in `dir` (fresh runs),
 /// or from every `BENCH_*.json` file when `baselines` is set.
@@ -40,7 +65,7 @@ fn collect_results(dir: &str, baselines: bool) -> Vec<(String, f64)> {
     out
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("bench-diff") {
         let fresh_dir = args
@@ -50,33 +75,26 @@ fn main() {
         let baseline = collect_results(".", true);
         let fresh = collect_results(fresh_dir, false);
         print!("{}", render::render_bench_diff(&baseline, &fresh));
-        return;
+        return ExitCode::SUCCESS;
     }
-    let wanted: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "table6",
-            "table7",
-            "table8",
-            "table9",
-            "table10",
-            "table11",
-            "lexicon",
-            "e2e",
-            "protocols",
-            "summary",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect()
+    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
+        ALL.to_vec()
     } else {
-        args
+        args.iter().map(String::as_str).collect()
     };
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|name| !ALL.contains(name) && **name != "fig5a")
+    {
+        eprintln!(
+            "unknown table '{unknown}'; accepted: {}, fig5a, all, or bench-diff [fresh-dir]",
+            ALL.join(", ")
+        );
+        return ExitCode::from(2);
+    }
+    let mut all_ok = true;
     for name in wanted {
-        let text = match name.as_str() {
+        let text = match name {
             "table2" => render::render_table2(),
             "table3" => render::render_table3(),
             "table4" => render::render_table4(),
@@ -88,12 +106,26 @@ fn main() {
             "table10" => render::render_table10(),
             "table11" => render::render_table11(),
             "lexicon" => render::render_lexicon_counts(),
-            "e2e" => render::render_end_to_end(),
-            "protocols" => render::render_protocol_summary(),
+            "e2e" => {
+                let result = sage_core::icmp_end_to_end(&sage_core::generate_icmp_program());
+                all_ok &= result.all_ok();
+                render::render_end_to_end(&result)
+            }
+            "protocols" => {
+                let rows = end_to_end_summary();
+                all_ok &= rows.iter().all(|row| row.ok);
+                render::render_protocol_summary(&rows)
+            }
             "summary" => render::render_disambiguation_summary(),
             "fig5a" => render::render_figure5(Protocol::Icmp, "a"),
-            other => format!("unknown table '{other}'\n"),
+            other => unreachable!("table name '{other}' passed the check above"),
         };
         println!("{text}");
+    }
+    if all_ok {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("an end-to-end check FAILED");
+        ExitCode::FAILURE
     }
 }

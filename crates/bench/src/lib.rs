@@ -211,10 +211,9 @@ pub fn render_figure6() -> String {
     out
 }
 
-/// Render the §6.2 end-to-end summary.
-pub fn render_end_to_end() -> String {
-    let program = sage_core::generate_icmp_program();
-    let result = sage_core::icmp_end_to_end(&program);
+/// Render the §6.2 end-to-end summary of
+/// [`sage_core::icmp_end_to_end`].
+pub fn render_end_to_end(result: &sage_core::IcmpEndToEnd) -> String {
     let mut out = String::from("End-to-end ICMP evaluation (§6.2)\n");
     for (scenario, ok) in &result.ping_results {
         out.push_str(&format!(
@@ -234,11 +233,12 @@ pub fn render_end_to_end() -> String {
     out
 }
 
-/// Render the per-protocol end-to-end summary: every generated program run
-/// through its scenario (§6.2 ICMP; §6.3 IGMP and NTP; §6.4 BFD).
-pub fn render_protocol_summary() -> String {
+/// Render the per-protocol end-to-end summary of
+/// [`eval::end_to_end_summary`]: every generated program run through its
+/// scenario (§6.2 ICMP; §6.3 IGMP and NTP; §6.4 BFD).
+pub fn render_protocol_summary(rows: &[eval::EndToEndRow]) -> String {
     let mut out = String::from("Per-protocol end-to-end execution (§6.2-§6.4)\n");
-    for row in eval::end_to_end_summary() {
+    for row in rows {
         out.push_str(&format!(
             "  {:<5} {:<42} {:>3} packets  {}\n",
             row.protocol,

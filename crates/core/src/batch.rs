@@ -46,7 +46,8 @@ pub struct BatchItem {
 
 impl BatchItem {
     /// Expand a structured document into batch items, resolving each
-    /// sentence's context up front (mirrors [`Sage::analyze_document`]).
+    /// sentence's context up front (the items [`Sage::analyze_document`]
+    /// analyses).
     pub fn from_document(doc: &Document) -> Vec<BatchItem> {
         doc.sentences()
             .into_iter()
@@ -77,8 +78,8 @@ impl BatchItem {
         items
     }
 
-    /// Wrap a bare sentence list the way [`Sage::analyze_sentences`] does
-    /// (used for the BFD state-management corpus).
+    /// Wrap a bare sentence list as the items [`Sage::analyze_sentences`]
+    /// analyses (used for the BFD state-management corpus).
     pub fn from_sentences(protocol: &str, sentences: &[&str]) -> Vec<BatchItem> {
         sentences
             .iter()

@@ -552,18 +552,14 @@ pub struct EndToEndRow {
 /// Run every protocol's generated program through its end-to-end scenario
 /// on the discrete-event kernel — the §6.2 ICMP experiments plus the
 /// generality scenarios (§6.3 IGMP and NTP, §6.4 BFD) — dispatching each
-/// program through one shared
-/// [`ResponderRegistry`](sage_interp::ResponderRegistry) and the
+/// program through the one shared registry of
+/// [`generated_responders`](crate::fuzz::generated_responders) and the
 /// [`Scenario`](sage_netsim::Scenario) registry built over it.
 pub fn end_to_end_summary() -> Vec<EndToEndRow> {
-    use crate::programs::generate_program;
-    use sage_interp::{generated_scenarios, ResponderRegistry};
+    use sage_interp::generated_scenarios;
     use sage_netsim::scenario::run_scenario;
 
-    let mut registry = ResponderRegistry::new();
-    for protocol in Protocol::all() {
-        registry.register(protocol.name(), generate_program(protocol));
-    }
+    let registry = crate::fuzz::generated_responders();
     let mut rows = Vec::new();
     for scenario in generated_scenarios(&registry).scenarios() {
         let run = match run_scenario(scenario.as_ref()) {

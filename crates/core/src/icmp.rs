@@ -12,8 +12,9 @@
 //! disambiguated logical form corresponding to the rewritten sentence (the
 //! paper's authors similarly rewrote 5 sentences and re-ran SAGE; §6.5).
 
-use crate::pipeline::{Sage, SentenceStatus};
-use sage_codegen::program::{assemble_message_functions, AnnotatedLf};
+use crate::batch::BatchItem;
+use crate::pipeline::Sage;
+use crate::programs::{annotate, emit, ICMP_TYPE_CODE};
 use sage_codegen::Program;
 use sage_interp::GeneratedResponder;
 use sage_logic::{parse_lf, Lf};
@@ -22,9 +23,8 @@ use sage_netsim::net::Network;
 use sage_netsim::tcpdump::decode_packet;
 use sage_netsim::tools::ping::{ping_once, PingOutcome, ECHO_PAYLOAD};
 use sage_netsim::tools::traceroute::traceroute;
-use sage_spec::context::{ContextDict, Role};
+use sage_spec::context::Role;
 use sage_spec::corpus::Protocol;
-use sage_spec::headers::parse_header_diagram;
 
 /// The disambiguated logical forms supplied by the human rewrites, keyed by
 /// the message section they apply to.  These correspond one-to-one to the
@@ -120,60 +120,14 @@ pub fn rewritten_resolutions() -> Vec<(String, Role, &'static str, Lf)> {
 /// are combined with the human-rewritten resolutions for the reply-forming,
 /// checksum, identifier, gateway and pointer sentences.
 pub fn generate_icmp_program() -> Program {
-    let sage = Sage::default();
     let doc = Protocol::Icmp.document();
-    let report = sage.analyze_document(&doc);
-
-    let mut annotated: Vec<AnnotatedLf> = Vec::new();
-
-    // 1. Field-value assignments resolved automatically by the pipeline
-    //    (the `Type` / `Code` descriptions: plain assignments only).
-    for analysis in &report.analyses {
-        if analysis.status != SentenceStatus::Resolved {
-            continue;
-        }
-        let Some(lf) = analysis.resolved_lf() else {
-            continue;
-        };
-        let is_simple_assignment = matches!(lf, Lf::Pred(p, args)
-            if *p == sage_logic::PredName::Is && args.len() == 2 && args[1].as_number().is_some());
-        let field_is_type_or_code = matches!(analysis.context.field.as_str(), "type" | "code");
-        if is_simple_assignment && field_is_type_or_code && analysis.sentence.field.is_some() {
-            annotated.push(AnnotatedLf {
-                lf: lf.clone(),
-                context: ContextDict {
-                    role: Role::Receiver,
-                    ..analysis.context.clone()
-                },
-                sentence: analysis.sentence.text.clone(),
-            });
-        }
-    }
-
-    // 2. Human-rewritten resolutions for the flagged sentences.
-    for (section, role, sentence, lf) in rewritten_resolutions() {
-        annotated.push(AnnotatedLf {
-            lf,
-            context: ContextDict {
-                protocol: "ICMP".into(),
-                message: section,
-                field: String::new(),
-                role,
-            },
-            sentence: sentence.to_string(),
-        });
-    }
-
-    let assembly = assemble_message_functions(&annotated);
-
-    // Header structs come straight from the RFC's ASCII art.
-    let structs: Vec<_> = doc
-        .header_diagrams()
-        .iter()
-        .filter_map(|(title, art)| parse_header_diagram(title, art))
-        .collect();
-
-    sage_codegen::program::emit_c_program(&structs, &assembly.functions)
+    let mut annotated = ICMP_TYPE_CODE.harvest(&Sage::default(), &BatchItem::from_document(&doc));
+    annotated.extend(
+        rewritten_resolutions()
+            .into_iter()
+            .map(|r| annotate("ICMP", r)),
+    );
+    emit(&doc, &annotated)
 }
 
 /// The outcome of the §6.2 end-to-end experiments.

@@ -1,5 +1,6 @@
 //! The SAGE pipeline: parse → disambiguate → report / generate.
 
+use crate::batch::BatchItem;
 use sage_ccg::overgenerate::{overgenerate, overgenerate_with, OvergenConfig};
 use sage_ccg::{
     parse_sentence, parse_sentence_cached, Lexicon, ParseResult, ParserConfig, ParserWorkspace,
@@ -7,7 +8,7 @@ use sage_ccg::{
 use sage_disambig::{winnow, WinnowTrace, Winnower};
 use sage_logic::{Interner, Lf, LfArena, PredName, Symbol};
 use sage_nlp::{ChunkerConfig, TermDictionary};
-use sage_spec::context::{context_for, ContextDict};
+use sage_spec::context::ContextDict;
 use sage_spec::document::{Document, Sentence};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -439,37 +440,23 @@ impl Sage {
 
     /// Run the pipeline over every sentence of a document.
     pub fn analyze_document(&self, doc: &Document) -> PipelineReport {
-        let mut report = PipelineReport::default();
-        for sentence in doc.sentences() {
-            let context = context_for(doc, &sentence);
-            report
-                .analyses
-                .push(self.analyze_sentence(&sentence, context));
-        }
-        report
+        self.analyze_items(BatchItem::from_document(doc))
     }
 
     /// Analyze a bare list of sentences (used for the BFD state-management
     /// corpus, which the paper evaluates as a sentence list).
     pub fn analyze_sentences(&self, protocol: &str, sentences: &[&str]) -> PipelineReport {
-        let mut report = PipelineReport::default();
-        for s in sentences {
-            let sentence = Sentence {
-                text: (*s).to_string(),
-                section: format!("{protocol} state management"),
-                field: None,
-            };
-            let context = ContextDict {
-                protocol: protocol.to_string(),
-                message: sentence.section.clone(),
-                field: String::new(),
-                role: sage_spec::context::Role::Receiver,
-            };
-            report
-                .analyses
-                .push(self.analyze_sentence(&sentence, context));
+        self.analyze_items(BatchItem::from_sentences(protocol, sentences))
+    }
+
+    /// [`Sage::analyze_sentence`] over each item, in order.
+    fn analyze_items(&self, items: Vec<BatchItem>) -> PipelineReport {
+        PipelineReport {
+            analyses: items
+                .into_iter()
+                .map(|item| self.analyze_sentence(&item.sentence, item.context))
+                .collect(),
         }
-        report
     }
 }
 
@@ -508,6 +495,7 @@ pub(crate) fn field_value_idiom(text: &str, context: &ContextDict) -> Option<Lf>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sage_spec::context::context_for;
     use sage_spec::corpus::Protocol;
 
     #[test]

@@ -23,7 +23,8 @@
 //! [`sage_interp::ResponderRegistry`]) and are checked against the
 //! hand-written reference responders in `sage_netsim::tools`.
 
-use crate::pipeline::{PipelineReport, Sage, SentenceStatus};
+use crate::batch::BatchItem;
+use crate::pipeline::{Sage, SentenceAnalysis};
 use sage_codegen::program::{assemble_message_functions, AnnotatedLf};
 use sage_codegen::Program;
 use sage_logic::{parse_lf, Lf, PredName};
@@ -41,7 +42,7 @@ fn lf(text: &str) -> Lf {
     parse_lf(text).expect("static LF")
 }
 
-fn annotate(protocol: &str, resolution: Resolution) -> AnnotatedLf {
+pub(crate) fn annotate(protocol: &str, resolution: Resolution) -> AnnotatedLf {
     let (message, role, sentence, lf) = resolution;
     AnnotatedLf {
         lf,
@@ -55,74 +56,103 @@ fn annotate(protocol: &str, resolution: Resolution) -> AnnotatedLf {
     }
 }
 
-/// Pipeline-resolved plain field assignments (`@Is(field, number)`) whose
-/// target is in `allowed_fields` — the protocol-generic version of the
-/// Type/Code idiom harvest in [`crate::icmp::generate_icmp_program`].
-fn resolved_field_assignments(
-    report: &PipelineReport,
-    allowed_fields: &[&str],
-) -> Vec<AnnotatedLf> {
-    let mut out = Vec::new();
-    for analysis in &report.analyses {
-        if analysis.status != SentenceStatus::Resolved {
-            continue;
-        }
-        let Some(resolved) = analysis.resolved_lf() else {
-            continue;
-        };
-        let is_simple_assignment = matches!(resolved, Lf::Pred(p, args)
-            if *p == PredName::Is
-                && args.len() == 2
-                && args[0].as_atom().is_some_and(|f| allowed_fields.contains(&f))
-                && args[1].as_number().is_some());
-        if is_simple_assignment {
-            out.push(AnnotatedLf {
-                lf: resolved.clone(),
-                context: ContextDict {
-                    role: Role::Receiver,
-                    ..analysis.context.clone()
-                },
-                sentence: analysis.sentence.text.clone(),
-            });
-        }
-    }
-    out
+/// What a builder keeps of its corpus: the logical forms the pipeline
+/// resolves on its own that are directly actionable.
+pub(crate) struct HarvestRule {
+    /// Which items are worth analysing, decided from the item alone.  It
+    /// must pass every item whose resolved form `lf` keeps: one sentence's
+    /// analysis never depends on which others share the workspace, so
+    /// skipping the rest changes no kept form (the harvest test in this
+    /// module pins that over each corpus).
+    item: fn(&BatchItem) -> bool,
+    /// Which resolved logical forms are kept.
+    lf: fn(&Lf) -> bool,
+    /// The message section kept forms are filed under; the sentence's own
+    /// when `None`.
+    message: Option<&'static str>,
 }
 
-/// Pipeline-resolved RFC 5880 bookkeeping assignments: `@Is('bfd.x',
-/// @Of('value', field))` — the "Set bfd.X to the value of Y" sentences the
-/// pipeline disambiguates on its own (§6.4).
-fn resolved_state_bookkeeping(report: &PipelineReport, section: &str) -> Vec<AnnotatedLf> {
-    let mut out = Vec::new();
-    for analysis in &report.analyses {
-        let Some(resolved) = analysis.resolved_lf() else {
-            continue;
-        };
-        let is_bookkeeping = matches!(resolved, Lf::Pred(p, args)
-            if *p == PredName::Is
-                && args.len() == 2
+/// `@Is(target, number)` with a target `target` accepts.
+fn is_number_assignment(lf: &Lf, target: impl Fn(&Lf) -> bool) -> bool {
+    matches!(lf, Lf::Pred(PredName::Is, args)
+        if args.len() == 2 && target(&args[0]) && args[1].as_number().is_some())
+}
+
+/// RFC 792's Type and Code values (the field-value idiom sentences, §3).
+/// Only a Type or Code field description can state one, so the other
+/// sentences are never analysed.
+pub(crate) const ICMP_TYPE_CODE: HarvestRule = HarvestRule {
+    item: |item| matches!(item.context.field.as_str(), "type" | "code"),
+    lf: |lf| is_number_assignment(lf, |_| true),
+    message: None,
+};
+
+/// Plain assignments to RFC 1112's Version and Unused fields.  None of the
+/// Appendix I field descriptions resolves to one today (the Type values are
+/// conditional on the message kind), but the harvest keeps the builder
+/// uniform with ICMP.
+const IGMP_FIELDS: HarvestRule = HarvestRule {
+    item: |_| true,
+    lf: |lf| {
+        is_number_assignment(lf, |target| {
+            matches!(target.as_atom(), Some("version" | "unused"))
+        })
+    },
+    message: None,
+};
+
+/// RFC 5880's bookkeeping assignments, `@Is('bfd.x', @Of('value', field))`:
+/// the "Set bfd.X to the value of Y" sentences the pipeline disambiguates
+/// on its own (§6.4).
+const BFD_BOOKKEEPING: HarvestRule = HarvestRule {
+    item: |_| true,
+    lf: |lf| {
+        matches!(lf, Lf::Pred(PredName::Is, args)
+            if args.len() == 2
                 && args[0].as_atom().is_some_and(|t| t.starts_with("bfd."))
                 && matches!(&args[1], Lf::Pred(PredName::Of, of_args)
-                    if of_args.first().and_then(Lf::as_atom) == Some("value")));
-        if is_bookkeeping {
-            out.push(AnnotatedLf {
-                lf: resolved.clone(),
-                context: ContextDict {
-                    protocol: "BFD".to_string(),
-                    message: section.to_string(),
-                    field: String::new(),
-                    role: Role::Receiver,
-                },
-                sentence: analysis.sentence.text.clone(),
-            });
-        }
+                    if of_args.first().and_then(Lf::as_atom) == Some("value")))
+    },
+    message: Some(BFD_RECEPTION_SECTION),
+};
+
+impl HarvestRule {
+    /// Analyse the items `item` passes, in order, on one memoized workspace
+    /// and keep what the rule keeps.
+    pub(crate) fn harvest(&self, sage: &Sage, items: &[BatchItem]) -> Vec<AnnotatedLf> {
+        let mut ws = sage.workspace();
+        let analyses: Vec<SentenceAnalysis> = items
+            .iter()
+            .filter(|item| (self.item)(item))
+            .map(|item| sage.analyze_sentence_in(&item.sentence, item.context.clone(), &mut ws))
+            .collect();
+        self.select(&analyses)
     }
-    out
+
+    /// The resolved logical forms `lf` keeps, as receiver-side annotations.
+    fn select(&self, analyses: &[SentenceAnalysis]) -> Vec<AnnotatedLf> {
+        analyses
+            .iter()
+            .filter_map(|analysis| {
+                let lf = analysis.resolved_lf().filter(|lf| (self.lf)(lf))?;
+                let mut context = analysis.context.clone();
+                context.role = Role::Receiver;
+                if let Some(message) = self.message {
+                    context.message = message.to_string();
+                }
+                Some(AnnotatedLf {
+                    lf: lf.clone(),
+                    context,
+                    sentence: analysis.sentence.text.clone(),
+                })
+            })
+            .collect()
+    }
 }
 
 /// Assemble annotated logical forms into a program, taking the header
 /// structs from the document's ASCII-art diagrams.
-fn emit(doc: &Document, annotated: &[AnnotatedLf]) -> Program {
+pub(crate) fn emit(doc: &Document, annotated: &[AnnotatedLf]) -> Program {
     let assembly = assemble_message_functions(annotated);
     let structs: Vec<_> = doc
         .header_diagrams()
@@ -322,14 +352,8 @@ pub fn bfd_rewritten_resolutions() -> Vec<Resolution> {
 
 /// Generate the IGMP host program from the RFC 1112 Appendix I corpus.
 pub fn generate_igmp_program() -> Program {
-    let sage = Sage::default();
     let doc = Protocol::Igmp.document();
-    let report = sage.analyze_document(&doc);
-    // Pipeline-resolved plain assignments first (none of the Appendix I
-    // field descriptions currently resolve to one — the Type values are
-    // conditional on the message kind — but the harvest keeps the builder
-    // uniform with ICMP), then the human resolutions.
-    let mut annotated = resolved_field_assignments(&report, &["version", "unused"]);
+    let mut annotated = IGMP_FIELDS.harvest(&Sage::default(), &BatchItem::from_document(&doc));
     annotated.extend(
         igmp_rewritten_resolutions()
             .into_iter()
@@ -357,13 +381,13 @@ pub fn generate_ntp_program() -> Program {
 /// corpus: the pipeline-resolved bookkeeping assignments plus the human
 /// resolutions for the flagged sentences.
 pub fn generate_bfd_program() -> Program {
-    let sage = Sage::default();
     let doc = Protocol::Bfd.document();
-    let report = sage.analyze_sentences("BFD", sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES);
+    let items =
+        BatchItem::from_sentences("BFD", sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES);
     // Bookkeeping assignments execute before the discard guards in the
     // emitted order, which is observably equivalent: a discarded packet's
     // environment is dropped wholesale by every adapter.
-    let mut annotated = resolved_state_bookkeeping(&report, BFD_RECEPTION_SECTION);
+    let mut annotated = BFD_BOOKKEEPING.harvest(&Sage::default(), &items);
     annotated.extend(
         bfd_rewritten_resolutions()
             .into_iter()
@@ -511,14 +535,49 @@ mod tests {
     }
 
     #[test]
-    fn bfd_bookkeeping_comes_from_the_analyzed_corpus() {
+    fn each_harvest_keeps_what_the_reference_analysis_selects() {
+        // Each builder's harvest (its pre-filtered items on one memoized
+        // workspace) against its rule applied to the boxed reference
+        // analysis of the whole, unfiltered corpus.
         let sage = Sage::default();
-        let report =
-            sage.analyze_sentences("BFD", sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES);
-        let harvested = resolved_state_bookkeeping(&report, BFD_RECEPTION_SECTION);
-        assert_eq!(harvested.len(), 3, "{harvested:#?}");
-        for a in &harvested {
-            assert!(a.sentence.starts_with("Set bfd."));
+        let bfd = sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES;
+        let icmp_doc = Protocol::Icmp.document();
+        let igmp_doc = Protocol::Igmp.document();
+        let cases = [
+            (
+                &ICMP_TYPE_CODE,
+                BatchItem::from_document(&icmp_doc),
+                sage.analyze_document(&icmp_doc),
+            ),
+            (
+                &IGMP_FIELDS,
+                BatchItem::from_document(&igmp_doc),
+                sage.analyze_document(&igmp_doc),
+            ),
+            (
+                &BFD_BOOKKEEPING,
+                BatchItem::from_sentences("BFD", bfd),
+                sage.analyze_sentences("BFD", bfd),
+            ),
+        ];
+        let [icmp, igmp, bfd] = cases.map(|(rule, items, reference)| {
+            let harvested = rule.harvest(&sage, &items);
+            assert_eq!(harvested, rule.select(&reference.analyses));
+            harvested
+        });
+
+        let icmp: Vec<String> = icmp.iter().map(|a| a.lf.to_string()).collect();
+        assert_eq!(
+            icmp.join(" "),
+            "@Is('type', @Num(3)) @Is('type', @Num(11)) @Is('type', @Num(12)) \
+             @Is('type', @Num(4)) @Is('code', @Num(0)) @Is('type', @Num(5)) \
+             @Is('code', @Num(0)) @Is('code', @Num(0)) @Is('code', @Num(0))"
+        );
+        assert!(igmp.is_empty(), "{igmp:#?}");
+        assert_eq!(bfd.len(), 3, "{bfd:#?}");
+        for a in &bfd {
+            assert!(a.sentence.starts_with("Set bfd."), "{a:#?}");
+            assert_eq!(a.context.message, BFD_RECEPTION_SECTION);
         }
     }
 }
