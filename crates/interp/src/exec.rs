@@ -272,7 +272,7 @@ pub fn encapsulate_reply(env: &Env) -> sage_netsim::buffer::PacketBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sage_netsim::checksum::checksum_with_zeroed_field;
+    use sage_netsim::checksum::checksum_omitting_field;
     use sage_netsim::headers::icmp;
     use sage_netsim::headers::ipv4::addr;
     use sage_netsim::net::IcmpEvent;
@@ -400,7 +400,7 @@ mod tests {
             )],
         );
         let v = eval_expr(&mut env, &expr).unwrap() as u16;
-        let expected = checksum_with_zeroed_field(env.reply.as_bytes(), 2);
+        let expected = checksum_omitting_field(env.reply.as_bytes(), 2);
         assert_eq!(v, expected);
     }
 

@@ -5,6 +5,11 @@
 //! (name, bit offset, bit width) — partly cross-checked against the header
 //! structs that `sage-spec` extracts from the RFC ASCII art — and
 //! [`PacketBuf`] reads and writes those fields in network byte order.
+//!
+//! Code that addresses a field by name at run time — the generated-code
+//! engines, the tcpdump/pcap decoders — scans the table per access.  Code
+//! that knows its fields when it is written resolves them once, at compile
+//! time, with [`field`]: `const TTL: &FieldSpec = field(FIELDS, "ttl");`.
 
 use std::fmt;
 
@@ -30,11 +35,60 @@ impl FieldSpec {
     }
 
     /// The byte range `[start, end)` this field touches.
-    pub fn byte_range(&self) -> (usize, usize) {
+    pub const fn byte_range(&self) -> (usize, usize) {
         let start = self.offset_bits / 8;
         let end = (self.offset_bits + self.width_bits).div_ceil(8);
         (start, end)
     }
+}
+
+/// The spec named `name` in `table`, resolved during const evaluation.
+///
+/// ```
+/// use sage_netsim::buffer::{field, FieldSpec};
+/// use sage_netsim::headers::ipv4;
+///
+/// const TTL: &FieldSpec = field(ipv4::FIELDS, "ttl");
+/// assert_eq!((TTL.offset_bits, TTL.width_bits), (64, 8));
+/// ```
+///
+/// # Panics
+///
+/// Panics if `table` has no field called `name`.  In a `const` item that
+/// panic is a compile error, so a misspelt name fails the build:
+///
+/// ```compile_fail
+/// use sage_netsim::buffer::{field, FieldSpec};
+/// use sage_netsim::headers::ipv4;
+///
+/// const TTL: &FieldSpec = field(ipv4::FIELDS, "tll");
+/// assert_eq!(TTL.width_bits, 8);
+/// ```
+pub const fn field(table: &'static [FieldSpec], name: &str) -> &'static FieldSpec {
+    let mut i = 0;
+    while i < table.len() {
+        if str_eq(table[i].name, name) {
+            return &table[i];
+        }
+        i += 1;
+    }
+    panic!("no field of that name in the table")
+}
+
+/// `a == b`, usable in const evaluation.
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 /// Errors from field access.
@@ -95,25 +149,34 @@ impl std::error::Error for FieldError {}
 ///
 /// Fields spanning at most eight bytes — every field in the shipped
 /// header tables — are read as one big-endian word assembly + shift +
-/// mask instead of a per-bit loop; wider misaligned fields fall back to
-/// the bit loop.
+/// mask instead of a per-bit loop.  That path is small enough to inline,
+/// so a spec known at compile time folds to a few loads and shifts;
+/// errors and wider misaligned fields take the out-of-line bit loop.
+#[inline]
 pub fn read_bits(bytes: &[u8], spec: &FieldSpec) -> Result<u64, FieldError> {
     let (start, end) = spec.byte_range();
+    match bytes.get(start..end) {
+        Some(window) if window.len() <= 8 => {
+            let mut word: u64 = 0;
+            for &b in window {
+                word = (word << 8) | u64::from(b);
+            }
+            Ok((word >> window_shift(spec)) & width_mask(spec.width_bits))
+        }
+        _ => read_bits_bitwise(bytes, spec),
+    }
+}
+
+/// [`read_bits`] one bit at a time, with its bounds error.
+#[cold]
+fn read_bits_bitwise(bytes: &[u8], spec: &FieldSpec) -> Result<u64, FieldError> {
+    let (_, end) = spec.byte_range();
     if end > bytes.len() {
         return Err(FieldError::OutOfBounds {
             field: spec.name.to_string(),
             needed: end,
             len: bytes.len(),
         });
-    }
-    let span = end - start;
-    if span <= 8 {
-        let mut word: u64 = 0;
-        for &b in &bytes[start..end] {
-            word = (word << 8) | u64::from(b);
-        }
-        let shift = span * 8 - (spec.offset_bits - start * 8) - spec.width_bits;
-        return Ok((word >> shift) & width_mask(spec.width_bits));
     }
     let mut value: u64 = 0;
     for i in 0..spec.width_bits {
@@ -134,9 +197,41 @@ fn width_mask(width_bits: usize) -> u64 {
     }
 }
 
+/// The bits between a field's last bit and the end of its byte window:
+/// the shift that brings the field down to bit 0 of the window's word.
+fn window_shift(spec: &FieldSpec) -> usize {
+    let (start, end) = spec.byte_range();
+    (end - start) * 8 - (spec.offset_bits - start * 8) - spec.width_bits
+}
+
 /// Write a big-endian bit-field into a mutable byte slice — the mirror of
-/// [`read_bits`], with the same eight-byte-span word fast path.
+/// [`read_bits`], with the same inlined word path.
+#[inline]
 fn write_bits(bytes: &mut [u8], spec: &FieldSpec, value: u64) -> Result<(), FieldError> {
+    let fits = spec.width_bits >= 64 || value < (1u64 << spec.width_bits);
+    let (start, end) = spec.byte_range();
+    match bytes.get_mut(start..end) {
+        Some(window) if fits && window.len() <= 8 => {
+            let mut word: u64 = 0;
+            for &b in window.iter() {
+                word = (word << 8) | u64::from(b);
+            }
+            let shift = window_shift(spec);
+            let mask = width_mask(spec.width_bits);
+            word = (word & !(mask << shift)) | ((value & mask) << shift);
+            for b in window.iter_mut().rev() {
+                *b = word as u8;
+                word >>= 8;
+            }
+            Ok(())
+        }
+        _ => write_bits_bitwise(bytes, spec, value),
+    }
+}
+
+/// [`write_bits`] one bit at a time, with its range and bounds errors.
+#[cold]
+fn write_bits_bitwise(bytes: &mut [u8], spec: &FieldSpec, value: u64) -> Result<(), FieldError> {
     if spec.width_bits < 64 && value >= (1u64 << spec.width_bits) {
         return Err(FieldError::ValueTooLarge {
             field: spec.name.to_string(),
@@ -144,28 +239,13 @@ fn write_bits(bytes: &mut [u8], spec: &FieldSpec, value: u64) -> Result<(), Fiel
             value,
         });
     }
-    let (start, end) = spec.byte_range();
+    let (_, end) = spec.byte_range();
     if end > bytes.len() {
         return Err(FieldError::OutOfBounds {
             field: spec.name.to_string(),
             needed: end,
             len: bytes.len(),
         });
-    }
-    let span = end - start;
-    if span <= 8 {
-        let mut word: u64 = 0;
-        for &b in &bytes[start..end] {
-            word = (word << 8) | u64::from(b);
-        }
-        let shift = span * 8 - (spec.offset_bits - start * 8) - spec.width_bits;
-        let mask = width_mask(spec.width_bits);
-        word = (word & !(mask << shift)) | ((value & mask) << shift);
-        for i in (0..span).rev() {
-            bytes[start + i] = word as u8;
-            word >>= 8;
-        }
-        return Ok(());
     }
     for i in 0..spec.width_bits {
         let bit_index = spec.offset_bits + i;
@@ -212,6 +292,7 @@ impl<'a> FieldView<'a> {
     }
 
     /// Read a field given its spec directly.
+    #[inline]
     pub fn get_bits(&self, spec: &FieldSpec) -> Result<u64, FieldError> {
         read_bits(self.bytes, spec)
     }
@@ -239,6 +320,15 @@ impl PacketBuf {
         PacketBuf {
             bytes: vec![0; len],
         }
+    }
+
+    /// `header_len` zero bytes followed by a copy of `payload`, in one
+    /// allocation: the starting point of every header builder.
+    pub fn zeroed_with_payload(header_len: usize, payload: &[u8]) -> PacketBuf {
+        let mut bytes = Vec::with_capacity(header_len + payload.len());
+        bytes.resize(header_len, 0);
+        bytes.extend_from_slice(payload);
+        PacketBuf { bytes }
     }
 
     /// Wrap existing bytes.
@@ -301,11 +391,13 @@ impl PacketBuf {
     }
 
     /// Read a field given its spec directly.
+    #[inline]
     pub fn get_bits(&self, spec: &FieldSpec) -> Result<u64, FieldError> {
         read_bits(&self.bytes, spec)
     }
 
     /// Write a field given its spec directly.
+    #[inline]
     pub fn set_bits(&mut self, spec: &FieldSpec, value: u64) -> Result<(), FieldError> {
         write_bits(&mut self.bytes, spec, value)
     }
@@ -483,6 +575,30 @@ mod tests {
         ));
         assert!(!short.is_empty());
         assert_eq!(short.as_bytes().len(), 2);
+    }
+
+    #[test]
+    fn compile_time_specs_are_the_table_entries() {
+        const CHECKSUM: &FieldSpec = field(TABLE, "checksum");
+        const WORD: &FieldSpec = field(TABLE, "word");
+        assert_eq!(CHECKSUM, PacketBuf::find(TABLE, "checksum").unwrap());
+        assert_eq!(WORD, &TABLE[5]);
+        for spec in TABLE {
+            assert_eq!(field(TABLE, spec.name), spec);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no field of that name")]
+    fn an_unknown_name_has_no_spec() {
+        field(TABLE, "typ");
+    }
+
+    #[test]
+    fn zeroed_with_payload_is_a_zero_header_then_the_payload() {
+        let buf = PacketBuf::zeroed_with_payload(3, &[7, 8]);
+        assert_eq!(buf.as_bytes(), &[0, 0, 0, 7, 8]);
+        assert_eq!(PacketBuf::zeroed_with_payload(2, &[]).as_bytes(), &[0, 0]);
     }
 
     #[test]

@@ -44,21 +44,13 @@ pub fn incremental_update(old_checksum: u16, old_value: u16, new_value: u16) -> 
 
 /// Compute a checksum over a buffer with the checksum field (at
 /// `checksum_offset`) treated as zero — the common "zero the field, then
-/// sum" procedure the Figure-2 sentence describes.
-pub fn checksum_with_zeroed_field(data: &[u8], checksum_offset: usize) -> u16 {
-    let mut copy = data.to_vec();
-    if checksum_offset + 2 <= copy.len() {
-        copy[checksum_offset] = 0;
-        copy[checksum_offset + 1] = 0;
-    }
-    ones_complement_checksum(&copy)
-}
-
-/// Zero-copy form of [`checksum_with_zeroed_field`]: one pass over `data`
-/// substituting zero for the two checksum bytes instead of summing a
-/// zeroed clone.  Bit-identical to the cloning form — substitution keeps
-/// the exact RFC 1071 word sequence, where a ones-complement *subtraction*
-/// of the field could land on the other representative of zero (0xFFFF vs
+/// sum" procedure the Figure-2 sentence describes — in one pass over
+/// `data`, without zeroing a copy.  An offset whose field does not fit in
+/// `data` omits nothing.
+///
+/// Bit-identical to summing a zeroed clone: substitution keeps the exact
+/// RFC 1071 word sequence, where a ones-complement *subtraction* of the
+/// field could land on the other representative of zero (0xFFFF vs
 /// 0x0000) and break byte-for-byte reply parity.
 pub fn checksum_omitting_field(data: &[u8], checksum_offset: usize) -> u16 {
     let omit = checksum_offset + 2 <= data.len();
@@ -112,6 +104,17 @@ pub fn checksum_omitting_field(data: &[u8], checksum_offset: usize) -> u16 {
 mod tests {
     use super::*;
 
+    /// The checksum of a copy of `data` whose checksum field is zeroed:
+    /// the oracle [`checksum_omitting_field`] must match bit for bit.
+    fn zeroed_clone_checksum(data: &[u8], checksum_offset: usize) -> u16 {
+        let mut copy = data.to_vec();
+        if checksum_offset + 2 <= copy.len() {
+            copy[checksum_offset] = 0;
+            copy[checksum_offset + 1] = 0;
+        }
+        ones_complement_checksum(&copy)
+    }
+
     #[test]
     fn rfc1071_worked_example() {
         // The classic example from RFC 1071 §3.
@@ -137,7 +140,7 @@ mod tests {
     fn filled_in_checksum_verifies() {
         // Build an ICMP echo header: type 8, code 0, checksum 0, id 0x1234, seq 1.
         let mut pkt = vec![8u8, 0, 0, 0, 0x12, 0x34, 0x00, 0x01, 0xde, 0xad];
-        let ck = checksum_with_zeroed_field(&pkt, 2);
+        let ck = checksum_omitting_field(&pkt, 2);
         pkt[2..4].copy_from_slice(&ck.to_be_bytes());
         assert!(verify_checksum(&pkt));
         // Corrupting any byte breaks verification.
@@ -148,14 +151,14 @@ mod tests {
     #[test]
     fn incremental_update_matches_full_recompute() {
         let mut pkt = vec![8u8, 0, 0, 0, 0x12, 0x34, 0x00, 0x01];
-        let ck = checksum_with_zeroed_field(&pkt, 2);
+        let ck = checksum_omitting_field(&pkt, 2);
         pkt[2..4].copy_from_slice(&ck.to_be_bytes());
         // Change the 16-bit word at offset 6 (sequence number) from 1 to 2.
         let old_word = u16::from_be_bytes([pkt[6], pkt[7]]);
         let new_word = 2u16;
         pkt[6..8].copy_from_slice(&new_word.to_be_bytes());
         let updated = incremental_update(ck, old_word, new_word);
-        let recomputed = checksum_with_zeroed_field(&pkt, 2);
+        let recomputed = checksum_omitting_field(&pkt, 2);
         assert_eq!(updated, recomputed);
     }
 
@@ -164,22 +167,19 @@ mod tests {
         let mut a = vec![8u8, 0, 0xAA, 0xBB, 0x12, 0x34];
         let b = vec![8u8, 0, 0x00, 0x00, 0x12, 0x34];
         assert_eq!(
-            checksum_with_zeroed_field(&a, 2),
-            checksum_with_zeroed_field(&b, 2)
+            checksum_omitting_field(&a, 2),
+            checksum_omitting_field(&b, 2)
         );
         a[2] = 0;
         a[3] = 0;
-        assert_eq!(
-            checksum_with_zeroed_field(&a, 2),
-            ones_complement_checksum(&a)
-        );
+        assert_eq!(checksum_omitting_field(&a, 2), ones_complement_checksum(&a));
     }
 
     #[test]
     fn omitting_form_matches_cloning_form() {
         // Varied lengths (odd and even), offsets (in range, at the tail,
-        // past the end) and prefilled checksum bytes: the zero-copy pass
-        // must be bit-identical to the cloning reference.
+        // past the end) and prefilled checksum bytes: the in-place pass
+        // must be bit-identical to summing a zeroed clone.
         let mut data = Vec::new();
         let mut x: u8 = 7;
         for len in 0..40usize {
@@ -191,7 +191,7 @@ mod tests {
             for offset in 0..(len + 3) {
                 assert_eq!(
                     checksum_omitting_field(&data, offset),
-                    checksum_with_zeroed_field(&data, offset),
+                    zeroed_clone_checksum(&data, offset),
                     "len={len} offset={offset}"
                 );
             }

@@ -11,7 +11,7 @@
 //! Table 2 categories.
 
 use crate::buffer::PacketBuf;
-use crate::checksum::{checksum_with_zeroed_field, incremental_update, ones_complement_checksum};
+use crate::checksum::{checksum_omitting_field, incremental_update, ones_complement_checksum};
 use crate::headers::{icmp, ipv4};
 use crate::net::{IcmpEvent, IcmpResponder};
 
@@ -87,15 +87,15 @@ impl ChecksumInterpretation {
         let bytes = reply.as_bytes();
         match self {
             ChecksumInterpretation::SpecificHeaderSize => {
-                checksum_with_zeroed_field(&bytes[..icmp::HEADER_LEN.min(bytes.len())], 2)
+                checksum_omitting_field(&bytes[..icmp::HEADER_LEN.min(bytes.len())], 2)
             }
             ChecksumInterpretation::PartialHeader => {
-                checksum_with_zeroed_field(&bytes[..4.min(bytes.len())], 2)
+                checksum_omitting_field(&bytes[..4.min(bytes.len())], 2)
             }
             ChecksumInterpretation::HeaderAndPayload
             | ChecksumInterpretation::HeaderPayloadAndOptions => {
                 // With no IP options in this substrate, #5 coincides with #3.
-                checksum_with_zeroed_field(bytes, 2)
+                checksum_omitting_field(bytes, 2)
             }
             ChecksumInterpretation::IpHeader => {
                 let ip = request_ip.as_bytes();
@@ -112,7 +112,7 @@ impl ChecksumInterpretation {
             }
             ChecksumInterpretation::MagicConstant(n) => {
                 let end = usize::from(*n).min(bytes.len());
-                checksum_with_zeroed_field(&bytes[..end], 2)
+                checksum_omitting_field(&bytes[..end], 2)
             }
         }
     }

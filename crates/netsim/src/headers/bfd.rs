@@ -1,7 +1,7 @@
 //! BFD control-packet codec and session state model (RFC 5880) — the
 //! substrate for the state-management study in §6.4.
 
-use crate::buffer::{FieldSpec, PacketBuf};
+use crate::buffer::{field, FieldSpec, PacketBuf};
 
 /// Mandatory BFD control packet length (no authentication), in bytes.
 pub const HEADER_LEN: usize = 24;
@@ -62,6 +62,14 @@ pub const FIELDS: &[FieldSpec] = &[
     FieldSpec::new("required_min_echo_rx_interval", 160, 32),
 ];
 
+pub(crate) const VERSION: &FieldSpec = field(FIELDS, "version");
+pub(crate) const STATE: &FieldSpec = field(FIELDS, "state");
+pub(crate) const DEMAND: &FieldSpec = field(FIELDS, "demand");
+pub(crate) const DETECT_MULT: &FieldSpec = field(FIELDS, "detect_mult");
+const LENGTH: &FieldSpec = field(FIELDS, "length");
+pub(crate) const MY_DISCRIMINATOR: &FieldSpec = field(FIELDS, "my_discriminator");
+pub(crate) const YOUR_DISCRIMINATOR: &FieldSpec = field(FIELDS, "your_discriminator");
+
 /// Build a BFD control packet.
 pub fn build_control_packet(
     state: SessionState,
@@ -71,19 +79,16 @@ pub fn build_control_packet(
     demand: bool,
 ) -> PacketBuf {
     let mut p = PacketBuf::zeroed(HEADER_LEN);
-    p.set_field(FIELDS, "version", 1).expect("field");
-    p.set_field(FIELDS, "state", u64::from(state.code()))
+    p.set_bits(VERSION, 1).expect("field");
+    p.set_bits(STATE, u64::from(state.code())).expect("field");
+    p.set_bits(DETECT_MULT, u64::from(detect_mult))
         .expect("field");
-    p.set_field(FIELDS, "detect_mult", u64::from(detect_mult))
+    p.set_bits(LENGTH, HEADER_LEN as u64).expect("field");
+    p.set_bits(MY_DISCRIMINATOR, u64::from(my_discriminator))
         .expect("field");
-    p.set_field(FIELDS, "length", HEADER_LEN as u64)
+    p.set_bits(YOUR_DISCRIMINATOR, u64::from(your_discriminator))
         .expect("field");
-    p.set_field(FIELDS, "my_discriminator", u64::from(my_discriminator))
-        .expect("field");
-    p.set_field(FIELDS, "your_discriminator", u64::from(your_discriminator))
-        .expect("field");
-    p.set_field(FIELDS, "demand", u64::from(demand))
-        .expect("field");
+    p.set_bits(DEMAND, u64::from(demand)).expect("field");
     p
 }
 
@@ -203,19 +208,19 @@ pub enum ReceiveAction {
 /// remote-state bookkeeping and the Demand-mode transmission rule.  The SAGE
 /// pipeline's generated code is checked against this behaviour.
 pub fn receive_control_packet(table: &mut SessionTable, packet: &PacketBuf) -> ReceiveAction {
-    let version = packet.get_field(FIELDS, "version").unwrap_or(0);
+    let version = packet.get_bits(VERSION).unwrap_or(0);
     if version != 1 {
         return ReceiveAction::Discarded("version is not correct");
     }
-    let detect_mult = packet.get_field(FIELDS, "detect_mult").unwrap_or(0);
+    let detect_mult = packet.get_bits(DETECT_MULT).unwrap_or(0);
     if detect_mult == 0 {
         return ReceiveAction::Discarded("detect mult is zero");
     }
-    let my_discr = packet.get_field(FIELDS, "my_discriminator").unwrap_or(0);
+    let my_discr = packet.get_bits(MY_DISCRIMINATOR).unwrap_or(0);
     if my_discr == 0 {
         return ReceiveAction::Discarded("my discriminator is zero");
     }
-    let your_discr = packet.get_field(FIELDS, "your_discriminator").unwrap_or(0) as u32;
+    let your_discr = packet.get_bits(YOUR_DISCRIMINATOR).unwrap_or(0) as u32;
     // "If the Your Discriminator field is nonzero, it MUST be used to select
     //  the session ...  If [it is nonzero and] no session is found, the
     //  packet MUST be discarded."  (the paper's rewritten version)
@@ -223,12 +228,11 @@ pub fn receive_control_packet(table: &mut SessionTable, packet: &PacketBuf) -> R
         let Some(session) = table.select(your_discr) else {
             return ReceiveAction::Discarded("no session is found");
         };
-        let remote_state =
-            SessionState::from_code(packet.get_field(FIELDS, "state").unwrap_or(0) as u8)
-                .unwrap_or(SessionState::Down);
+        let remote_state = SessionState::from_code(packet.get_bits(STATE).unwrap_or(0) as u8)
+            .unwrap_or(SessionState::Down);
         session.remote_session_state = remote_state;
         session.remote_discr = my_discr as u32;
-        session.remote_demand_mode = packet.get_field(FIELDS, "demand").unwrap_or(0) == 1;
+        session.remote_demand_mode = packet.get_bits(DEMAND).unwrap_or(0) == 1;
         // "If bfd.RemoteDemandMode is 1, bfd.SessionState is Up, and
         //  bfd.RemoteSessionState is Up, ... the local system MUST cease the
         //  periodic transmission of BFD Control packets."

@@ -5,8 +5,8 @@
 //! echo / echo reply, timestamp / timestamp reply and information
 //! request / reply.
 
-use crate::buffer::{FieldSpec, PacketBuf};
-use crate::checksum::checksum_with_zeroed_field;
+use crate::buffer::{field, FieldSpec, PacketBuf};
+use crate::checksum::checksum_omitting_field;
 
 /// Fixed part of the ICMP header (type, code, checksum, 4 bytes of
 /// type-specific data), in bytes.
@@ -63,12 +63,22 @@ pub const TIMESTAMP_FIELDS: &[FieldSpec] = &[
 /// Length of a timestamp / timestamp reply message (no data), in bytes.
 pub const TIMESTAMP_LEN: usize = 20;
 
+pub(crate) const TYPE: &FieldSpec = field(FIELDS, "type");
+const CODE: &FieldSpec = field(FIELDS, "code");
+const CHECKSUM: &FieldSpec = field(FIELDS, "checksum");
+const REST_OF_HEADER: &FieldSpec = field(FIELDS, "rest_of_header");
+pub(crate) const IDENTIFIER: &FieldSpec = field(FIELDS, "identifier");
+pub(crate) const SEQUENCE_NUMBER: &FieldSpec = field(FIELDS, "sequence_number");
+pub(crate) const ORIGINATE_TIMESTAMP: &FieldSpec = field(TIMESTAMP_FIELDS, "originate_timestamp");
+const RECEIVE_TIMESTAMP: &FieldSpec = field(TIMESTAMP_FIELDS, "receive_timestamp");
+const TRANSMIT_TIMESTAMP: &FieldSpec = field(TIMESTAMP_FIELDS, "transmit_timestamp");
+
 /// Fill in the ICMP checksum over the whole message (header + payload),
 /// starting with the ICMP Type — the disambiguated reading of the RFC's
 /// checksum sentence.
 pub fn finalize_checksum(msg: &mut PacketBuf) {
-    let ck = checksum_with_zeroed_field(msg.as_bytes(), 2);
-    msg.set_field(FIELDS, "checksum", u64::from(ck))
+    let ck = checksum_omitting_field(msg.as_bytes(), CHECKSUM.byte_range().0);
+    msg.set_bits(CHECKSUM, u64::from(ck))
         .expect("header present");
 }
 
@@ -77,21 +87,33 @@ pub fn checksum_ok(msg: &PacketBuf) -> bool {
     msg.len() >= 4 && crate::checksum::ones_complement_sum(msg.as_bytes()) == 0xFFFF
 }
 
+/// A `header_len`-byte message of type `msg_type` carrying `identifier`,
+/// `sequence` and then `data`; the caller fills in the rest and the
+/// checksum.
+fn query(
+    header_len: usize,
+    msg_type: u8,
+    identifier: u16,
+    sequence: u16,
+    data: &[u8],
+) -> PacketBuf {
+    let mut m = PacketBuf::zeroed_with_payload(header_len, data);
+    m.set_bits(TYPE, u64::from(msg_type)).expect("field");
+    m.set_bits(IDENTIFIER, u64::from(identifier))
+        .expect("field");
+    m.set_bits(SEQUENCE_NUMBER, u64::from(sequence))
+        .expect("field");
+    m
+}
+
 /// Build an echo or echo-reply message.
 pub fn build_echo(reply: bool, identifier: u16, sequence: u16, data: &[u8]) -> PacketBuf {
-    let mut m = PacketBuf::zeroed(HEADER_LEN);
     let t = if reply {
         msg_type::ECHO_REPLY
     } else {
         msg_type::ECHO
     };
-    m.set_field(FIELDS, "type", u64::from(t)).expect("field");
-    m.set_field(FIELDS, "code", 0).expect("field");
-    m.set_field(FIELDS, "identifier", u64::from(identifier))
-        .expect("field");
-    m.set_field(FIELDS, "sequence_number", u64::from(sequence))
-        .expect("field");
-    m.extend_from_slice(data);
+    let mut m = query(HEADER_LEN, t, identifier, sequence, data);
     finalize_checksum(&mut m);
     m
 }
@@ -105,13 +127,11 @@ pub fn build_error(
     second_word: u32,
     original_datagram: &[u8],
 ) -> PacketBuf {
-    let mut m = PacketBuf::zeroed(HEADER_LEN);
-    m.set_field(FIELDS, "type", u64::from(msg_type))
+    let mut m = PacketBuf::zeroed_with_payload(HEADER_LEN, quoted(original_datagram));
+    m.set_bits(TYPE, u64::from(msg_type)).expect("field");
+    m.set_bits(CODE, u64::from(code)).expect("field");
+    m.set_bits(REST_OF_HEADER, u64::from(second_word))
         .expect("field");
-    m.set_field(FIELDS, "code", u64::from(code)).expect("field");
-    m.set_field(FIELDS, "rest_of_header", u64::from(second_word))
-        .expect("field");
-    m.extend_from_slice(&quoted_payload(original_datagram));
     finalize_checksum(&mut m);
     m
 }
@@ -119,9 +139,14 @@ pub fn build_error(
 /// The portion of the original datagram quoted in ICMP error messages:
 /// its IP header plus the first 64 bits (8 bytes) of its data.
 pub fn quoted_payload(original_datagram: &[u8]) -> Vec<u8> {
+    quoted(original_datagram).to_vec()
+}
+
+/// [`quoted_payload`], borrowed from the original.
+fn quoted(original_datagram: &[u8]) -> &[u8] {
     let ip_header = super::ipv4::HEADER_LEN.min(original_datagram.len());
     let end = (ip_header + 8).min(original_datagram.len());
-    original_datagram[..end].to_vec()
+    &original_datagram[..end]
 }
 
 /// Build a timestamp or timestamp-reply message.
@@ -133,26 +158,17 @@ pub fn build_timestamp(
     receive: u32,
     transmit: u32,
 ) -> PacketBuf {
-    let mut m = PacketBuf::zeroed(TIMESTAMP_LEN);
     let t = if reply {
         msg_type::TIMESTAMP_REPLY
     } else {
         msg_type::TIMESTAMP
     };
-    m.set_field(FIELDS, "type", u64::from(t)).expect("field");
-    m.set_field(FIELDS, "identifier", u64::from(identifier))
+    let mut m = query(TIMESTAMP_LEN, t, identifier, sequence, &[]);
+    m.set_bits(ORIGINATE_TIMESTAMP, u64::from(originate))
         .expect("field");
-    m.set_field(FIELDS, "sequence_number", u64::from(sequence))
+    m.set_bits(RECEIVE_TIMESTAMP, u64::from(receive))
         .expect("field");
-    m.set_field(
-        TIMESTAMP_FIELDS,
-        "originate_timestamp",
-        u64::from(originate),
-    )
-    .expect("field");
-    m.set_field(TIMESTAMP_FIELDS, "receive_timestamp", u64::from(receive))
-        .expect("field");
-    m.set_field(TIMESTAMP_FIELDS, "transmit_timestamp", u64::from(transmit))
+    m.set_bits(TRANSMIT_TIMESTAMP, u64::from(transmit))
         .expect("field");
     finalize_checksum(&mut m);
     m
@@ -160,17 +176,12 @@ pub fn build_timestamp(
 
 /// Build an information request / reply message (header only, no data).
 pub fn build_info(reply: bool, identifier: u16, sequence: u16) -> PacketBuf {
-    let mut m = PacketBuf::zeroed(HEADER_LEN);
     let t = if reply {
         msg_type::INFO_REPLY
     } else {
         msg_type::INFO_REQUEST
     };
-    m.set_field(FIELDS, "type", u64::from(t)).expect("field");
-    m.set_field(FIELDS, "identifier", u64::from(identifier))
-        .expect("field");
-    m.set_field(FIELDS, "sequence_number", u64::from(sequence))
-        .expect("field");
+    let mut m = query(HEADER_LEN, t, identifier, sequence, &[]);
     finalize_checksum(&mut m);
     m
 }

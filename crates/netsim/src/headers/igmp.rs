@@ -1,8 +1,8 @@
 //! IGMPv1 message codec (RFC 1112, Appendix I) — used by the generality
 //! study in §6.3 (host membership query / report).
 
-use crate::buffer::{FieldSpec, PacketBuf};
-use crate::checksum::checksum_with_zeroed_field;
+use crate::buffer::{field, FieldSpec, PacketBuf};
+use crate::checksum::checksum_omitting_field;
 
 /// IGMPv1 message length in bytes.
 pub const HEADER_LEN: usize = 8;
@@ -24,17 +24,20 @@ pub const FIELDS: &[FieldSpec] = &[
     FieldSpec::new("group_address", 32, 32),
 ];
 
+const VERSION: &FieldSpec = field(FIELDS, "version");
+const TYPE: &FieldSpec = field(FIELDS, "type");
+const CHECKSUM: &FieldSpec = field(FIELDS, "checksum");
+const GROUP_ADDRESS: &FieldSpec = field(FIELDS, "group_address");
+
 /// Build an IGMPv1 message.
 pub fn build_message(msg_type: u8, group_address: u32) -> PacketBuf {
     let mut m = PacketBuf::zeroed(HEADER_LEN);
-    m.set_field(FIELDS, "version", 1).expect("field");
-    m.set_field(FIELDS, "type", u64::from(msg_type))
+    m.set_bits(VERSION, 1).expect("field");
+    m.set_bits(TYPE, u64::from(msg_type)).expect("field");
+    m.set_bits(GROUP_ADDRESS, u64::from(group_address))
         .expect("field");
-    m.set_field(FIELDS, "group_address", u64::from(group_address))
-        .expect("field");
-    let ck = checksum_with_zeroed_field(m.as_bytes(), 2);
-    m.set_field(FIELDS, "checksum", u64::from(ck))
-        .expect("field");
+    let ck = checksum_omitting_field(m.as_bytes(), CHECKSUM.byte_range().0);
+    m.set_bits(CHECKSUM, u64::from(ck)).expect("field");
     m
 }
 
@@ -46,7 +49,7 @@ pub fn checksum_ok(m: &PacketBuf) -> bool {
 /// Given a membership query, construct the report a host should answer
 /// with for `group` (per RFC 1112: reports carry the group address).
 pub fn respond_to_query(query: &PacketBuf, group: u32) -> Option<PacketBuf> {
-    if query.get_field(FIELDS, "type").ok()? != u64::from(msg_type::MEMBERSHIP_QUERY) {
+    if query.get_bits(TYPE).ok()? != u64::from(msg_type::MEMBERSHIP_QUERY) {
         return None;
     }
     Some(build_message(msg_type::MEMBERSHIP_REPORT, group))

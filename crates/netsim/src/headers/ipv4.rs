@@ -1,8 +1,8 @@
 //! IPv4 header codec (RFC 791) — the lower-layer protocol the static
 //! framework exposes to ICMP/IGMP/UDP code.
 
-use crate::buffer::{FieldSpec, PacketBuf};
-use crate::checksum::checksum_with_zeroed_field;
+use crate::buffer::{field, FieldSpec, PacketBuf};
+use crate::checksum::checksum_omitting_field;
 
 /// Fixed IPv4 header length (no options), in bytes.
 pub const HEADER_LEN: usize = 20;
@@ -30,6 +30,16 @@ pub const FIELDS: &[FieldSpec] = &[
     FieldSpec::new("destination_address", 128, 32),
 ];
 
+const VERSION: &FieldSpec = field(FIELDS, "version");
+const IHL: &FieldSpec = field(FIELDS, "ihl");
+pub(crate) const TYPE_OF_SERVICE: &FieldSpec = field(FIELDS, "type_of_service");
+const TOTAL_LENGTH: &FieldSpec = field(FIELDS, "total_length");
+pub(crate) const TTL: &FieldSpec = field(FIELDS, "ttl");
+pub(crate) const PROTOCOL: &FieldSpec = field(FIELDS, "protocol");
+const HEADER_CHECKSUM: &FieldSpec = field(FIELDS, "header_checksum");
+const SOURCE_ADDRESS: &FieldSpec = field(FIELDS, "source_address");
+pub(crate) const DESTINATION_ADDRESS: &FieldSpec = field(FIELDS, "destination_address");
+
 /// An IPv4 address as a u32 (network order when serialised).
 pub const fn addr(a: u8, b: u8, c: u8, d: u8) -> u32 {
     u32::from_be_bytes([a, b, c, d])
@@ -42,24 +52,27 @@ pub fn addr_to_string(a: u32) -> String {
 }
 
 /// Build an IPv4 packet wrapping `payload`.
+///
+/// # Panics
+///
+/// Panics if the packet would exceed the 65,535 bytes its `total_length`
+/// field can state, i.e. if `payload` is longer than 65,515 bytes.
 pub fn build_packet(src: u32, dst: u32, protocol: u8, ttl: u8, payload: &[u8]) -> PacketBuf {
     let total_len = HEADER_LEN + payload.len();
-    let mut buf = PacketBuf::zeroed(HEADER_LEN);
-    buf.set_field(FIELDS, "version", 4).expect("field");
-    buf.set_field(FIELDS, "ihl", 5).expect("field");
-    buf.set_field(FIELDS, "total_length", total_len as u64)
+    let Ok(total_length) = u16::try_from(total_len) else {
+        panic!("an IPv4 packet of {total_len} bytes overflows its 16-bit total_length field");
+    };
+    let mut buf = PacketBuf::zeroed_with_payload(HEADER_LEN, payload);
+    buf.set_bits(VERSION, 4).expect("field");
+    buf.set_bits(IHL, 5).expect("field");
+    buf.set_bits(TOTAL_LENGTH, u64::from(total_length))
         .expect("field");
-    buf.set_field(FIELDS, "ttl", u64::from(ttl)).expect("field");
-    buf.set_field(FIELDS, "protocol", u64::from(protocol))
+    buf.set_bits(TTL, u64::from(ttl)).expect("field");
+    buf.set_bits(PROTOCOL, u64::from(protocol)).expect("field");
+    buf.set_bits(SOURCE_ADDRESS, u64::from(src)).expect("field");
+    buf.set_bits(DESTINATION_ADDRESS, u64::from(dst))
         .expect("field");
-    buf.set_field(FIELDS, "source_address", u64::from(src))
-        .expect("field");
-    buf.set_field(FIELDS, "destination_address", u64::from(dst))
-        .expect("field");
-    let ck = checksum_with_zeroed_field(&buf.as_bytes()[..HEADER_LEN], 10);
-    buf.set_field(FIELDS, "header_checksum", u64::from(ck))
-        .expect("field");
-    buf.extend_from_slice(payload);
+    refresh_checksum(&mut buf);
     buf
 }
 
@@ -68,9 +81,10 @@ pub fn refresh_checksum(packet: &mut PacketBuf) {
     if packet.len() < HEADER_LEN {
         return;
     }
-    let ck = checksum_with_zeroed_field(&packet.as_bytes()[..HEADER_LEN], 10);
+    let offset = HEADER_CHECKSUM.byte_range().0;
+    let ck = checksum_omitting_field(&packet.as_bytes()[..HEADER_LEN], offset);
     packet
-        .set_field(FIELDS, "header_checksum", u64::from(ck))
+        .set_bits(HEADER_CHECKSUM, u64::from(ck))
         .expect("header present");
 }
 
@@ -179,6 +193,20 @@ mod tests {
         let mut p = build_packet(addr(1, 2, 3, 4), addr(5, 6, 7, 8), PROTO_ICMP, 64, &[]);
         p.as_bytes_mut()[12] ^= 0x40;
         assert!(!checksum_ok(&p));
+    }
+
+    #[test]
+    fn the_largest_packet_states_its_length() {
+        let p = build_packet(1, 2, PROTO_UDP, 64, &vec![0xA5; 65_515]);
+        assert_eq!(p.len(), 65_535);
+        assert_eq!(p.get_field(FIELDS, "total_length").unwrap(), 65_535);
+        assert!(checksum_ok(&p));
+    }
+
+    #[test]
+    #[should_panic(expected = "IPv4 packet of 65536 bytes overflows")]
+    fn a_payload_too_long_for_total_length_panics() {
+        build_packet(1, 2, PROTO_UDP, 64, &vec![0; 65_516]);
     }
 
     #[test]

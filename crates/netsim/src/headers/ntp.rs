@@ -1,7 +1,7 @@
 //! NTPv1 packet codec (RFC 1059, Appendix B) plus the peer-variable model
 //! needed by the timeout-procedure sentence in Table 11.
 
-use crate::buffer::{FieldSpec, PacketBuf};
+use crate::buffer::{field, FieldSpec, PacketBuf};
 
 /// NTP packet header length (no authenticator), in bytes.
 pub const HEADER_LEN: usize = 48;
@@ -37,6 +37,14 @@ pub const FIELDS: &[FieldSpec] = &[
     FieldSpec::new("transmit_timestamp", 320, 64),
 ];
 
+const LEAP_INDICATOR: &FieldSpec = field(FIELDS, "leap_indicator");
+pub(crate) const VERSION: &FieldSpec = field(FIELDS, "version");
+pub(crate) const MODE: &FieldSpec = field(FIELDS, "mode");
+const STRATUM: &FieldSpec = field(FIELDS, "stratum");
+pub(crate) const ORIGINATE_TIMESTAMP: &FieldSpec = field(FIELDS, "originate_timestamp");
+pub(crate) const RECEIVE_TIMESTAMP: &FieldSpec = field(FIELDS, "receive_timestamp");
+pub(crate) const TRANSMIT_TIMESTAMP: &FieldSpec = field(FIELDS, "transmit_timestamp");
+
 /// Build an NTP packet.
 pub fn build_packet(
     leap: u8,
@@ -46,14 +54,11 @@ pub fn build_packet(
     transmit_timestamp: u64,
 ) -> PacketBuf {
     let mut p = PacketBuf::zeroed(HEADER_LEN);
-    p.set_field(FIELDS, "leap_indicator", u64::from(leap))
-        .expect("field");
-    p.set_field(FIELDS, "version", u64::from(version))
-        .expect("field");
-    p.set_field(FIELDS, "mode", u64::from(mode)).expect("field");
-    p.set_field(FIELDS, "stratum", u64::from(stratum))
-        .expect("field");
-    p.set_field(FIELDS, "transmit_timestamp", transmit_timestamp)
+    p.set_bits(LEAP_INDICATOR, u64::from(leap)).expect("field");
+    p.set_bits(VERSION, u64::from(version)).expect("field");
+    p.set_bits(MODE, u64::from(mode)).expect("field");
+    p.set_bits(STRATUM, u64::from(stratum)).expect("field");
+    p.set_bits(TRANSMIT_TIMESTAMP, transmit_timestamp)
         .expect("field");
     p
 }

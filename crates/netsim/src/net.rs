@@ -10,7 +10,7 @@
 //! interpreter, the hand-written reference, or a deliberately faulty student
 //! model.
 
-use crate::buffer::PacketBuf;
+use crate::buffer::{FieldView, PacketBuf};
 use crate::headers::{icmp, ipv4};
 
 /// A network interface with an address, prefix length and outbound queue.
@@ -114,26 +114,21 @@ pub struct ReferenceResponder;
 
 impl IcmpResponder for ReferenceResponder {
     fn respond(&mut self, event: IcmpEvent, original: &PacketBuf) -> Option<PacketBuf> {
-        let icmp_payload = ipv4::payload(original);
+        let request = FieldView::new(ipv4::payload(original));
+        let id_seq = || -> Option<(u16, u16)> {
+            let id = request.get_bits(icmp::IDENTIFIER).ok()? as u16;
+            let seq = request.get_bits(icmp::SEQUENCE_NUMBER).ok()? as u16;
+            Some((id, seq))
+        };
         match event {
             IcmpEvent::EchoRequest => {
-                let buf = PacketBuf::from_bytes(icmp_payload.to_vec());
-                let id = buf.get_field(icmp::FIELDS, "identifier").ok()? as u16;
-                let seq = buf.get_field(icmp::FIELDS, "sequence_number").ok()? as u16;
-                let data = if icmp_payload.len() > icmp::HEADER_LEN {
-                    &icmp_payload[icmp::HEADER_LEN..]
-                } else {
-                    &[]
-                };
+                let (id, seq) = id_seq()?;
+                let data = request.as_bytes().get(icmp::HEADER_LEN..).unwrap_or(&[]);
                 Some(icmp::build_echo(true, id, seq, data))
             }
             IcmpEvent::TimestampRequest => {
-                let buf = PacketBuf::from_bytes(icmp_payload.to_vec());
-                let id = buf.get_field(icmp::FIELDS, "identifier").ok()? as u16;
-                let seq = buf.get_field(icmp::FIELDS, "sequence_number").ok()? as u16;
-                let orig = buf
-                    .get_field(icmp::TIMESTAMP_FIELDS, "originate_timestamp")
-                    .unwrap_or(0) as u32;
+                let (id, seq) = id_seq()?;
+                let orig = request.get_bits(icmp::ORIGINATE_TIMESTAMP).unwrap_or(0) as u32;
                 Some(icmp::build_timestamp(
                     true,
                     id,
@@ -144,9 +139,7 @@ impl IcmpResponder for ReferenceResponder {
                 ))
             }
             IcmpEvent::InfoRequest => {
-                let buf = PacketBuf::from_bytes(icmp_payload.to_vec());
-                let id = buf.get_field(icmp::FIELDS, "identifier").ok()? as u16;
-                let seq = buf.get_field(icmp::FIELDS, "sequence_number").ok()? as u16;
+                let (id, seq) = id_seq()?;
                 Some(icmp::build_info(true, id, seq))
             }
             IcmpEvent::DestinationUnreachable => Some(icmp::build_error(
@@ -262,18 +255,14 @@ impl Network {
         ingress_iface: usize,
         responder: &mut dyn IcmpResponder,
     ) -> RouterAction {
-        let Ok(dst) = packet.get_field(ipv4::FIELDS, "destination_address") else {
+        let Ok(dst) = packet.get_bits(ipv4::DESTINATION_ADDRESS) else {
             return RouterAction::Dropped("truncated header");
         };
         let dst = dst as u32;
-        let src = packet
-            .get_field(ipv4::FIELDS, "source_address")
-            .unwrap_or(0) as u32;
-        let tos = packet
-            .get_field(ipv4::FIELDS, "type_of_service")
-            .unwrap_or(0) as u8;
-        let ttl = packet.get_field(ipv4::FIELDS, "ttl").unwrap_or(0) as u8;
-        let protocol = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
+        let src = ipv4::source_address(packet);
+        let tos = packet.get_bits(ipv4::TYPE_OF_SERVICE).unwrap_or(0) as u8;
+        let ttl = packet.get_bits(ipv4::TTL).unwrap_or(0) as u8;
+        let protocol = packet.get_bits(ipv4::PROTOCOL).unwrap_or(0) as u8;
 
         let reply_via = |msg: Option<PacketBuf>, router_addr: u32| match msg {
             Some(m) => RouterAction::IcmpReply(ipv4::build_packet(
@@ -301,8 +290,9 @@ impl Network {
         // Addressed to the router itself.
         if self.is_router_address(dst) {
             if protocol == ipv4::PROTO_ICMP {
-                let icmp_bytes = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-                let t = icmp_bytes.get_field(icmp::FIELDS, "type").unwrap_or(255) as u8;
+                let t = FieldView::new(ipv4::payload(packet))
+                    .get_bits(icmp::TYPE)
+                    .unwrap_or(255) as u8;
                 let event = match t {
                     icmp::msg_type::ECHO => Some(IcmpEvent::EchoRequest),
                     icmp::msg_type::TIMESTAMP => Some(IcmpEvent::TimestampRequest),
@@ -351,8 +341,7 @@ impl Network {
 
         // Forward: decrement TTL, refresh checksum, enqueue.
         let mut fwd = packet.clone();
-        fwd.set_field(ipv4::FIELDS, "ttl", u64::from(ttl - 1))
-            .expect("field");
+        fwd.set_bits(ipv4::TTL, u64::from(ttl - 1)).expect("field");
         ipv4::refresh_checksum(&mut fwd);
         self.router.interfaces[egress].queue.push(fwd);
         RouterAction::Forwarded(egress)

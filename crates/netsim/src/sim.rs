@@ -2078,16 +2078,10 @@ impl RouterNode {
 
 impl Node for RouterNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &PacketBuf) {
-        let dst = packet
-            .get_field(ipv4::FIELDS, "destination_address")
-            .unwrap_or(0) as u32;
-        let src = packet
-            .get_field(ipv4::FIELDS, "source_address")
-            .unwrap_or(0) as u32;
-        let tos = packet
-            .get_field(ipv4::FIELDS, "type_of_service")
-            .unwrap_or(0) as u8;
-        let ttl = packet.get_field(ipv4::FIELDS, "ttl").unwrap_or(0) as u8;
+        let dst = ipv4::destination_address(packet);
+        let src = ipv4::source_address(packet);
+        let tos = packet.get_bits(ipv4::TYPE_OF_SERVICE).unwrap_or(0) as u8;
+        let ttl = packet.get_bits(ipv4::TTL).unwrap_or(0) as u8;
 
         // Link-local / group traffic is consumed silently: routers do not
         // forward 224.0.0.0/4 here and must not answer it with ICMP errors.
@@ -2113,10 +2107,7 @@ impl Node for RouterNode {
             && ctx.has_route(dst)
         {
             let mut fwd = packet.clone();
-            if fwd
-                .set_field(ipv4::FIELDS, "ttl", u64::from(ttl - 1))
-                .is_err()
-            {
+            if fwd.set_bits(ipv4::TTL, u64::from(ttl - 1)).is_err() {
                 ctx.drop_packet("truncated header");
                 return;
             }

@@ -55,24 +55,18 @@ impl BfdEndpoint for ReferenceBfdEndpoint {
 
     fn receive(&mut self, packet: &PacketBuf) {
         // The §6.8.6 discard rules first.
-        if packet.get_field(bfd::FIELDS, "version").unwrap_or(0) != 1
-            || packet.get_field(bfd::FIELDS, "detect_mult").unwrap_or(0) == 0
-            || packet
-                .get_field(bfd::FIELDS, "my_discriminator")
-                .unwrap_or(0)
-                == 0
+        if packet.get_bits(bfd::VERSION).unwrap_or(0) != 1
+            || packet.get_bits(bfd::DETECT_MULT).unwrap_or(0) == 0
+            || packet.get_bits(bfd::MY_DISCRIMINATOR).unwrap_or(0) == 0
         {
             return;
         }
-        let your_discr = packet
-            .get_field(bfd::FIELDS, "your_discriminator")
-            .unwrap_or(0) as u32;
+        let your_discr = packet.get_bits(bfd::YOUR_DISCRIMINATOR).unwrap_or(0) as u32;
         if your_discr != 0 && your_discr != self.session.local_discr {
             return;
         }
-        let received =
-            bfd::SessionState::from_code(packet.get_field(bfd::FIELDS, "state").unwrap_or(0) as u8)
-                .unwrap_or(bfd::SessionState::Down);
+        let received = bfd::SessionState::from_code(packet.get_bits(bfd::STATE).unwrap_or(0) as u8)
+            .unwrap_or(bfd::SessionState::Down);
         // "If the Your Discriminator field is zero and the State field is
         //  not Down or AdminDown, the packet MUST be discarded."
         if your_discr == 0
@@ -87,10 +81,8 @@ impl BfdEndpoint for ReferenceBfdEndpoint {
             return;
         }
         self.session.remote_session_state = received;
-        self.session.remote_discr = packet
-            .get_field(bfd::FIELDS, "my_discriminator")
-            .unwrap_or(0) as u32;
-        self.session.remote_demand_mode = packet.get_field(bfd::FIELDS, "demand").unwrap_or(0) == 1;
+        self.session.remote_discr = packet.get_bits(bfd::MY_DISCRIMINATOR).unwrap_or(0) as u32;
+        self.session.remote_demand_mode = packet.get_bits(bfd::DEMAND).unwrap_or(0) == 1;
         self.session.session_state =
             bfd::session_state_transition(self.session.session_state, received);
         if self.session.remote_demand_mode

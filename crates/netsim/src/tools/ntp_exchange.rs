@@ -61,11 +61,11 @@ pub struct ReferenceNtpServer {
 
 impl NtpServer for ReferenceNtpServer {
     fn respond(&mut self, request: &PacketBuf) -> Option<PacketBuf> {
-        if request.get_field(ntp::FIELDS, "mode").ok()? != u64::from(ntp::mode::CLIENT) {
+        if request.get_bits(ntp::MODE).ok()? != u64::from(ntp::mode::CLIENT) {
             return None;
         }
-        let version = request.get_field(ntp::FIELDS, "version").ok()?;
-        let transmit = request.get_field(ntp::FIELDS, "transmit_timestamp").ok()?;
+        let version = request.get_bits(ntp::VERSION).ok()?;
+        let transmit = request.get_bits(ntp::TRANSMIT_TIMESTAMP).ok()?;
         let mut reply = ntp::build_packet(
             0,
             version as u8,
@@ -74,10 +74,10 @@ impl NtpServer for ReferenceNtpServer {
             self.clock,
         );
         reply
-            .set_field(ntp::FIELDS, "originate_timestamp", transmit)
+            .set_bits(ntp::ORIGINATE_TIMESTAMP, transmit)
             .expect("field");
         reply
-            .set_field(ntp::FIELDS, "receive_timestamp", self.clock)
+            .set_bits(ntp::RECEIVE_TIMESTAMP, self.clock)
             .expect("field");
         Some(reply)
     }

@@ -15,7 +15,7 @@
 //! unchanged.  Error containment (panic catching, error budgets,
 //! quarantine) wraps this trait one level up, in `sage-interp`.
 
-use crate::buffer::PacketBuf;
+use crate::buffer::{FieldView, PacketBuf};
 use crate::headers::{bfd, icmp, ipv4, udp};
 use crate::net::{IcmpEvent, IcmpResponder};
 use crate::sim::{Ctx, Node, NodeId, Topology};
@@ -114,12 +114,11 @@ pub struct IcmpSoakResponder<R: IcmpResponder> {
 
 impl<R: IcmpResponder> SoakResponder for IcmpSoakResponder<R> {
     fn respond(&mut self, packet: &PacketBuf) -> Result<Option<PacketBuf>, String> {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_ICMP {
+        if packet.get_bits(ipv4::PROTOCOL).unwrap_or(0) as u8 != ipv4::PROTO_ICMP {
             return Ok(None);
         }
-        let msg = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        if msg.get_field(icmp::FIELDS, "type").unwrap_or(0) != u64::from(icmp::msg_type::ECHO) {
+        let msg = FieldView::new(ipv4::payload(packet));
+        if msg.get_bits(icmp::TYPE).unwrap_or(0) != u64::from(icmp::msg_type::ECHO) {
             return Ok(None);
         }
         let src = ipv4::source_address(packet);
@@ -144,10 +143,10 @@ pub struct IgmpSoakResponder<R: IgmpResponder> {
 
 impl<R: IgmpResponder> SoakResponder for IgmpSoakResponder<R> {
     fn respond(&mut self, packet: &PacketBuf) -> Result<Option<PacketBuf>, String> {
-        let proto = packet.get_field(ipv4::FIELDS, "protocol").unwrap_or(0) as u8;
-        if proto != ipv4::PROTO_IGMP {
+        if packet.get_bits(ipv4::PROTOCOL).unwrap_or(0) as u8 != ipv4::PROTO_IGMP {
             return Ok(None);
         }
+        // `IgmpResponder::respond` takes a buffer: the one copy.
         let query = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
         Ok(self
             .inner
@@ -274,8 +273,9 @@ impl SoakClientNode {
         self.replies_received
     }
 
-    /// Build the `index`-th request of round `round`.
-    fn build_request(&self, round: u32, index: u32) -> PacketBuf {
+    /// Build the `index`-th request of round `round`: a full IP datagram
+    /// addressed to the session's server.
+    pub fn build_request(&self, round: u32, index: u32) -> PacketBuf {
         match self.protocol {
             SoakProtocol::Icmp => {
                 let seq = (round.wrapping_mul(self.burst).wrapping_add(index)) as u16;

@@ -5,6 +5,14 @@
 //! handing out a generated adapter reuses the registry's lowering instead
 //! of copying and re-lowering the program.
 //!
+//! Session packets have budgets too.  Every header builder allocates
+//! exactly once (its buffer, sized for header and payload); the
+//! field-omitting checksum and the UDP checksum allocate nothing; the UDP
+//! reader allocates at most the copy of the payload it returns.  Per
+//! protocol, after a warm-up packet, a soak client's request costs at
+//! most 3 allocations and a soak server's reply at most 4, on the
+//! contained generated service and on the reference service alike.
+//!
 //! This file is its own test binary so that it can install a counting
 //! global allocator.  Counts are per thread, so other tests and the
 //! harness never leak into a measurement.
@@ -16,13 +24,18 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use sage_core::programs::generate_program;
+use sage_interp::quarantine::{
+    contained_soak_service, reference_soak_service, DEFAULT_ERROR_BUDGET,
+};
 use sage_interp::{generated_scenarios, ExecMode, ResponderRegistry};
 use sage_netsim::buffer::PacketBuf;
-use sage_netsim::headers::{icmp, ipv4};
+use sage_netsim::checksum::checksum_omitting_field;
+use sage_netsim::headers::{bfd, icmp, igmp, ipv4, ntp, udp};
 use sage_netsim::scenario::run_scenario_on;
-use sage_netsim::sim::{Ctx, Node, SimBuilder, Topology, TraceMode};
+use sage_netsim::sim::{Ctx, Node, NodeId, SimBuilder, Topology, TraceMode};
 use sage_netsim::tools::igmp::SESSION_GROUP;
 use sage_netsim::tools::ntp_exchange::{SERVER_CLOCK, SERVER_STRATUM};
+use sage_netsim::tools::soak::{SoakClientNode, SoakProtocol};
 use sage_spec::corpus::Protocol;
 
 thread_local! {
@@ -241,4 +254,136 @@ fn handing_out_a_generated_adapter_allocates_at_most_four_times() {
         over.is_empty(),
         "adapters over the budget of 4 allocations: {over:?}"
     );
+}
+
+#[test]
+fn header_builders_allocate_once_and_checksums_never() {
+    let payload = *b"0123456789abcdef";
+    let datagram = ipv4::build_packet(CLIENT, SERVER, ipv4::PROTO_UDP, 64, &payload);
+    let builders = [
+        (
+            "ipv4::build_packet",
+            counted(|| ipv4::build_packet(CLIENT, SERVER, ipv4::PROTO_ICMP, 64, &payload)).1,
+        ),
+        (
+            "udp::build_datagram",
+            counted(|| udp::build_datagram(CLIENT, SERVER, 4000, 123, &payload)).1,
+        ),
+        (
+            "icmp::build_echo",
+            counted(|| icmp::build_echo(false, 1, 2, &payload)).1,
+        ),
+        (
+            "icmp::build_error",
+            counted(|| icmp::build_error(11, 0, 0, datagram.as_bytes())).1,
+        ),
+        (
+            "icmp::build_timestamp",
+            counted(|| icmp::build_timestamp(true, 1, 2, 3, 4, 5)).1,
+        ),
+        (
+            "icmp::build_info",
+            counted(|| icmp::build_info(true, 1, 2)).1,
+        ),
+        (
+            "igmp::build_message",
+            counted(|| igmp::build_message(2, SESSION_GROUP)).1,
+        ),
+        (
+            "ntp::build_packet",
+            counted(|| ntp::build_packet(0, 1, 3, 0, 42)).1,
+        ),
+        (
+            "bfd::build_control_packet",
+            counted(|| bfd::build_control_packet(bfd::SessionState::Up, 1, 2, 3, false)).1,
+        ),
+    ];
+    eprintln!("allocations per header builder: {builders:?}");
+    let off: Vec<_> = builders.iter().filter(|(_, allocs)| *allocs != 1).collect();
+    assert!(
+        off.is_empty(),
+        "header builders not at exactly one allocation: {off:?}"
+    );
+
+    let segment = ipv4::payload(&datagram);
+    let checksums = [
+        (
+            "checksum_omitting_field",
+            counted(|| checksum_omitting_field(datagram.as_bytes(), 10)).1,
+        ),
+        (
+            "udp::compute_checksum",
+            counted(|| udp::compute_checksum(CLIENT, SERVER, segment)).1,
+        ),
+    ];
+    assert_eq!(checksums.map(|(_, allocs)| allocs), [0, 0], "{checksums:?}");
+
+    let request = udp::build_datagram(CLIENT, SERVER, 4000, 123, &payload);
+    let packet = ipv4::build_packet(CLIENT, SERVER, ipv4::PROTO_UDP, 64, request.as_bytes());
+    let (received, allocs) = counted(|| udp::receive(&packet, 123));
+    assert!(received.is_some());
+    assert!(
+        allocs <= 1,
+        "udp::receive allocated {allocs} times; the budget is the payload copy"
+    );
+    assert_eq!(counted(|| udp::receive(&packet, 124)).1, 0, "other port");
+}
+
+#[test]
+fn soak_requests_and_replies_stay_within_their_allocation_budgets() {
+    const ROUNDS: u32 = 4;
+    let registry = generated_registry();
+    let mut report = Vec::new();
+    for protocol in SoakProtocol::all() {
+        let client =
+            SoakClientNode::new(0, CLIENT, SERVER, NodeId(1), protocol, ROUNDS, 1, 1_000, 0);
+        let requests: Vec<PacketBuf> = (0..ROUNDS).map(|r| client.build_request(r, 0)).collect();
+        let mut contained =
+            contained_soak_service(&registry, protocol, 0, SERVER, DEFAULT_ERROR_BUDGET);
+        let mut reference = reference_soak_service(protocol, 0, SERVER);
+        // The first round warms each service up (VM scratch, reply buffers).
+        for service in [&mut contained, &mut reference] {
+            let reply = service.respond(&requests[0]).expect("served");
+            assert!(reply.is_some(), "{}: no reply", protocol.name());
+        }
+        let mut request_allocs = 0;
+        let mut contained_allocs = 0;
+        let mut reference_allocs = 0;
+        for (round, request) in (1..ROUNDS).zip(&requests[1..]) {
+            request_allocs = request_allocs.max(counted(|| client.build_request(round, 0)).1);
+            for (service, allocs) in [
+                (&mut contained, &mut contained_allocs),
+                (&mut reference, &mut reference_allocs),
+            ] {
+                let (reply, n) = counted(|| service.respond(request));
+                assert!(
+                    matches!(reply, Ok(Some(_))),
+                    "{}: round {round} unanswered",
+                    protocol.name()
+                );
+                *allocs = (*allocs).max(n);
+            }
+        }
+        report.push((
+            protocol.name(),
+            request_allocs,
+            contained_allocs,
+            reference_allocs,
+        ));
+    }
+    eprintln!("allocations per (protocol, request, contained reply, reference reply): {report:?}");
+    for (protocol, request, contained, reference) in report {
+        assert!(
+            request <= 3,
+            "{protocol}: a request took {request} allocations; the budget is 3"
+        );
+        assert!(
+            contained <= 4,
+            "{protocol}: a contained reply took {contained} allocations; the budget is 4"
+        );
+        assert!(
+            reference <= 4,
+            "{protocol}: a reference reply took {reference} allocations; the budget is 4"
+        );
+    }
 }
