@@ -35,7 +35,7 @@ impl FieldSpec {
     }
 
     /// The byte range `[start, end)` this field touches.
-    pub const fn byte_range(&self) -> (usize, usize) {
+    pub fn byte_range(&self) -> (usize, usize) {
         let start = self.offset_bits / 8;
         let end = (self.offset_bits + self.width_bits).div_ceil(8);
         (start, end)
@@ -324,7 +324,7 @@ impl PacketBuf {
 
     /// `header_len` zero bytes followed by a copy of `payload`, in one
     /// allocation: the starting point of every header builder.
-    pub fn zeroed_with_payload(header_len: usize, payload: &[u8]) -> PacketBuf {
+    pub(crate) fn zeroed_with_payload(header_len: usize, payload: &[u8]) -> PacketBuf {
         let mut bytes = Vec::with_capacity(header_len + payload.len());
         bytes.resize(header_len, 0);
         bytes.extend_from_slice(payload);
