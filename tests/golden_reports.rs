@@ -1,15 +1,20 @@
 //! Golden snapshot tests for the evaluation harness: the rendered Tables
-//! 2–11 and Figures 5–6 text output, and the C text and bytecode lowering of
-//! the four generated programs, are committed under `tests/golden/` and
-//! diffed against the live output, so a report or generated-code regression
-//! fails tier-1 immediately.
+//! 2–11 and Figures 5–6 text output, the C text and bytecode lowering of
+//! the four generated programs, and every corpus sentence's analysis, are
+//! committed under `tests/golden/` and diffed against the live output, so a
+//! report, analysis or generated-code regression fails tier-1 immediately.
 //!
 //! To refresh after an intentional change:
 //! `UPDATE_GOLDEN=1 cargo test --test golden_reports` — then review the diff.
 
 use sage_bench as render;
+use sage_repro::ccg::ParserConfig;
+use sage_repro::core::batch::{BatchItem, BatchPipeline};
+use sage_repro::core::pipeline::{Sage, SageConfig};
 use sage_repro::core::programs::{generate_program, lowering_summary};
+use sage_repro::nlp::ChunkerConfig;
 use sage_repro::spec::corpus::Protocol;
+use std::fmt::Write;
 use std::fs;
 use std::path::PathBuf;
 
@@ -31,6 +36,86 @@ fn program_snapshot(protocol: Protocol) -> String {
         "{}// lowering (functions/instructions/slots/max_regs): {lowering}\n",
         generate_program(protocol).to_c()
     )
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The pipeline configurations the evaluation analyses the corpora under:
+/// the default, the dictionary ablation (Tables 7 and 8) and the
+/// NP-labelling ablation (Table 8).
+fn analysis_configurations() -> [(&'static str, SageConfig); 3] {
+    [
+        ("default", SageConfig::default()),
+        (
+            "no-dictionary",
+            SageConfig {
+                chunker: ChunkerConfig {
+                    use_dictionary: false,
+                    use_np_labeling: true,
+                },
+                ..SageConfig::default()
+            },
+        ),
+        (
+            "no-np-labelling",
+            SageConfig {
+                chunker: ChunkerConfig {
+                    use_dictionary: true,
+                    use_np_labeling: false,
+                },
+                parser: ParserConfig {
+                    unknown_nominals_as_np: false,
+                    ..ParserConfig::default()
+                },
+                ..SageConfig::default()
+            },
+        ),
+    ]
+}
+
+/// One line per configuration × item of the mixed four-protocol corpus:
+/// status, LF counts, whether the subject was supplied, the Figure-5 stage
+/// counts, and FNV-1a hashes of the base LFs' and the survivors' `{:?}`
+/// renderings.  Before rendering, the per-sentence driver must agree with
+/// the batch pipeline on every item.
+fn analyses_snapshot() -> String {
+    let items = BatchItem::mixed_corpus();
+    let mut out = String::new();
+    for (label, config) in analysis_configurations() {
+        let sage = Sage::new(config);
+        let batch = BatchPipeline::new(&sage).with_workers(1).run(&items);
+        for (item, report) in items.iter().zip(&batch.reports) {
+            let analysis = &report.analysis;
+            assert_eq!(
+                &sage.analyze_sentence(&item.sentence, item.context.clone()),
+                analysis,
+                "{label}: drivers diverged on {:?}",
+                item.sentence.text
+            );
+            writeln!(
+                out,
+                "{label} {} {} {:?} parser_lfs={} base={} subject={} counts={:?} {:016x} {:016x}",
+                item.context.protocol,
+                report.index,
+                analysis.status,
+                analysis.parser_lf_count,
+                analysis.base_lf_count,
+                analysis.subject_supplied,
+                analysis.trace.counts,
+                fnv1a(format!("{:?}", analysis.base_lfs).as_bytes()),
+                fnv1a(format!("{:?}", analysis.trace.survivors).as_bytes()),
+            )
+            .expect("write to String");
+        }
+    }
+    out
 }
 
 fn snapshots() -> Vec<(&'static str, String)> {
@@ -59,6 +144,7 @@ fn snapshots() -> Vec<(&'static str, String)> {
         ("program_igmp", program_snapshot(Protocol::Igmp)),
         ("program_ntp", program_snapshot(Protocol::Ntp)),
         ("program_bfd", program_snapshot(Protocol::Bfd)),
+        ("analyses", analyses_snapshot()),
     ]
 }
 
