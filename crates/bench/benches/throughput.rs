@@ -1,9 +1,9 @@
 //! Corpus-throughput benchmarks for the batched pipeline engine.
 //!
 //! `sequential_single_sentence_loop` is the pre-batch baseline: one
-//! [`Sage::analyze_sentence`] call per sentence, rebuilding the check
-//! families and re-probing the lexicon uncached each time — exactly what
-//! `analyze_document` does.  The `batch_workers/*` entries drive the same
+//! [`Sage::analyze_sentence`] call per sentence, each on a fresh workspace,
+//! so the check families are rebuilt and the lexicon is probed uncached
+//! every time.  The `batch_workers/*` entries drive the same
 //! ICMP corpus through [`BatchPipeline`] with a shared read-only lexicon and
 //! per-worker memoized workspaces (symbol-keyed lexicon cache, hash-consed
 //! LF arena, pre-built winnower).  The committed `BENCH_batch.json` baseline

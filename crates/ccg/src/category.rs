@@ -92,42 +92,6 @@ impl Category {
     pub fn is_primitive(&self) -> bool {
         !matches!(self, Category::Complex { .. })
     }
-
-    /// If complex, the `(result, slash, arg)` triple.
-    pub fn as_complex(&self) -> Option<(&Category, Slash, &Category)> {
-        match self {
-            Category::Complex { result, slash, arg } => Some((result, *slash, arg)),
-            _ => None,
-        }
-    }
-
-    /// The number of arguments this category still expects.
-    pub fn arity(&self) -> usize {
-        match self {
-            Category::Complex { result, .. } => 1 + result.arity(),
-            _ => 0,
-        }
-    }
-
-    /// The category obtained after all arguments are consumed.
-    pub fn final_result(&self) -> &Category {
-        match self {
-            Category::Complex { result, .. } => result.final_result(),
-            other => other,
-        }
-    }
-
-    /// Categories unify if they are equal, or one is `N` and the other `NP`
-    /// (RFC prose freely uses bare nouns where noun phrases are expected).
-    pub fn unifies_with(&self, other: &Category) -> bool {
-        if self == other {
-            return true;
-        }
-        matches!(
-            (self, other),
-            (Category::N, Category::NP) | (Category::NP, Category::N)
-        )
-    }
 }
 
 /// Id of a category in a [`CatArena`].
@@ -269,9 +233,10 @@ impl CatArena {
         }
     }
 
-    /// Interned counterpart of [`Category::unifies_with`]: equality, or the
-    /// `N`/`NP` coercion.  Pure id arithmetic — no arena access — because
-    /// hash-consing makes id equality coincide with structural equality.
+    /// Categories unify if they are equal, or one is `N` and the other `NP`
+    /// (RFC prose freely uses bare nouns where noun phrases are expected).
+    /// Pure id arithmetic — no arena access — because hash-consing makes id
+    /// equality coincide with structural equality.
     pub fn unifies(a: CatId, b: CatId) -> bool {
         a == b || (a == Self::N && b == Self::NP) || (a == Self::NP && b == Self::N)
     }
@@ -334,34 +299,18 @@ mod tests {
     }
 
     #[test]
-    fn arity_counts_expected_arguments() {
-        assert_eq!(Category::NP.arity(), 0);
-        assert_eq!(Category::verb_intrans().arity(), 1);
-        assert_eq!(Category::verb_trans().arity(), 2);
-    }
-
-    #[test]
-    fn final_result_unwraps_nesting() {
-        assert_eq!(*Category::verb_trans().final_result(), Category::S);
-        assert_eq!(*Category::NP.final_result(), Category::NP);
-    }
-
-    #[test]
     fn unification_allows_n_np_coercion() {
-        assert!(Category::N.unifies_with(&Category::NP));
-        assert!(Category::NP.unifies_with(&Category::N));
-        assert!(Category::NP.unifies_with(&Category::NP));
-        assert!(!Category::S.unifies_with(&Category::NP));
-    }
-
-    #[test]
-    fn as_complex_exposes_parts() {
-        let c = Category::verb_trans();
-        let (result, slash, arg) = c.as_complex().unwrap();
-        assert_eq!(slash, Slash::Forward);
-        assert_eq!(*arg, Category::NP);
-        assert_eq!(*result, Category::verb_intrans());
-        assert!(Category::S.as_complex().is_none());
+        let mut arena = CatArena::new();
+        let vi = arena.intern(&Category::verb_intrans());
+        let vt = arena.intern(&Category::verb_trans());
+        assert!(CatArena::unifies(CatArena::N, CatArena::NP));
+        assert!(CatArena::unifies(CatArena::NP, CatArena::N));
+        assert!(CatArena::unifies(CatArena::NP, CatArena::NP));
+        assert!(CatArena::unifies(vt, vt));
+        assert!(!CatArena::unifies(CatArena::S, CatArena::NP));
+        assert!(!CatArena::unifies(CatArena::N, CatArena::S));
+        assert!(!CatArena::unifies(vi, vt));
+        assert!(!CatArena::unifies(vi, CatArena::NP));
     }
 
     #[test]
@@ -413,29 +362,6 @@ mod tests {
         let cb = b.intern(&Category::verb_trans());
         assert_eq!(ca, cb);
         assert_eq!(a.clone().intern(&Category::verb_trans()), ca);
-    }
-
-    #[test]
-    fn arena_unification_matches_boxed_unification() {
-        let mut arena = CatArena::new();
-        let cats = [
-            Category::N,
-            Category::NP,
-            Category::S,
-            Category::verb_intrans(),
-            Category::verb_trans(),
-        ];
-        for x in &cats {
-            for y in &cats {
-                let ix = arena.intern(x);
-                let iy = arena.intern(y);
-                assert_eq!(
-                    CatArena::unifies(ix, iy),
-                    x.unifies_with(y),
-                    "disagreement on ({x}, {y})"
-                );
-            }
-        }
     }
 
     #[test]

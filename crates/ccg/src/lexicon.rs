@@ -66,24 +66,12 @@ pub struct InternedEntry {
     pub sem: SemId,
 }
 
-/// One phrase's candidate entries, boxed and pre-interned in parallel
-/// (`entries[i]` interns to `items[i]`).
-#[derive(Debug, Clone, Default)]
-struct PhraseEntries {
-    entries: Vec<LexEntry>,
-    items: Vec<InternedEntry>,
-}
-
-static EMPTY_PHRASE: PhraseEntries = PhraseEntries {
-    entries: Vec::new(),
-    items: Vec::new(),
-};
-
-/// The lexicon: phrase → candidate entries, pre-interned at build time into
-/// the lexicon's own category/semantics arenas.
+/// The lexicon: phrase → candidate entries, interned at build time into the
+/// lexicon's own category/semantics arenas.  The interned items are the
+/// lexicon's only copy of its entries.
 #[derive(Debug, Clone, Default)]
 pub struct Lexicon {
-    entries: HashMap<String, PhraseEntries>,
+    entries: HashMap<String, Vec<InternedEntry>>,
     count_by_group: HashMap<LexiconGroup, usize>,
     cats: CatArena,
     sems: SemArena,
@@ -172,7 +160,7 @@ impl Lexicon {
         lex
     }
 
-    /// Add entries, indexing them by phrase and pre-interning each one's
+    /// Add entries, indexing them by phrase and interning each one's
     /// category and semantics into the lexicon's arenas.
     pub fn add_entries(&mut self, entries: Vec<LexEntry>) {
         for e in entries {
@@ -181,33 +169,21 @@ impl Lexicon {
                 cat: self.cats.intern(&e.category),
                 sem: self.sems.intern_term(&e.sem),
             };
-            let set = self.entries.entry(e.phrase.clone()).or_default();
-            set.entries.push(e);
-            set.items.push(item);
+            self.entries.entry(e.phrase).or_default().push(item);
         }
     }
 
-    /// The phrase's entry set; lower-cases the probe only when it actually
-    /// contains upper-case bytes, so hot-path probes (chart surfaces are
-    /// already lower-case) allocate nothing.
-    fn phrase_entries(&self, phrase: &str) -> &PhraseEntries {
+    /// Look up the interned chart items for a phrase, in the order they were
+    /// added.  Lower-cases the probe only when it actually contains
+    /// upper-case bytes, so hot-path probes (chart surfaces are already
+    /// lower-case) allocate nothing.
+    pub fn lookup_interned(&self, phrase: &str) -> &[InternedEntry] {
         let set = if phrase.bytes().any(|b| b.is_ascii_uppercase()) {
             self.entries.get(&phrase.to_ascii_lowercase())
         } else {
             self.entries.get(phrase)
         };
-        set.unwrap_or(&EMPTY_PHRASE)
-    }
-
-    /// Look up all entries for a (lower-cased) phrase.
-    pub fn lookup(&self, phrase: &str) -> &[LexEntry] {
-        &self.phrase_entries(phrase).entries
-    }
-
-    /// Look up the pre-interned chart items for a (lower-cased) phrase, in
-    /// the same order as [`Lexicon::lookup`].
-    pub fn lookup_interned(&self, phrase: &str) -> &[InternedEntry] {
-        &self.phrase_entries(phrase).items
+        set.map_or(&[], Vec::as_slice)
     }
 
     /// The arena the entries' categories are interned into.
@@ -222,12 +198,12 @@ impl Lexicon {
 
     /// True if the phrase has at least one entry.
     pub fn contains(&self, phrase: &str) -> bool {
-        !self.lookup(phrase).is_empty()
+        !self.lookup_interned(phrase).is_empty()
     }
 
     /// Total number of entries.
     pub fn len(&self) -> usize {
-        self.entries.values().map(|s| s.entries.len()).sum()
+        self.entries.values().map(Vec::len).sum()
     }
 
     /// True if the lexicon is empty.
@@ -255,7 +231,7 @@ impl Lexicon {
 pub struct LookupCache<'lex> {
     lexicon: &'lex Lexicon,
     interner: Interner,
-    memo: HashMap<Symbol, &'lex PhraseEntries>,
+    memo: HashMap<Symbol, &'lex [InternedEntry]>,
     hits: u64,
     misses: u64,
 }
@@ -277,7 +253,11 @@ impl<'lex> LookupCache<'lex> {
         self.lexicon
     }
 
-    fn probe(&mut self, phrase: &str) -> &'lex PhraseEntries {
+    /// Memoized equivalent of [`Lexicon::lookup_interned`] — the chart
+    /// parser's lexical-initialisation path.  Repeat probes cost one `&str`
+    /// hash plus one `u32` hash; the returned items are `Copy` ids ready to
+    /// drop into chart cells.
+    pub fn lookup_interned(&mut self, phrase: &str) -> &'lex [InternedEntry] {
         let sym = if phrase.bytes().any(|b| b.is_ascii_uppercase()) {
             self.interner.intern(&phrase.to_ascii_lowercase())
         } else {
@@ -288,27 +268,9 @@ impl<'lex> LookupCache<'lex> {
             return set;
         }
         self.misses += 1;
-        let set = self.lexicon.phrase_entries(self.interner.resolve(sym));
+        let set = self.lexicon.lookup_interned(self.interner.resolve(sym));
         self.memo.insert(sym, set);
         set
-    }
-
-    /// Memoized equivalent of [`Lexicon::lookup`].
-    pub fn lookup(&mut self, phrase: &str) -> &'lex [LexEntry] {
-        &self.probe(phrase).entries
-    }
-
-    /// Memoized equivalent of [`Lexicon::lookup_interned`] — the chart
-    /// parser's lexical-initialisation path.  Repeat probes cost one `&str`
-    /// hash plus one `u32` hash; the returned items are `Copy` ids ready to
-    /// drop into chart cells.
-    pub fn lookup_interned(&mut self, phrase: &str) -> &'lex [InternedEntry] {
-        &self.probe(phrase).items
-    }
-
-    /// Memoized equivalent of [`Lexicon::contains`].
-    pub fn contains(&mut self, phrase: &str) -> bool {
-        !self.lookup(phrase).is_empty()
     }
 
     /// `(hits, misses)` counters — each miss is one real lexicon probe.
@@ -896,6 +858,7 @@ pub fn bfd_entries() -> Vec<LexEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sage_logic::Lf;
 
     #[test]
     fn icmp_adds_71_entries() {
@@ -923,44 +886,49 @@ mod tests {
         assert!(Lexicon::ntp().len() < Lexicon::bfd().len());
     }
 
+    /// The logical form an entry's semantics reduces to, on a copy of the
+    /// lexicon's arena.
+    fn lf_of(lex: &Lexicon, sem: SemId) -> Option<Lf> {
+        let mut sems = lex.sem_arena().clone();
+        sems.to_lf_id(sem).map(|lf| sems.resolve_lf(lf))
+    }
+
     #[test]
     fn checksum_entry_matches_paper_example() {
         let lex = Lexicon::icmp();
-        let entries = lex.lookup("checksum");
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].category, Category::NP);
-        assert_eq!(
-            entries[0].sem.to_lf().unwrap(),
-            sage_logic::Lf::atom("checksum")
-        );
+        let items = lex.lookup_interned("checksum");
+        assert_eq!(items.len(), 1);
+        assert_eq!(lex.cat_arena().resolve(items[0].cat), Category::NP);
+        assert_eq!(lf_of(&lex, items[0].sem), Some(Lf::atom("checksum")));
     }
 
     #[test]
     fn is_entry_matches_paper_example() {
         let lex = Lexicon::icmp();
-        let entries = lex.lookup("is");
+        let items = lex.lookup_interned("is");
         // Two readings: assignment/equality and the passive auxiliary.
-        assert_eq!(entries.len(), 2);
-        let assign = entries
+        assert_eq!(items.len(), 2);
+        let assign = items
             .iter()
-            .find(|e| e.category == Category::verb_trans())
+            .find(|e| lex.cat_arena().resolve(e.cat) == Category::verb_trans())
             .expect("transitive reading for 'is'");
         // λx.λy.@Is(y, x): applying 0 then checksum yields @Is(checksum, 0).
-        let applied = SemTerm::app(
-            SemTerm::app(assign.sem.clone(), SemTerm::num(0)),
-            SemTerm::atom("checksum"),
-        );
+        let mut sems = lex.sem_arena().clone();
+        let zero = sems.num(0);
+        let checksum = sems.atom("checksum");
+        let partial = sems.app(assign.sem, zero);
+        let applied = sems.app(partial, checksum);
         assert_eq!(
-            applied.to_lf().unwrap(),
-            sage_logic::Lf::is(sage_logic::Lf::atom("checksum"), sage_logic::Lf::num(0))
+            sems.to_lf_id(applied).map(|lf| sems.resolve_lf(lf)),
+            Some(Lf::is(Lf::atom("checksum"), Lf::num(0)))
         );
     }
 
     #[test]
     fn zero_entry_matches_paper_example() {
         let lex = Lexicon::icmp();
-        let entries = lex.lookup("zero");
-        assert_eq!(entries[0].sem.to_lf().unwrap(), sage_logic::Lf::num(0));
+        let items = lex.lookup_interned("zero");
+        assert_eq!(lf_of(&lex, items[0].sem), Some(Lf::num(0)));
     }
 
     #[test]
@@ -984,22 +952,35 @@ mod tests {
         let lexicon = Lexicon::bfd();
         let mut cache = LookupCache::new(&lexicon);
         for phrase in ["checksum", "Checksum", "is", "no such phrase", "checksum"] {
-            assert_eq!(cache.lookup(phrase), lexicon.lookup(phrase), "{phrase}");
+            assert_eq!(
+                cache.lookup_interned(phrase),
+                lexicon.lookup_interned(phrase),
+                "{phrase}"
+            );
         }
         let (hits, misses) = cache.stats();
         // "Checksum" and the repeat "checksum" hit the memo.
         assert_eq!(misses, 3, "expected 3 distinct probes");
         assert_eq!(hits, 2, "expected 2 memo hits");
-        assert!(cache.contains("checksum"));
-        assert!(!cache.contains("no such phrase"));
+        assert!(!cache.lookup_interned("checksum").is_empty());
+        assert!(cache.lookup_interned("no such phrase").is_empty());
         assert_eq!(cache.lexicon().len(), lexicon.len());
     }
 
     #[test]
     fn interned_entries_mirror_boxed_entries() {
         let lexicon = Lexicon::bfd();
+        let boxed = [
+            base_english_entries(),
+            icmp_entries(),
+            igmp_entries(),
+            ntp_entries(),
+            bfd_entries(),
+        ]
+        .concat();
+        assert_eq!(lexicon.len(), boxed.len());
         for phrase in ["checksum", "is", "of", "set", "zero", "bfd control packet"] {
-            let entries = lexicon.lookup(phrase);
+            let entries: Vec<&LexEntry> = boxed.iter().filter(|e| e.phrase == phrase).collect();
             let items = lexicon.lookup_interned(phrase);
             assert_eq!(entries.len(), items.len(), "{phrase}");
             for (e, item) in entries.iter().zip(items) {

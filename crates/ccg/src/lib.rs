@@ -5,8 +5,8 @@
 //!
 //! * [`category`] — primitive (`N`, `NP`, `S`, …) and complex (`S\NP`,
 //!   `(S\NP)/NP`) syntactic categories;
-//! * [`semantics`] — simply-typed lambda terms over logical forms, with
-//!   beta reduction;
+//! * [`semantics`] — simply-typed lambda terms over logical forms, and the
+//!   hash-consed arena that beta-reduces them;
 //! * [`lexicon`] — the base English lexicon plus the domain-specific entries
 //!   added for ICMP (71), IGMP (+8), NTP (+5) and BFD (+15), mirroring §6;
 //! * [`parser`] — a CKY chart parser with forward/backward application,
@@ -45,8 +45,5 @@ pub mod semantics;
 
 pub use category::{CatArena, CatId, Category, Slash};
 pub use lexicon::{InternedEntry, LexEntry, Lexicon, LookupCache};
-pub use parser::{
-    parse_phrases, parse_phrases_cached, parse_sentence, parse_sentence_cached, ParseResult,
-    ParserConfig, ParserWorkspace,
-};
+pub use parser::{parse_phrases, parse_sentence, ParseResult, ParserConfig, ParserWorkspace};
 pub use semantics::{SemArena, SemId, SemTerm};

@@ -519,8 +519,8 @@ fn cell_index(i: usize, j: usize, n: usize) -> usize {
 ///
 /// Builds a transient [`ParserWorkspace`]; callers parsing more than one
 /// sentence should hold a workspace and use
-/// [`ParserWorkspace::parse_sentence`] (or [`parse_sentence_cached`]) so
-/// arenas and scratch buffers are recycled.
+/// [`ParserWorkspace::parse_sentence`] so arenas and scratch buffers are
+/// recycled.
 pub fn parse_sentence(
     sentence: &str,
     lexicon: &Lexicon,
@@ -531,30 +531,9 @@ pub fn parse_sentence(
     ParserWorkspace::new(lexicon).parse_sentence(sentence, dict, chunker_config, parser_config)
 }
 
-/// [`parse_sentence`] through a reusable [`ParserWorkspace`] — the batch
-/// pipeline's per-worker hot path.
-pub fn parse_sentence_cached(
-    sentence: &str,
-    ws: &mut ParserWorkspace<'_>,
-    dict: &TermDictionary,
-    chunker_config: ChunkerConfig,
-    parser_config: ParserConfig,
-) -> ParseResult {
-    ws.parse_sentence(sentence, dict, chunker_config, parser_config)
-}
-
 /// Parse an already-chunked sentence.
 pub fn parse_phrases(phrases: &[Phrase], lexicon: &Lexicon, config: ParserConfig) -> ParseResult {
     ParserWorkspace::new(lexicon).parse_phrases(phrases, config)
-}
-
-/// [`parse_phrases`] through a reusable [`ParserWorkspace`].
-pub fn parse_phrases_cached(
-    phrases: &[Phrase],
-    ws: &mut ParserWorkspace<'_>,
-    config: ParserConfig,
-) -> ParseResult {
-    ws.parse_phrases(phrases, config)
 }
 
 #[cfg(test)]
@@ -726,9 +705,8 @@ mod tests {
                 ChunkerConfig::default(),
                 ParserConfig::default(),
             );
-            let recycled = parse_sentence_cached(
+            let recycled = ws.parse_sentence(
                 sentence,
-                &mut ws,
                 &dict,
                 ChunkerConfig::default(),
                 ParserConfig::default(),

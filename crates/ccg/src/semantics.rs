@@ -5,6 +5,10 @@
 //! constituents, it applies one term to the other and beta-reduces; a parse
 //! that spans the whole sentence yields a closed term, which converts to a
 //! logical form.
+//!
+//! The lexicon is written in boxed [`SemTerm`]s; the parser interns them
+//! into a [`SemArena`], which does the beta reduction and the conversion to
+//! a logical form.
 
 use sage_logic::{Lf, LfArena, LfId, LfNode, PredName, Symbol};
 use std::collections::HashMap;
@@ -56,134 +60,6 @@ impl SemTerm {
     pub fn pred(name: PredName, args: Vec<SemTerm>) -> SemTerm {
         SemTerm::Pred(name, args)
     }
-
-    /// Substitute `value` for free occurrences of variable `name`.
-    fn substitute(&self, name: &str, value: &SemTerm) -> SemTerm {
-        match self {
-            SemTerm::Var(v) if v == name => value.clone(),
-            SemTerm::Var(_) | SemTerm::Ground(_) => self.clone(),
-            SemTerm::Lam(v, body) => {
-                if v == name {
-                    // Shadowed; do not substitute inside.
-                    self.clone()
-                } else {
-                    SemTerm::Lam(v.clone(), Box::new(body.substitute(name, value)))
-                }
-            }
-            SemTerm::App(f, a) => SemTerm::App(
-                Box::new(f.substitute(name, value)),
-                Box::new(a.substitute(name, value)),
-            ),
-            SemTerm::Pred(p, args) => SemTerm::Pred(
-                p.clone(),
-                args.iter().map(|a| a.substitute(name, value)).collect(),
-            ),
-        }
-    }
-
-    /// Beta-reduce to normal form (bounded number of steps to guarantee
-    /// termination on malformed inputs).
-    pub fn normalize(&self) -> SemTerm {
-        let mut term = self.clone();
-        for _ in 0..64 {
-            let (next, changed) = term.step();
-            term = next;
-            if !changed {
-                break;
-            }
-        }
-        term
-    }
-
-    fn step(&self) -> (SemTerm, bool) {
-        match self {
-            SemTerm::App(f, a) => {
-                let (f_r, f_changed) = f.step();
-                let (a_r, a_changed) = a.step();
-                if let SemTerm::Lam(v, body) = &f_r {
-                    (body.substitute(v, &a_r), true)
-                } else {
-                    (
-                        SemTerm::App(Box::new(f_r), Box::new(a_r)),
-                        f_changed || a_changed,
-                    )
-                }
-            }
-            SemTerm::Lam(v, body) => {
-                let (b, changed) = body.step();
-                (SemTerm::Lam(v.clone(), Box::new(b)), changed)
-            }
-            SemTerm::Pred(p, args) => {
-                let mut changed = false;
-                let new_args = args
-                    .iter()
-                    .map(|a| {
-                        let (r, c) = a.step();
-                        changed |= c;
-                        r
-                    })
-                    .collect();
-                (SemTerm::Pred(p.clone(), new_args), changed)
-            }
-            _ => (self.clone(), false),
-        }
-    }
-
-    /// Convert a closed, normalised term into a logical form.  Returns
-    /// `None` if lambdas, variables or unreduced applications remain.
-    pub fn to_lf(&self) -> Option<Lf> {
-        match self.normalize() {
-            SemTerm::Ground(lf) => Some(lf),
-            SemTerm::Pred(p, args) => {
-                let mut out = Vec::with_capacity(args.len());
-                for a in args {
-                    out.push(a.to_lf()?);
-                }
-                Some(Lf::Pred(p, out))
-            }
-            _ => None,
-        }
-    }
-
-    /// Convert a closed, normalised term directly into an arena-resident
-    /// logical form.  Equal results hash-cons to the same [`LfId`], so the
-    /// chart's duplicate analyses collapse to id comparisons downstream.
-    pub fn to_lf_interned(&self, arena: &mut LfArena) -> Option<LfId> {
-        match self.normalize() {
-            SemTerm::Ground(lf) => Some(arena.intern_lf(&lf)),
-            SemTerm::Pred(p, args) => {
-                let mut out = Vec::with_capacity(args.len());
-                for a in args {
-                    out.push(a.to_lf_interned(arena)?);
-                }
-                Some(arena.pred(&p, out))
-            }
-            _ => None,
-        }
-    }
-
-    /// True if the term contains no free variables, lambdas or applications.
-    pub fn is_ground(&self) -> bool {
-        self.to_lf().is_some()
-    }
-
-    /// Rename all bound variables with a suffix, to keep variables from two
-    /// lexicon entries distinct when combining.
-    pub fn freshen(&self, suffix: usize) -> SemTerm {
-        match self {
-            SemTerm::Var(v) => SemTerm::Var(format!("{v}_{suffix}")),
-            SemTerm::Ground(_) => self.clone(),
-            SemTerm::Lam(v, body) => {
-                SemTerm::Lam(format!("{v}_{suffix}"), Box::new(body.freshen(suffix)))
-            }
-            SemTerm::App(f, a) => {
-                SemTerm::App(Box::new(f.freshen(suffix)), Box::new(a.freshen(suffix)))
-            }
-            SemTerm::Pred(p, args) => {
-                SemTerm::Pred(p.clone(), args.iter().map(|a| a.freshen(suffix)).collect())
-            }
-        }
-    }
 }
 
 /// Id of a semantic term in a [`SemArena`].
@@ -221,8 +97,7 @@ enum SemNode {
 /// cloning sub-trees, and beta reduction ([`SemArena::normalize`]) rebuilds
 /// only the spine it rewrites, sharing every untouched subtree.  Reduction
 /// results and ground conversions are memoized by id, so re-normalizing a
-/// chart item (which the boxed engine did on every [`SemTerm::to_lf`] call)
-/// is a table lookup.
+/// chart item is a table lookup.
 ///
 /// A workspace owns one `SemArena` and recycles it across sentences; nodes
 /// are immutable and deduplicated, so the arena grows with the number of
@@ -375,9 +250,8 @@ impl SemArena {
         self.lfs.resolve(id)
     }
 
-    /// Substitute `value` for free occurrences of variable `name` — the
-    /// arena counterpart of the boxed engine's `substitute`, rebuilding only
-    /// the rewritten spine.
+    /// Substitute `value` for free occurrences of variable `name`,
+    /// rebuilding only the rewritten spine.
     fn substitute(&mut self, id: SemId, name: Symbol, value: SemId) -> SemId {
         match self.nodes[id.index()].clone() {
             SemNode::Var(v) if v == name => value,
@@ -406,9 +280,8 @@ impl SemArena {
         }
     }
 
-    /// One parallel reduction pass, mirroring [`SemTerm`]'s `step` exactly so
-    /// the interned and boxed engines agree term-for-term (including on
-    /// inputs that hit the reduction bound).
+    /// One parallel reduction pass: both sides of an application reduce,
+    /// then a lambda on the left is applied to the reduced argument.
     fn step(&mut self, id: SemId) -> (SemId, bool) {
         match self.nodes[id.index()].clone() {
             SemNode::App(f, a) => {
@@ -438,8 +311,9 @@ impl SemArena {
         }
     }
 
-    /// Beta-reduce to normal form (same bounded strategy as
-    /// [`SemTerm::normalize`]); results are memoized by id.
+    /// Beta-reduce to normal form in at most 64 reduction passes, so
+    /// malformed inputs such as self-application terminate.  Results are
+    /// memoized by id.
     pub fn normalize(&mut self, id: SemId) -> SemId {
         if let Some(&n) = self.norm_memo.get(&id) {
             return n;
@@ -456,9 +330,9 @@ impl SemArena {
         term
     }
 
-    /// Convert a closed term to a logical form in the embedded arena —
-    /// the interned counterpart of [`SemTerm::to_lf`].  Returns `None` if
-    /// lambdas, variables or unreduced applications remain; memoized by id.
+    /// Normalize a closed term and convert it to a logical form in the
+    /// embedded arena.  Returns `None` if lambdas, variables or unreduced
+    /// applications remain; memoized by id.
     pub fn to_lf_id(&mut self, id: SemId) -> Option<LfId> {
         if let Some(&cached) = self.lf_memo.get(&id) {
             return cached;
@@ -534,44 +408,74 @@ mod tests {
         )
     }
 
+    /// Intern `term`, reduce it and read back its logical form.
+    fn to_lf(arena: &mut SemArena, term: &SemTerm) -> Option<Lf> {
+        let id = arena.intern_term(term);
+        arena.to_lf_id(id).map(|lf| arena.resolve_lf(lf))
+    }
+
+    /// Intern `term` and read back its normal form.
+    fn normalize(arena: &mut SemArena, term: &SemTerm) -> SemTerm {
+        let id = arena.intern_term(term);
+        let normal = arena.normalize(id);
+        arena.resolve(normal)
+    }
+
     #[test]
     fn checksum_is_zero_reduces_to_paper_lf() {
         // "checksum is zero" — apply `is` to the object then the subject.
+        let mut arena = SemArena::new();
         let applied = SemTerm::app(
             SemTerm::app(is_semantics(), SemTerm::num(0)),
             SemTerm::atom("checksum"),
         );
-        let lf = applied.to_lf().unwrap();
-        assert_eq!(lf, Lf::is(Lf::atom("checksum"), Lf::num(0)));
+        assert_eq!(
+            to_lf(&mut arena, &applied),
+            Some(Lf::is(Lf::atom("checksum"), Lf::num(0)))
+        );
+        // The reduced term and the literal predicate hash-cons to one LF id.
+        let applied = arena.intern_term(&applied);
+        let literal = arena.intern_term(&SemTerm::pred(
+            PredName::Is,
+            vec![SemTerm::atom("checksum"), SemTerm::num(0)],
+        ));
+        assert_eq!(arena.to_lf_id(applied), arena.to_lf_id(literal));
     }
 
     #[test]
     fn normalization_is_stable() {
-        let t = SemTerm::app(is_semantics(), SemTerm::num(3));
-        let n1 = t.normalize();
-        let n2 = n1.normalize();
-        assert_eq!(n1, n2);
+        let mut arena = SemArena::new();
+        let t = arena.intern_term(&SemTerm::app(is_semantics(), SemTerm::num(3)));
+        let n1 = arena.normalize(t);
+        assert_ne!(n1, t);
+        assert_eq!(arena.normalize(n1), n1);
     }
 
     #[test]
     fn unreduced_terms_are_not_ground() {
-        assert!(!is_semantics().is_ground());
-        assert!(SemTerm::atom("checksum").is_ground());
+        let mut arena = SemArena::new();
+        assert_eq!(to_lf(&mut arena, &is_semantics()), None);
+        assert_eq!(
+            to_lf(&mut arena, &SemTerm::atom("checksum")),
+            Some(Lf::atom("checksum"))
+        );
         let partial = SemTerm::app(is_semantics(), SemTerm::num(0));
-        assert!(!partial.is_ground());
+        assert_eq!(to_lf(&mut arena, &partial), None);
     }
 
     #[test]
     fn shadowed_variables_are_not_substituted() {
         // λx.(λx. x) applied to 'a' must leave the inner x bound.
+        let mut arena = SemArena::new();
         let inner = SemTerm::lam("x", SemTerm::var("x"));
         let outer = SemTerm::lam("x", inner.clone());
         let applied = SemTerm::app(outer, SemTerm::atom("a"));
-        assert_eq!(applied.normalize(), inner);
+        assert_eq!(normalize(&mut arena, &applied), inner);
     }
 
     #[test]
     fn pred_arguments_reduce() {
+        let mut arena = SemArena::new();
         let t = SemTerm::pred(
             PredName::And,
             vec![
@@ -580,38 +484,8 @@ mod tests {
             ],
         );
         assert_eq!(
-            t.to_lf().unwrap(),
-            Lf::and(vec![Lf::atom("a"), Lf::atom("b")])
-        );
-    }
-
-    #[test]
-    fn interned_conversion_matches_boxed_conversion() {
-        let mut arena = LfArena::new();
-        let applied = SemTerm::app(
-            SemTerm::app(is_semantics(), SemTerm::num(0)),
-            SemTerm::atom("checksum"),
-        );
-        let id = applied.to_lf_interned(&mut arena).unwrap();
-        assert_eq!(arena.resolve(id), applied.to_lf().unwrap());
-        // Open terms convert to None in both representations.
-        assert!(is_semantics().to_lf_interned(&mut arena).is_none());
-        // Equal terms hash-cons to the same id.
-        let again = SemTerm::pred(
-            PredName::Is,
-            vec![SemTerm::atom("checksum"), SemTerm::num(0)],
-        );
-        assert_eq!(again.to_lf_interned(&mut arena), Some(id));
-    }
-
-    #[test]
-    fn freshen_renames_consistently() {
-        let t = is_semantics().freshen(7);
-        // Still reduces correctly after renaming.
-        let applied = SemTerm::app(SemTerm::app(t, SemTerm::num(1)), SemTerm::atom("code"));
-        assert_eq!(
-            applied.to_lf().unwrap(),
-            Lf::is(Lf::atom("code"), Lf::num(1))
+            to_lf(&mut arena, &t),
+            Some(Lf::and(vec![Lf::atom("a"), Lf::atom("b")]))
         );
     }
 
@@ -620,14 +494,6 @@ mod tests {
         let s = is_semantics().to_string();
         assert!(s.contains('λ'));
         assert!(s.contains("@Is"));
-    }
-
-    #[test]
-    fn nonterminating_looking_terms_do_not_hang() {
-        // Self-application; normalization must stop due to the step bound.
-        let omega = SemTerm::lam("x", SemTerm::app(SemTerm::var("x"), SemTerm::var("x")));
-        let t = SemTerm::app(omega.clone(), omega);
-        let _ = t.normalize();
     }
 
     fn sem_fixtures() -> Vec<SemTerm> {
@@ -676,32 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_normalization_matches_boxed_normalization() {
-        let mut arena = SemArena::new();
-        for term in sem_fixtures() {
-            let id = arena.intern_term(&term);
-            let normal = arena.normalize(id);
-            assert_eq!(
-                arena.resolve(normal),
-                term.normalize(),
-                "normalize diverged on {term}"
-            );
-            // Memoized path returns the same id.
-            assert_eq!(arena.normalize(id), normal);
-        }
-    }
-
-    #[test]
-    fn arena_to_lf_matches_boxed_to_lf() {
-        let mut arena = SemArena::new();
-        for term in sem_fixtures() {
-            let id = arena.intern_term(&term);
-            let via_arena = arena.to_lf_id(id).map(|lf| arena.resolve_lf(lf));
-            assert_eq!(via_arena, term.to_lf(), "to_lf diverged on {term}");
-        }
-    }
-
-    #[test]
     fn arena_ground_atom_reads_conjunction_markers() {
         let mut arena = SemArena::new();
         let and = arena.intern_term(&SemTerm::atom("and"));
@@ -731,11 +571,12 @@ mod tests {
 
     #[test]
     fn arena_bounded_reduction_does_not_hang() {
+        // Self-application reduces to itself on every pass; the pass bound
+        // stops it, leaving the term as it was and without a logical form.
         let mut arena = SemArena::new();
         let omega = SemTerm::lam("x", SemTerm::app(SemTerm::var("x"), SemTerm::var("x")));
         let t = SemTerm::app(omega.clone(), omega);
-        let id = arena.intern_term(&t);
-        let normal = arena.normalize(id);
-        assert_eq!(arena.resolve(normal), t.normalize());
+        assert_eq!(normalize(&mut arena, &t), t);
+        assert_eq!(to_lf(&mut arena, &t), None);
     }
 }

@@ -1,11 +1,9 @@
 //! The SAGE pipeline: parse → disambiguate → report / generate.
 
 use crate::batch::BatchItem;
-use sage_ccg::overgenerate::{overgenerate, overgenerate_with, OvergenConfig};
-use sage_ccg::{
-    parse_sentence, parse_sentence_cached, Lexicon, ParseResult, ParserConfig, ParserWorkspace,
-};
-use sage_disambig::{winnow, WinnowTrace, Winnower};
+use sage_ccg::overgenerate::{overgenerate_with, OvergenConfig};
+use sage_ccg::{parse_sentence, Lexicon, ParseResult, ParserConfig, ParserWorkspace};
+use sage_disambig::{WinnowTrace, Winnower};
 use sage_logic::{Interner, Lf, LfArena, PredName, Symbol};
 use sage_nlp::{ChunkerConfig, TermDictionary};
 use sage_spec::context::ContextDict;
@@ -268,9 +266,8 @@ impl Sage {
             ws.parse_hits += 1;
             return Arc::clone(result);
         }
-        let result = Arc::new(parse_sentence_cached(
+        let result = Arc::new(ws.parser.parse_sentence(
             text,
-            &mut ws.parser,
             &self.dictionary,
             self.config.chunker,
             self.config.parser,
@@ -279,10 +276,11 @@ impl Sage {
         result
     }
 
-    /// [`Sage::analyze_sentence`] through a reusable [`AnalysisWorkspace`]:
-    /// lexicon probes are memoized by interned symbol, logical forms are
-    /// hash-consed in the workspace arena, and winnowing compares arena ids
-    /// instead of string trees.  Produces the identical analysis.
+    /// Parse one sentence (with optional subject re-supply) and winnow it,
+    /// through a reusable [`AnalysisWorkspace`]: lexicon probes are memoized
+    /// by interned symbol, logical forms are hash-consed in the workspace
+    /// arena, and winnowing compares arena ids instead of string trees.  A
+    /// warm workspace produces the same analysis as a fresh one.
     pub fn analyze_sentence_in(
         &self,
         sentence: &Sentence,
@@ -303,6 +301,10 @@ impl Sage {
             };
         }
 
+        // The field-value idiom: a field description consisting solely of a
+        // value ("Type" followed by "3", or "0 = net unreachable") is turned
+        // into an assignment to the described field (§3, domain-specific
+        // semantics).
         if let Some(lf) = field_value_idiom(text, &context) {
             let trace = ws
                 .winnower
@@ -321,6 +323,8 @@ impl Sage {
 
         let mut result = self.parse_memoized(text, ws);
         let mut subject_supplied = false;
+        // §4.1: re-parse subject-less field descriptions with the field name
+        // supplied as the subject.
         if result.logical_forms.is_empty() {
             if let Some(field) = &sentence.field {
                 let with_subject = format!("The {} is {}", field.to_ascii_lowercase(), text);
@@ -354,88 +358,9 @@ impl Sage {
         }
     }
 
-    /// Parse one sentence (with optional subject re-supply) and winnow it.
+    /// [`Sage::analyze_sentence_in`] on a fresh workspace.
     pub fn analyze_sentence(&self, sentence: &Sentence, context: ContextDict) -> SentenceAnalysis {
-        let text = sentence.text.trim();
-        if text.is_empty() {
-            return SentenceAnalysis {
-                sentence: sentence.clone(),
-                context,
-                parser_lf_count: 0,
-                base_lf_count: 0,
-                base_lfs: Vec::new(),
-                trace: winnow(&[]),
-                subject_supplied: false,
-                status: SentenceStatus::Skipped,
-            };
-        }
-
-        // The field-value idiom: a field description consisting solely of a
-        // value ("Type" followed by "3", or "0 = net unreachable") is turned
-        // into an assignment to the described field (§3, domain-specific
-        // semantics).
-        if let Some(lf) = field_value_idiom(text, &context) {
-            let trace = winnow(std::slice::from_ref(&lf));
-            return SentenceAnalysis {
-                sentence: sentence.clone(),
-                context,
-                parser_lf_count: 1,
-                base_lf_count: 1,
-                base_lfs: vec![lf],
-                trace,
-                subject_supplied: false,
-                status: SentenceStatus::Resolved,
-            };
-        }
-
-        let mut result = parse_sentence(
-            text,
-            &self.lexicon,
-            &self.dictionary,
-            self.config.chunker,
-            self.config.parser,
-        );
-        let mut subject_supplied = false;
-
-        // §4.1: re-parse subject-less field descriptions with the field name
-        // supplied as the subject.
-        if result.logical_forms.is_empty() {
-            if let Some(field) = &sentence.field {
-                let with_subject = format!("The {} is {}", field.to_ascii_lowercase(), text);
-                let retry = parse_sentence(
-                    &with_subject,
-                    &self.lexicon,
-                    &self.dictionary,
-                    self.config.chunker,
-                    self.config.parser,
-                );
-                if !retry.logical_forms.is_empty() {
-                    result = retry;
-                    subject_supplied = true;
-                }
-            }
-        }
-
-        let parser_lf_count = result.logical_forms.len();
-        let base = overgenerate(&result.logical_forms, self.config.overgen);
-        let trace = winnow(&base);
-        let status = if base.is_empty() {
-            SentenceStatus::ZeroLf
-        } else if trace.survivors.len() == 1 {
-            SentenceStatus::Resolved
-        } else {
-            SentenceStatus::Ambiguous
-        };
-        SentenceAnalysis {
-            sentence: sentence.clone(),
-            context,
-            parser_lf_count,
-            base_lf_count: base.len(),
-            base_lfs: base,
-            trace,
-            subject_supplied,
-            status,
-        }
+        self.analyze_sentence_in(sentence, context, &mut self.workspace())
     }
 
     /// Run the pipeline over every sentence of a document.
@@ -449,12 +374,14 @@ impl Sage {
         self.analyze_items(BatchItem::from_sentences(protocol, sentences))
     }
 
-    /// [`Sage::analyze_sentence`] over each item, in order.
+    /// [`Sage::analyze_sentence_in`] over each item, in order, on one
+    /// workspace.
     fn analyze_items(&self, items: Vec<BatchItem>) -> PipelineReport {
+        let mut ws = self.workspace();
         PipelineReport {
             analyses: items
                 .into_iter()
-                .map(|item| self.analyze_sentence(&item.sentence, item.context))
+                .map(|item| self.analyze_sentence_in(&item.sentence, item.context, &mut ws))
                 .collect(),
         }
     }

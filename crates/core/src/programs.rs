@@ -537,8 +537,8 @@ mod tests {
     #[test]
     fn each_harvest_keeps_what_the_reference_analysis_selects() {
         // Each builder's harvest (its pre-filtered items on one memoized
-        // workspace) against its rule applied to the boxed reference
-        // analysis of the whole, unfiltered corpus.
+        // workspace) against its rule applied to the analysis of the whole,
+        // unfiltered corpus.
         let sage = Sage::default();
         let bfd = sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES;
         let icmp_doc = Protocol::Icmp.document();

@@ -1,4 +1,4 @@
-//! Graph representation of logical forms and isomorphism detection.
+//! Isomorphism of logical forms modulo associativity and commutativity.
 //!
 //! The associativity check (§4.2, Figure 3) treats two logical forms as
 //! equivalent when their trees are isomorphic *modulo* the algebraic
@@ -8,95 +8,8 @@
 //! associative chains and sorting commutative children into a canonical form;
 //! two forms are isomorphic iff their canonical forms are equal.
 
-use crate::intern::{LfArena, LfId, LfNode};
 use crate::lf::Lf;
 use crate::pred::PredName;
-
-/// An adjacency-list view of a logical form, useful for inspection and for
-/// computing structural statistics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LfGraph {
-    /// Node labels: predicate names (for internal nodes) or leaf text.
-    pub labels: Vec<String>,
-    /// Child indices for each node, in argument order.
-    pub children: Vec<Vec<usize>>,
-    /// Index of the root node.
-    pub root: usize,
-}
-
-impl LfGraph {
-    /// Build the graph for a logical form.
-    pub fn from_lf(lf: &Lf) -> LfGraph {
-        let mut g = LfGraph {
-            labels: Vec::new(),
-            children: Vec::new(),
-            root: 0,
-        };
-        g.root = g.add(lf);
-        g
-    }
-
-    fn add(&mut self, lf: &Lf) -> usize {
-        let label = match lf {
-            Lf::Atom(s) => format!("'{s}'"),
-            Lf::Number(n) => format!("{n}"),
-            Lf::Pred(p, _) => p.to_string(),
-        };
-        let idx = self.labels.len();
-        self.labels.push(label);
-        self.children.push(Vec::new());
-        let kids: Vec<usize> = lf.args().iter().map(|a| self.add(a)).collect();
-        self.children[idx] = kids;
-        idx
-    }
-
-    /// Build the graph for an arena-resident logical form without
-    /// materialising the boxed tree; labels are resolved from the arena's
-    /// interner.
-    pub fn from_interned(arena: &LfArena, id: LfId) -> LfGraph {
-        let mut g = LfGraph {
-            labels: Vec::new(),
-            children: Vec::new(),
-            root: 0,
-        };
-        g.root = g.add_interned(arena, id);
-        g
-    }
-
-    fn add_interned(&mut self, arena: &LfArena, id: LfId) -> usize {
-        let label = match arena.node(id) {
-            LfNode::Atom(sym) => format!("'{}'", arena.interner().resolve(*sym)),
-            LfNode::Num(n) => format!("{n}"),
-            LfNode::Pred(sym, _) => format!("@{}", arena.interner().resolve(*sym)),
-        };
-        let idx = self.labels.len();
-        self.labels.push(label);
-        self.children.push(Vec::new());
-        let kids: Vec<usize> = arena
-            .args(id)
-            .to_vec()
-            .into_iter()
-            .map(|a| self.add_interned(arena, a))
-            .collect();
-        self.children[idx] = kids;
-        idx
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Number of edges (always `node_count - 1` for a tree).
-    pub fn edge_count(&self) -> usize {
-        self.children.iter().map(Vec::len).sum()
-    }
-
-    /// Number of leaf nodes.
-    pub fn leaf_count(&self) -> usize {
-        self.children.iter().filter(|c| c.is_empty()).count()
-    }
-}
 
 /// Compute the canonical form of a logical form: associative chains are
 /// flattened and commutative children sorted, recursively.
@@ -147,20 +60,6 @@ pub fn dedup_isomorphic(forms: &[Lf]) -> Vec<Lf> {
         }
     }
     kept
-}
-
-/// Interned counterpart of [`isomorphic`]: compares canonical [`LfId`]s, so
-/// repeated queries against the same arena are O(1) id comparisons after the
-/// first canonicalisation.
-pub fn isomorphic_interned(arena: &mut LfArena, a: LfId, b: LfId) -> bool {
-    arena.isomorphic(a, b)
-}
-
-/// Interned counterpart of [`dedup_isomorphic`]: one representative per
-/// isomorphism class, first occurrence kept, set membership tested on
-/// canonical ids instead of repeated tree comparisons.
-pub fn dedup_isomorphic_interned(arena: &mut LfArena, ids: &[LfId]) -> Vec<LfId> {
-    arena.dedup_isomorphic(ids)
 }
 
 /// Grouping helper used by tests and by Figure-3 style analyses: build the
@@ -247,48 +146,6 @@ mod tests {
         // The first representative of each class is kept.
         assert_eq!(out[0], forms[0]);
         assert_eq!(out[1], forms[2]);
-    }
-
-    #[test]
-    fn graph_counts() {
-        let lf = Lf::is(Lf::atom("checksum"), Lf::num(0));
-        let g = LfGraph::from_lf(&lf);
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.leaf_count(), 2);
-        assert_eq!(g.labels[g.root], "@Is");
-    }
-
-    #[test]
-    fn graph_preserves_argument_order() {
-        let lf = Lf::is(Lf::atom("a"), Lf::atom("b"));
-        let g = LfGraph::from_lf(&lf);
-        let kids = &g.children[g.root];
-        assert_eq!(g.labels[kids[0]], "'a'");
-        assert_eq!(g.labels[kids[1]], "'b'");
-    }
-
-    #[test]
-    fn interned_graph_matches_boxed_graph() {
-        let mut arena = LfArena::new();
-        let lf = Lf::is(Lf::atom("checksum"), Lf::num(0));
-        let id = arena.intern_lf(&lf);
-        let g_boxed = LfGraph::from_lf(&lf);
-        let g_interned = LfGraph::from_interned(&arena, id);
-        assert_eq!(g_interned, g_boxed);
-    }
-
-    #[test]
-    fn interned_isomorphism_and_dedup_delegate_to_arena() {
-        let mut arena = LfArena::new();
-        let (a, b, c) = abc();
-        let left = of_chain_left(a.clone(), b.clone(), c.clone());
-        let right = of_chain_right(a, b, c);
-        let il = arena.intern_lf(&left);
-        let ir = arena.intern_lf(&right);
-        assert!(isomorphic_interned(&mut arena, il, ir));
-        let kept = dedup_isomorphic_interned(&mut arena, &[il, ir]);
-        assert_eq!(kept, vec![il]);
     }
 
     #[test]

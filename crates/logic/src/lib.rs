@@ -23,9 +23,9 @@ pub mod parse;
 pub mod pred;
 pub mod types;
 
-pub use graph::{canonical_form, isomorphic, LfGraph};
+pub use graph::{canonical_form, isomorphic};
 pub use intern::{Interner, LfArena, LfId, LfNode, Symbol};
 pub use lf::Lf;
-pub use parse::{parse_lf, parse_lf_interned, ParseError};
+pub use parse::{parse_lf, ParseError};
 pub use pred::{PredName, PredProperties};
-pub use types::{infer_atom_type, infer_type_interned, AtomType, TypeCache};
+pub use types::{infer_atom_type, infer_type_interned, AtomType};

@@ -2,7 +2,6 @@
 //! paper and throughout this repository's corpora and tests, e.g.
 //! `@AdvBefore(@Action('compute', 'checksum'), @Is('checksum_field', '0'))`.
 
-use crate::intern::{LfArena, LfId};
 use crate::lf::Lf;
 use crate::pred::PredName;
 use std::fmt;
@@ -41,13 +40,6 @@ pub fn parse_lf(input: &str) -> Result<Lf, ParseError> {
         return Err(p.error("trailing input after logical form"));
     }
     Ok(lf)
-}
-
-/// Parse a textual logical form directly into an arena: atoms and predicate
-/// names come back as interned [`crate::intern::Symbol`]s, and re-parsing the
-/// same text yields the same [`LfId`] (hash-consing).
-pub fn parse_lf_interned(input: &str, arena: &mut LfArena) -> Result<LfId, ParseError> {
-    parse_lf(input).map(|lf| arena.intern_lf(&lf))
 }
 
 struct Parser<'a> {
@@ -279,19 +271,6 @@ mod tests {
         assert_eq!(lf, Lf::Pred(PredName::Discard, vec![]));
         let lf2 = parse_lf("@Discard").unwrap();
         assert_eq!(lf2, Lf::Pred(PredName::Discard, vec![]));
-    }
-
-    #[test]
-    fn interned_parse_matches_boxed_parse() {
-        let mut arena = LfArena::new();
-        let text = "@AdvBefore(@Action('compute', 'checksum'), @Is('checksum_field', '0'))";
-        let id = parse_lf_interned(text, &mut arena).unwrap();
-        assert_eq!(arena.resolve(id), parse_lf(text).unwrap());
-        // Re-parsing identical text hash-conses to the same id.
-        let id2 = parse_lf_interned(text, &mut arena).unwrap();
-        assert_eq!(id, id2);
-        // Errors propagate unchanged.
-        assert!(parse_lf_interned("@Is('a', ", &mut arena).is_err());
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! variable, and so on.  The type checks in `sage-disambig` consult these
 //! classifications.
 
-use crate::intern::{Interner, LfArena, LfId, LfNode, Symbol};
+use crate::intern::{LfArena, LfId, LfNode};
 use crate::lf::Lf;
 use crate::pred::PredName;
-use std::collections::HashMap;
 
 /// Coarse semantic categories for LF leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -225,42 +224,6 @@ pub fn infer_atom_type(atom: &str) -> AtomType {
     AtomType::Other
 }
 
-/// Memoized atom typing keyed by interned [`Symbol`].
-///
-/// [`infer_atom_type`] normalizes and scans word lists on every call; during
-/// winnowing the same handful of atoms is classified thousands of times.  A
-/// per-worker `TypeCache` pays the scan once per distinct symbol and answers
-/// repeats with a hash lookup on the symbol id.
-#[derive(Debug, Clone, Default)]
-pub struct TypeCache {
-    memo: HashMap<Symbol, AtomType>,
-}
-
-impl TypeCache {
-    /// An empty cache.
-    pub fn new() -> TypeCache {
-        TypeCache::default()
-    }
-
-    /// Classify the atom behind `sym`, consulting the memo first.
-    pub fn infer(&mut self, sym: Symbol, interner: &Interner) -> AtomType {
-        *self
-            .memo
-            .entry(sym)
-            .or_insert_with(|| infer_atom_type(interner.resolve(sym)))
-    }
-
-    /// Number of memoized classifications.
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True if nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty()
-    }
-}
-
 /// Classify an arbitrary LF node: numbers are constants, predicates are not
 /// typed (returns `None`), atoms use [`infer_atom_type`].
 pub fn infer_lf_type(lf: &Lf) -> Option<AtomType> {
@@ -304,8 +267,7 @@ pub fn valid_function_name(lf: &Lf) -> bool {
 //
 // The id-native check engine types arena nodes without materialising boxed
 // trees.  All three functions cache through the arena's per-symbol memo
-// tables (one word-list scan per *distinct* atom, ever) instead of the
-// per-call `HashMap` a fresh `TypeCache` would rebuild.
+// tables: one word-list scan per *distinct* atom, ever.
 
 /// Interned counterpart of [`infer_lf_type`]: classify an arena node,
 /// memoized through the arena ([`LfArena::type_of`]).
@@ -395,19 +357,6 @@ mod tests {
         assert!(!assignable(&Lf::atom("3")));
         assert!(assignable(&Lf::atom("checksum")));
         assert!(assignable(&Lf::atom("bfd.SessionState")));
-    }
-
-    #[test]
-    fn type_cache_agrees_with_uncached_inference() {
-        let mut interner = Interner::new();
-        let mut cache = TypeCache::new();
-        for atom in ["checksum", "compute", "ICMP", "Up", "bfd.SessionState", "0"] {
-            let sym = interner.intern(atom);
-            assert_eq!(cache.infer(sym, &interner), infer_atom_type(atom));
-            // Second lookup hits the memo and must agree.
-            assert_eq!(cache.infer(sym, &interner), infer_atom_type(atom));
-        }
-        assert_eq!(cache.len(), 6);
     }
 
     #[test]

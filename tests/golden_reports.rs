@@ -10,7 +10,7 @@
 use sage_bench as render;
 use sage_repro::ccg::ParserConfig;
 use sage_repro::core::batch::{BatchItem, BatchPipeline};
-use sage_repro::core::pipeline::{Sage, SageConfig};
+use sage_repro::core::pipeline::{Sage, SageConfig, SentenceAnalysis};
 use sage_repro::core::programs::{generate_program, lowering_summary};
 use sage_repro::nlp::ChunkerConfig;
 use sage_repro::spec::corpus::Protocol;
@@ -80,23 +80,44 @@ fn analysis_configurations() -> [(&'static str, SageConfig); 3] {
     ]
 }
 
+/// The corpora of [`BatchItem::mixed_corpus`], analysed in the same order
+/// through `Sage::analyze_document` / `Sage::analyze_sentences`.
+fn sequential_analyses(sage: &Sage) -> Vec<SentenceAnalysis> {
+    let mut analyses = Vec::new();
+    for protocol in Protocol::all() {
+        let report = match protocol {
+            Protocol::Bfd => sage.analyze_sentences(
+                "BFD",
+                sage_repro::spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES,
+            ),
+            _ => sage.analyze_document(&protocol.document()),
+        };
+        analyses.extend(report.analyses);
+    }
+    analyses
+}
+
 /// One line per configuration × item of the mixed four-protocol corpus:
 /// status, LF counts, whether the subject was supplied, the Figure-5 stage
 /// counts, and FNV-1a hashes of the base LFs' and the survivors' `{:?}`
-/// renderings.  Before rendering, the per-sentence driver must agree with
-/// the batch pipeline on every item.
+/// renderings.  Before rendering, `analyze_document` / `analyze_sentences`
+/// must agree with the batch pipeline on every item.
 fn analyses_snapshot() -> String {
     let items = BatchItem::mixed_corpus();
     let mut out = String::new();
     for (label, config) in analysis_configurations() {
         let sage = Sage::new(config);
         let batch = BatchPipeline::new(&sage).with_workers(1).run(&items);
-        for (item, report) in items.iter().zip(&batch.reports) {
-            let analysis = &report.analysis;
+        let sequential = sequential_analyses(&sage);
+        assert_eq!(
+            sequential.len(),
+            items.len(),
+            "{label}: corpus sizes differ"
+        );
+        for ((item, report), analysis) in items.iter().zip(&batch.reports).zip(&sequential) {
             assert_eq!(
-                &sage.analyze_sentence(&item.sentence, item.context.clone()),
-                analysis,
-                "{label}: drivers diverged on {:?}",
+                analysis, &report.analysis,
+                "{label}: sequential and batch analyses diverged on {:?}",
                 item.sentence.text
             );
             writeln!(

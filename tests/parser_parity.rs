@@ -12,7 +12,7 @@
 //! To refresh after an intentional change:
 //! `UPDATE_GOLDEN=1 cargo test --test parser_parity` — then review the diff.
 
-use sage_ccg::{parse_sentence_cached, Lexicon, ParserConfig, ParserWorkspace};
+use sage_ccg::{Lexicon, ParserConfig, ParserWorkspace};
 use sage_nlp::{ChunkerConfig, TermDictionary};
 use sage_spec::corpus::Protocol;
 use std::fs;
@@ -112,8 +112,7 @@ fn parses_match_the_committed_golden() {
         }
         for (label, sentences) in inputs {
             for (index, text) in sentences.iter().enumerate() {
-                let parse =
-                    parse_sentence_cached(text, &mut ws, &dict, ChunkerConfig::default(), config);
+                let parse = ws.parse_sentence(text, &dict, ChunkerConfig::default(), config);
                 lines.push(format!(
                     "{config_label} {label} {index} lfs={} fragment={} items={} {:016x}",
                     parse.lf_count(),
@@ -167,25 +166,13 @@ fn one_workspace_recycled_across_all_corpora_stays_deterministic() {
     let mut first = Vec::new();
     for (_, sentences) in corpus_sentences() {
         for text in sentences {
-            first.push(parse_sentence_cached(
-                &text,
-                &mut ws,
-                &dict,
-                ChunkerConfig::default(),
-                config,
-            ));
+            first.push(ws.parse_sentence(&text, &dict, ChunkerConfig::default(), config));
         }
     }
     let mut second = Vec::new();
     for (_, sentences) in corpus_sentences() {
         for text in sentences {
-            second.push(parse_sentence_cached(
-                &text,
-                &mut ws,
-                &dict,
-                ChunkerConfig::default(),
-                config,
-            ));
+            second.push(ws.parse_sentence(&text, &dict, ChunkerConfig::default(), config));
         }
     }
     assert_eq!(first, second);

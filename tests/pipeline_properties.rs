@@ -8,8 +8,9 @@
 //! to a table-driven encoding by field name (`table_encoding` below).
 
 use proptest::prelude::*;
+use sage_repro::ccg::{SemArena, SemTerm};
 use sage_repro::disambig::{winnow, Winnower};
-use sage_repro::logic::{isomorphic, parse_lf, Interner, Lf, LfArena, LfGraph, PredName};
+use sage_repro::logic::{isomorphic, parse_lf, Interner, Lf, LfArena, PredName};
 use sage_repro::netsim::buffer::{FieldSpec, PacketBuf};
 use sage_repro::netsim::checksum::{
     checksum_omitting_field, ones_complement_checksum, ones_complement_sum,
@@ -28,6 +29,26 @@ fn arb_lf() -> impl Strategy<Value = Lf> {
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Lf::if_then(a, b)),
             prop::collection::vec(inner.clone(), 2..4).prop_map(Lf::and),
             (inner.clone(), inner).prop_map(|(a, b)| Lf::Pred(PredName::Of, vec![a, b])),
+        ]
+    })
+}
+
+/// Strategy generating small random semantic terms: variables from
+/// {x, y, z}, atoms, numbers, abstractions, applications, `@Is` and `@And`.
+/// Open terms, stuck applications and shadowed binders are all in range.
+fn arb_sem() -> impl Strategy<Value = SemTerm> {
+    let leaf = prop_oneof![
+        "[xyz]".prop_map(|v| SemTerm::var(&v)),
+        "[a-z]{1,6}".prop_map(SemTerm::atom),
+        (0i64..16).prop_map(SemTerm::num),
+    ];
+    leaf.prop_recursive(4, 32, 2, |inner| {
+        prop_oneof![
+            ("[xyz]", inner.clone()).prop_map(|(v, body)| SemTerm::lam(&v, body)),
+            (inner.clone(), inner.clone()).prop_map(|(f, a)| SemTerm::app(f, a)),
+            (inner.clone(), inner.clone())
+                .prop_map(|(a, b)| SemTerm::pred(PredName::Is, vec![a, b])),
+            (inner.clone(), inner).prop_map(|(a, b)| SemTerm::pred(PredName::And, vec![a, b])),
         ]
     })
 }
@@ -89,11 +110,43 @@ proptest! {
         let ib = arena.intern_lf(&b);
         prop_assert_eq!(arena.isomorphic(ia, ib), isomorphic(&a, &b));
         // Every form is isomorphic to its own canonical form, in both
-        // representations, and the adjacency graphs agree node for node.
+        // representations.
         let canon = sage_repro::logic::canonical_form(&a);
         let ic = arena.intern_lf(&canon);
         prop_assert!(arena.isomorphic(ia, ic));
-        prop_assert_eq!(LfGraph::from_interned(&arena, ia), LfGraph::from_lf(&a));
+    }
+
+    #[test]
+    fn sem_terms_intern_stably_and_round_trip(term in arb_sem()) {
+        let mut arena = SemArena::new();
+        let id = arena.intern_term(&term);
+        prop_assert_eq!(arena.intern_term(&term), id);
+        prop_assert_eq!(arena.resolve(id), term);
+    }
+
+    /// Beta reduction and logical-form conversion on one arena reused across
+    /// terms (memo tables warm, subterms shared) resolve to exactly what a
+    /// fresh arena per term gives.
+    #[test]
+    fn reused_sem_arena_reduces_like_a_fresh_arena(
+        terms in prop::collection::vec(arb_sem(), 1..6)
+    ) {
+        let mut reused = SemArena::new();
+        for term in &terms {
+            let mut fresh = SemArena::new();
+            let r = reused.intern_term(term);
+            let f = fresh.intern_term(term);
+            let (rn, fnorm) = (reused.normalize(r), fresh.normalize(f));
+            prop_assert_eq!(
+                reused.resolve(rn),
+                fresh.resolve(fnorm),
+                "normalize diverged on {}",
+                term
+            );
+            let r_lf = reused.to_lf_id(r).map(|lf| reused.resolve_lf(lf));
+            let f_lf = fresh.to_lf_id(f).map(|lf| fresh.resolve_lf(lf));
+            prop_assert_eq!(r_lf, f_lf, "to_lf_id diverged on {}", term);
+        }
     }
 
     #[test]

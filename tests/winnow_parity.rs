@@ -12,8 +12,11 @@
 
 use proptest::prelude::*;
 use sage_repro::core::pipeline::Sage;
-use sage_repro::disambig::stats::{all_check_effects, all_check_effects_interned};
-use sage_repro::disambig::Winnower;
+use sage_repro::disambig::stats::{
+    all_check_effects, all_check_effects_interned, apply_single_family,
+    apply_single_family_interned,
+};
+use sage_repro::disambig::{IdChecks, WinnowStage, Winnower};
 use sage_repro::logic::{Lf, LfArena, LfId, PredName};
 use sage_repro::spec::corpus::Protocol;
 use std::collections::BTreeSet;
@@ -181,5 +184,35 @@ proptest! {
             let boxed = winnower.winnow(base);
             prop_assert_eq!(&via_shared, &boxed, "interned engine diverged from boxed oracle");
         }
+    }
+
+    /// The id-native Figure-6 statistics equal the boxed ones on random LF
+    /// sets: each family applied alone, and the whole per-family table.
+    #[test]
+    fn interned_check_statistics_match_boxed_on_random_sets(
+        sets in prop::collection::vec(prop::collection::vec(arb_lf(), 1..6), 1..6)
+    ) {
+        let checks = IdChecks::new();
+        let mut arena = LfArena::new();
+        for base in &sets {
+            let ids: Vec<LfId> = base.iter().map(|lf| arena.intern_lf(lf)).collect();
+            for stage in WinnowStage::ALL {
+                let survivors: Vec<Lf> =
+                    apply_single_family_interned(stage, &ids, &mut arena, &checks)
+                        .into_iter()
+                        .map(|id| arena.resolve(id))
+                        .collect();
+                prop_assert_eq!(
+                    survivors,
+                    apply_single_family(stage, base),
+                    "{} diverged",
+                    stage.label()
+                );
+            }
+        }
+        prop_assert_eq!(
+            all_check_effects_interned(&sets, &mut arena),
+            all_check_effects(&sets)
+        );
     }
 }
