@@ -3,7 +3,9 @@
 //! field access round-trips, the LF text format round-trips, and the
 //! interned (Symbol/arena) representation is indistinguishable from the
 //! boxed one: parse→print→parse identity, `Symbol` equality ⇔ string
-//! equality, and graph-isomorphism invariance under interning.  The header
+//! equality, and graph-isomorphism invariance under interning.  Semantic
+//! terms intern stably, and an arena reused across terms beta-reduces them
+//! exactly as a fresh arena does.  The header
 //! builders, the UDP checksum and the UDP reader are pinned byte for byte
 //! to a table-driven encoding by field name (`table_encoding` below).
 
