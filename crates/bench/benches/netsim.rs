@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sage_interp::GeneratedResponder;
 use sage_netsim::checksum::ones_complement_checksum;
 use sage_netsim::headers::{icmp, ipv4};
-use sage_netsim::net::{Network, ReferenceResponder};
+use sage_netsim::net::{ReferenceResponder, Router};
 use sage_netsim::tools::ping::ping_once;
 use sage_netsim::tools::traceroute::traceroute;
 
@@ -40,9 +40,8 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("ping_reference_responder", |b| {
         b.iter(|| {
-            let mut net = Network::appendix_a();
             ping_once(
-                &mut net,
+                &Router::appendix_a(),
                 &mut ReferenceResponder,
                 ipv4::addr(10, 0, 1, 100),
                 ipv4::addr(10, 0, 1, 1),
@@ -55,10 +54,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     let program = sage_core::generate_icmp_program();
     group.bench_function("ping_generated_responder", |b| {
         b.iter(|| {
-            let mut net = Network::appendix_a();
             let mut responder = GeneratedResponder::new(program.clone());
             ping_once(
-                &mut net,
+                &Router::appendix_a(),
                 &mut responder,
                 ipv4::addr(10, 0, 1, 100),
                 ipv4::addr(10, 0, 1, 1),
@@ -70,10 +68,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
     group.bench_function("traceroute_generated_responder", |b| {
         b.iter(|| {
-            let mut net = Network::appendix_a();
             let mut responder = GeneratedResponder::new(program.clone());
             traceroute(
-                &mut net,
+                &Router::appendix_a(),
                 &mut responder,
                 ipv4::addr(10, 0, 1, 100),
                 ipv4::addr(192, 168, 2, 100),

@@ -11,8 +11,8 @@ use sage_netsim::faulty::{
     classify_errors, ChecksumInterpretation, ErrorCategory, FaultSpec, StudentResponder,
 };
 use sage_netsim::headers::{icmp, ipv4};
-use sage_netsim::net::{Network, RouterAction};
-use sage_netsim::tools::ping::validate_reply;
+use sage_netsim::net::{Router, RouterAction};
+use sage_netsim::tools::ping::{echo_request, validate_reply};
 use sage_nlp::ChunkerConfig;
 use sage_spec::corpus::{icmp as icmp_corpus, Protocol};
 
@@ -117,6 +117,7 @@ pub struct Table3Row {
 
 /// Regenerate Table 3 by running each interpretation through the echo test.
 pub fn table3() -> Vec<Table3Row> {
+    let router = Router::appendix_a();
     ChecksumInterpretation::all()
         .into_iter()
         .map(|interp| {
@@ -125,24 +126,20 @@ pub fn table3() -> Vec<Table3Row> {
                 ..FaultSpec::correct()
             };
             let payload: Vec<u8> = (0u8..64).collect();
-            let echo = icmp::build_echo(false, 7, 1, &payload);
-            let request = ipv4::build_packet(
+            let request = echo_request(
                 ipv4::addr(10, 0, 1, 100),
                 ipv4::addr(10, 0, 1, 1),
-                ipv4::PROTO_ICMP,
-                64,
-                echo.as_bytes(),
+                7,
+                1,
+                &payload,
             );
-            let interoperates = match Network::appendix_a().router_process(
-                &request,
-                0,
-                &mut StudentResponder::new(spec),
-            ) {
-                RouterAction::IcmpReply(reply) => {
-                    validate_reply(&reply, ipv4::addr(10, 0, 1, 100), 7, 1, &payload).success()
-                }
-                _ => false,
-            };
+            let interoperates =
+                match router.process(&request, 0, |_| false, &mut StudentResponder::new(spec)) {
+                    RouterAction::IcmpReply(reply) => {
+                        validate_reply(&reply, ipv4::addr(10, 0, 1, 100), 7, 1, &payload).success()
+                    }
+                    _ => false,
+                };
             Table3Row {
                 index: interp.index(),
                 description: interp.description(),

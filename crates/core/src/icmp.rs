@@ -18,10 +18,11 @@ use crate::programs::{annotate, emit, ICMP_TYPE_CODE};
 use sage_codegen::Program;
 use sage_interp::GeneratedResponder;
 use sage_logic::{parse_lf, Lf};
-use sage_netsim::headers::ipv4;
-use sage_netsim::net::Network;
+use sage_netsim::buffer::{FieldView, PacketBuf};
+use sage_netsim::headers::{icmp, ipv4};
+use sage_netsim::net::{Router, RouterAction};
 use sage_netsim::tcpdump::decode_packet;
-use sage_netsim::tools::ping::{ping_once, PingOutcome, ECHO_PAYLOAD};
+use sage_netsim::tools::ping::{echo_request, ping_once, PingOutcome, ECHO_PAYLOAD};
 use sage_netsim::tools::traceroute::traceroute;
 use sage_spec::context::Role;
 use sage_spec::corpus::Protocol;
@@ -156,19 +157,20 @@ impl IcmpEndToEnd {
 /// unknown-destination handling, and packet-capture verification.
 pub fn icmp_end_to_end(program: &Program) -> IcmpEndToEnd {
     let client = ipv4::addr(10, 0, 1, 100);
-    let router = ipv4::addr(10, 0, 1, 1);
+    let router_addr = ipv4::addr(10, 0, 1, 1);
+    let server = ipv4::addr(192, 168, 2, 100);
+    let router = Router::appendix_a();
     let mut captured: Vec<Vec<u8>> = Vec::new();
     let mut ping_results = Vec::new();
 
     // Echo: ping the router.
     {
-        let mut net = Network::appendix_a();
         let mut responder = GeneratedResponder::new(program.clone());
         let outcome = ping_once(
-            &mut net,
+            &router,
             &mut responder,
             client,
-            router,
+            router_addr,
             0x5A,
             1,
             ECHO_PAYLOAD,
@@ -178,10 +180,9 @@ pub fn icmp_end_to_end(program: &Program) -> IcmpEndToEnd {
     // Destination unreachable: ping an unknown destination and expect the
     // error to come back and be understood.
     {
-        let mut net = Network::appendix_a();
         let mut responder = GeneratedResponder::new(program.clone());
         let outcome = ping_once(
-            &mut net,
+            &router,
             &mut responder,
             client,
             ipv4::addr(8, 8, 8, 8),
@@ -196,97 +197,62 @@ pub fn icmp_end_to_end(program: &Program) -> IcmpEndToEnd {
     }
     // Time exceeded: TTL-1 packet towards a server.
     {
-        let mut net = Network::appendix_a();
         let mut responder = GeneratedResponder::new(program.clone());
-        let echo = sage_netsim::headers::icmp::build_echo(false, 0x5C, 1, b"ttl");
-        let pkt = ipv4::build_packet(
-            client,
-            ipv4::addr(192, 168, 2, 100),
-            ipv4::PROTO_ICMP,
-            1,
-            echo.as_bytes(),
-        );
-        let action = net.router_process(&pkt, 0, &mut responder);
-        let ok = matches!(&action, sage_netsim::net::RouterAction::IcmpReply(reply)
-        if {
-            captured.push(reply.as_bytes().to_vec());
-            let inner = sage_netsim::buffer::PacketBuf::from_bytes(ipv4::payload(reply).to_vec());
-            inner.get_field(sage_netsim::headers::icmp::FIELDS, "type").unwrap_or(0) == 11
-        });
+        let echo = icmp::build_echo(false, 0x5C, 1, b"ttl");
+        let pkt = ipv4::build_packet(client, server, ipv4::PROTO_ICMP, 1, echo.as_bytes());
+        let ok = match router.process(&pkt, 0, |_| false, &mut responder) {
+            RouterAction::IcmpReply(reply) => {
+                captured.push(reply.as_bytes().to_vec());
+                let inner = FieldView::new(ipv4::payload(&reply));
+                inner.get_field(icmp::FIELDS, "type").unwrap_or(0) == 11
+            }
+            _ => false,
+        };
         ping_results.push(("time exceeded".to_string(), ok));
     }
     // Traceroute towards a server on another subnet.
     let traceroute_ok = {
-        let mut net = Network::appendix_a();
         let mut responder = GeneratedResponder::new(program.clone());
-        let report = traceroute(
-            &mut net,
-            &mut responder,
-            client,
-            ipv4::addr(192, 168, 2, 100),
-            8,
-        );
-        report.completed && report.intermediate_routers().contains(&router)
+        let report = traceroute(&router, &mut responder, client, server, 8);
+        report.completed && report.intermediate_routers().contains(&router_addr)
     };
 
     // Packet-capture verification: generate each message type's reply and
     // run it through the tcpdump substitute.
     {
-        let mut net = Network::appendix_a();
         let mut responder = GeneratedResponder::new(program.clone());
-        let scenarios: Vec<sage_netsim::buffer::PacketBuf> = vec![
+        let to_router = |payload: PacketBuf| {
+            ipv4::build_packet(
+                client,
+                router_addr,
+                ipv4::PROTO_ICMP,
+                64,
+                payload.as_bytes(),
+            )
+        };
+        let scenarios: Vec<PacketBuf> = vec![
             // echo request to the router
-            ipv4::build_packet(
-                client,
-                router,
-                ipv4::PROTO_ICMP,
-                64,
-                sage_netsim::headers::icmp::build_echo(false, 1, 1, b"abcdefgh").as_bytes(),
-            ),
+            echo_request(client, router_addr, 1, 1, b"abcdefgh"),
             // unknown destination
-            ipv4::build_packet(
-                client,
-                ipv4::addr(8, 8, 8, 8),
-                ipv4::PROTO_ICMP,
-                64,
-                sage_netsim::headers::icmp::build_echo(false, 2, 1, b"abcdefgh").as_bytes(),
-            ),
+            echo_request(client, ipv4::addr(8, 8, 8, 8), 2, 1, b"abcdefgh"),
             // TTL expiry
             ipv4::build_packet(
                 client,
-                ipv4::addr(192, 168, 2, 100),
+                server,
                 ipv4::PROTO_ICMP,
                 1,
-                sage_netsim::headers::icmp::build_echo(false, 3, 1, b"abcdefgh").as_bytes(),
+                icmp::build_echo(false, 3, 1, b"abcdefgh").as_bytes(),
             ),
             // same-subnet redirect
-            ipv4::build_packet(
-                client,
-                ipv4::addr(10, 0, 1, 200),
-                ipv4::PROTO_ICMP,
-                64,
-                sage_netsim::headers::icmp::build_echo(false, 4, 1, b"abcdefgh").as_bytes(),
-            ),
+            echo_request(client, ipv4::addr(10, 0, 1, 200), 4, 1, b"abcdefgh"),
             // timestamp request to the router
-            ipv4::build_packet(
-                client,
-                router,
-                ipv4::PROTO_ICMP,
-                64,
-                sage_netsim::headers::icmp::build_timestamp(false, 5, 1, 1000, 0, 0).as_bytes(),
-            ),
+            to_router(icmp::build_timestamp(false, 5, 1, 1000, 0, 0)),
             // information request to the router
-            ipv4::build_packet(
-                client,
-                router,
-                ipv4::PROTO_ICMP,
-                64,
-                sage_netsim::headers::icmp::build_info(false, 6, 1).as_bytes(),
-            ),
+            to_router(icmp::build_info(false, 6, 1)),
         ];
         for pkt in scenarios {
-            if let sage_netsim::net::RouterAction::IcmpReply(reply) =
-                net.router_process(&pkt, 0, &mut responder)
+            if let RouterAction::IcmpReply(reply) =
+                router.process(&pkt, 0, |_| false, &mut responder)
             {
                 captured.push(reply.as_bytes().to_vec());
             }

@@ -831,7 +831,7 @@ mod tests {
     use super::*;
     use sage_codegen::ir::{Expr, Stmt};
     use sage_netsim::headers::{icmp, ipv4};
-    use sage_netsim::net::{Network, ReferenceResponder, RouterAction};
+    use sage_netsim::net::{ReferenceResponder, Router, RouterAction};
     use sage_netsim::tools::ping::{ping_once, ECHO_PAYLOAD};
 
     /// A hand-assembled program equivalent to what the pipeline generates
@@ -864,10 +864,9 @@ mod tests {
 
     #[test]
     fn generated_echo_reply_interoperates_with_ping() {
-        let mut net = Network::appendix_a();
         let mut responder = GeneratedResponder::new(echo_reply_program());
         let outcome = ping_once(
-            &mut net,
+            &Router::appendix_a(),
             &mut responder,
             ipv4::addr(10, 0, 1, 100),
             ipv4::addr(10, 0, 1, 1),
@@ -881,7 +880,7 @@ mod tests {
 
     #[test]
     fn generated_reply_matches_reference_reply() {
-        let mut net = Network::appendix_a();
+        let router = Router::appendix_a();
         let echo = icmp::build_echo(false, 1, 1, b"abc");
         let req = ipv4::build_packet(
             ipv4::addr(10, 0, 1, 100),
@@ -890,9 +889,9 @@ mod tests {
             64,
             echo.as_bytes(),
         );
-        let gen_action =
-            net.router_process(&req, 0, &mut GeneratedResponder::new(echo_reply_program()));
-        let ref_action = net.router_process(&req, 0, &mut ReferenceResponder);
+        let mut generated = GeneratedResponder::new(echo_reply_program());
+        let gen_action = router.process(&req, 0, |_| false, &mut generated);
+        let ref_action = router.process(&req, 0, |_| false, &mut ReferenceResponder);
         let (RouterAction::IcmpReply(g), RouterAction::IcmpReply(r)) = (gen_action, ref_action)
         else {
             panic!("expected replies");

@@ -508,23 +508,22 @@ impl crate::sim::LinkModel for FaultyLink {
 mod tests {
     use super::*;
     use crate::headers::ipv4::addr;
-    use crate::net::{Network, RouterAction};
+    use crate::net::{Router, RouterAction};
 
     fn echo_request() -> PacketBuf {
-        let echo = icmp::build_echo(false, 0x1234, 7, b"0123456789abcdef");
-        ipv4::build_packet(
+        crate::tools::ping::echo_request(
             addr(10, 0, 1, 100),
             addr(10, 0, 1, 1),
-            ipv4::PROTO_ICMP,
-            64,
-            echo.as_bytes(),
+            0x1234,
+            7,
+            b"0123456789abcdef",
         )
     }
 
     fn run_student(spec: FaultSpec) -> (PacketBuf, PacketBuf) {
-        let mut net = Network::appendix_a();
         let request = echo_request();
-        let action = net.router_process(&request, 0, &mut StudentResponder::new(spec));
+        let action =
+            Router::appendix_a().process(&request, 0, |_| false, &mut StudentResponder::new(spec));
         match action {
             RouterAction::IcmpReply(reply) => (reply, request),
             other => panic!("expected a reply, got {other:?}"),

@@ -12,8 +12,9 @@
 //!   tables, the mechanism generated code uses to touch headers;
 //! * [`headers`] — wire codecs and field tables for IPv4, UDP, ICMP, IGMP,
 //!   NTP and BFD;
-//! * [`net`] — a virtual network of hosts, routers and links (the Mininet
-//!   substitute), with routing, TTL handling and per-interface queues;
+//! * [`net`] — the Appendix-A router (the Mininet substitute's router): one
+//!   decision ladder for TTL handling, routing and every ICMP trigger, with
+//!   the ICMP messages built by a pluggable responder;
 //! * [`pcap`] — a classic-format pcap writer for packet-capture
 //!   verification;
 //! * [`tcpdump`] — a decoder/validator that mimics `tcpdump`'s sanity
@@ -50,7 +51,7 @@ pub use fuzz::{
     TraceDivergence,
 };
 pub use headers::{bfd, icmp, igmp, ipv4, ntp, udp};
-pub use net::{Host, Interface, Network, RouterConfig};
+pub use net::{Interface, Router};
 pub use scenario::{
     reference_scenarios, run_scenario, run_scenario_on, Responders, Scenario, ScenarioOutcome,
     ScenarioRegistry, ScenarioRun,

@@ -1,40 +1,36 @@
-//! A small virtual network: hosts, a router and links.
+//! The Appendix-A router's ICMP decisions.
 //!
-//! This is the substitute for the Mininet-based framework the paper uses for
-//! its end-to-end experiments (§6.2 and Appendix A).  The router owns the
-//! ICMP-relevant decisions (unknown destination, TTL expiry, unsupported
-//! type-of-service, full outbound buffer, same-subnet redirect, messages
-//! addressed to the router itself) and delegates the construction of the
-//! ICMP message to a pluggable [`IcmpResponder`] — in the paper that role is
-//! played by the SAGE-generated code; here it can be the generated-code
-//! interpreter, the hand-written reference, or a deliberately faulty student
-//! model.
+//! This is the substitute for the router of the Mininet-based framework the
+//! paper uses for its end-to-end experiments (§6.2 and Appendix A).
+//! [`Router::process`] is the one decision ladder: it owns every
+//! ICMP-relevant decision (truncated header, multicast, unsupported
+//! type-of-service, messages addressed to the router itself, TTL expiry,
+//! same-subnet redirect, full outbound buffer, unknown destination) and
+//! delegates the construction of the ICMP message to a pluggable
+//! [`IcmpResponder`] — in the paper that role is played by the
+//! SAGE-generated code; here it can be the generated-code interpreter, the
+//! hand-written reference, or a deliberately faulty student model.  The
+//! kernel's [`crate::sim::RouterNode`] runs it on every packet a router
+//! receives; `ping`, `traceroute` and the §6.2 experiments call it
+//! directly.
 
 use crate::buffer::{FieldView, PacketBuf};
 use crate::headers::{icmp, ipv4};
+use crate::sim::{is_multicast, Topology};
 
-/// A network interface with an address, prefix length and outbound queue.
+/// A router interface: an address and the prefix length of its subnet.
 #[derive(Debug, Clone)]
 pub struct Interface {
     /// Interface address.
     pub addr: u32,
     /// Prefix length of the attached subnet.
     pub prefix_len: u8,
-    /// Maximum number of packets the outbound buffer holds.
-    pub buffer_capacity: usize,
-    /// Queued outbound packets.
-    pub queue: Vec<PacketBuf>,
 }
 
 impl Interface {
     /// Create an interface.
     pub fn new(addr: u32, prefix_len: u8) -> Interface {
-        Interface {
-            addr,
-            prefix_len,
-            buffer_capacity: 16,
-            queue: Vec::new(),
-        }
+        Interface { addr, prefix_len }
     }
 
     /// True if `addr` is inside this interface's subnet.
@@ -48,33 +44,6 @@ impl Interface {
         }
         let shift = 32 - prefix;
         (self.addr >> shift) == (addr >> shift)
-    }
-
-    /// True if the outbound buffer has no free space.
-    pub fn buffer_full(&self) -> bool {
-        self.queue.len() >= self.buffer_capacity
-    }
-}
-
-/// A simple end host: one interface plus a log of received packets.
-#[derive(Debug, Clone)]
-pub struct Host {
-    /// Host name, for diagnostics.
-    pub name: String,
-    /// The host's interface.
-    pub iface: Interface,
-    /// Packets delivered to this host.
-    pub received: Vec<PacketBuf>,
-}
-
-impl Host {
-    /// Create a host.
-    pub fn new(name: &str, addr: u32, prefix_len: u8) -> Host {
-        Host {
-            name: name.to_string(),
-            iface: Interface::new(addr, prefix_len),
-            received: Vec::new(),
-        }
     }
 }
 
@@ -176,40 +145,17 @@ impl IcmpResponder for ReferenceResponder {
     }
 }
 
-/// Router configuration: the subnets it serves and its constraints
-/// (Appendix A of the paper).
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Interfaces, one per attached subnet.
-    pub interfaces: Vec<Interface>,
-    /// The only type-of-service value the router accepts (Appendix A uses 0).
-    pub supported_tos: u8,
-    /// Interface indices whose outbound buffers are full (source-quench
-    /// scenario).
-    pub full_buffers: Vec<usize>,
-}
-
-impl RouterConfig {
-    /// The three-subnet router used throughout Appendix A.
-    pub fn appendix_a() -> RouterConfig {
-        RouterConfig {
-            interfaces: vec![
-                Interface::new(ipv4::addr(10, 0, 1, 1), 24),
-                Interface::new(ipv4::addr(192, 168, 2, 1), 24),
-                Interface::new(ipv4::addr(172, 64, 3, 1), 24),
-            ],
-            supported_tos: 0,
-            full_buffers: Vec::new(),
-        }
-    }
-}
+/// The only type-of-service value the router accepts (Appendix A uses 0).
+pub const SUPPORTED_TOS: u8 = 0;
 
 /// What the router did with a packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouterAction {
-    /// Forwarded out of the given interface index.
-    Forwarded(usize),
-    /// Delivered locally (addressed to the router itself) without a reply.
+    /// Forwarded: the packet as it leaves the router, TTL decremented and
+    /// header checksum refreshed.
+    Forwarded(PacketBuf),
+    /// Delivered locally (addressed to the router itself, or multicast)
+    /// without a reply.
     DeliveredLocally,
     /// An ICMP reply was generated (the full IP packet is returned).
     IcmpReply(PacketBuf),
@@ -217,48 +163,60 @@ pub enum RouterAction {
     Dropped(&'static str),
 }
 
-/// The virtual network: a router plus the hosts on its subnets.
-#[derive(Debug)]
-pub struct Network {
-    /// Router configuration.
-    pub router: RouterConfig,
-    /// Hosts attached to the subnets.
-    pub hosts: Vec<Host>,
+/// A router: the subnets it serves and the interfaces whose outbound
+/// buffers are full (Appendix A of the paper).  It keeps no per-packet
+/// state, so one router decides any number of packets alike.
+#[derive(Debug, Clone)]
+pub struct Router {
+    /// Interfaces, one per attached subnet.
+    pub interfaces: Vec<Interface>,
+    /// Interface indices whose outbound buffers are full (source-quench
+    /// scenario).
+    pub full_buffers: Vec<usize>,
 }
 
-impl Network {
-    /// Build the Appendix A topology: a client on 10.0.1.0/24 and servers on
-    /// the other two subnets.
-    pub fn appendix_a() -> Network {
-        Network {
-            router: RouterConfig::appendix_a(),
-            hosts: vec![
-                Host::new("client", ipv4::addr(10, 0, 1, 100), 24),
-                Host::new("server1", ipv4::addr(192, 168, 2, 100), 24),
-                Host::new("server2", ipv4::addr(172, 64, 3, 100), 24),
-            ],
-        }
+impl Router {
+    /// The three-subnet router used throughout Appendix A: the router of
+    /// [`Topology::appendix_a`].
+    pub fn appendix_a() -> Router {
+        let topology = Topology::appendix_a();
+        topology.router_config(topology.router_at(0).expect("Appendix A has a router"))
     }
 
     /// True if the router owns `addr` on one of its interfaces.
-    pub fn is_router_address(&self, addr: u32) -> bool {
-        self.router.interfaces.iter().any(|i| i.addr == addr)
+    pub fn owns(&self, addr: u32) -> bool {
+        self.interfaces.iter().any(|i| i.addr == addr)
     }
 
-    /// Process one IP packet arriving at the router from `ingress_iface`,
-    /// using `responder` to build any ICMP message.  Returns the router's
-    /// action; ICMP replies are fully IP-encapsulated and addressed back to
-    /// the packet's source.
-    pub fn router_process(
-        &mut self,
+    /// Decide what happens to one IP packet arriving on interface
+    /// `ingress`, using `responder` to build any ICMP message.  The rungs,
+    /// in order: a truncated header is dropped; multicast is delivered
+    /// locally; an unsupported type of service gets a parameter problem; a
+    /// packet addressed to the router gets its echo, timestamp or
+    /// information reply (or is delivered locally); an expiring TTL gets
+    /// time exceeded.  Then a destination in an attached subnet gets a
+    /// redirect (it is on the ingress subnet), a source quench (its
+    /// outbound buffer is full) or is forwarded; any other destination is
+    /// forwarded if `transit` accepts it and is unreachable otherwise.
+    /// `transit` is the kernel's routing table inside a simulation and
+    /// `|_| false` for a router on its own.  ICMP replies are fully
+    /// IP-encapsulated and addressed back to the packet's source.
+    pub fn process(
+        &self,
         packet: &PacketBuf,
-        ingress_iface: usize,
+        ingress: usize,
+        transit: impl FnOnce(u32) -> bool,
         responder: &mut dyn IcmpResponder,
     ) -> RouterAction {
         let Ok(dst) = packet.get_bits(ipv4::DESTINATION_ADDRESS) else {
             return RouterAction::Dropped("truncated header");
         };
         let dst = dst as u32;
+        // Link-local / group traffic is consumed silently: the router does
+        // not forward 224.0.0.0/4 and must not answer it with ICMP errors.
+        if is_multicast(dst) {
+            return RouterAction::DeliveredLocally;
+        }
         let src = ipv4::source_address(packet);
         let tos = packet.get_bits(ipv4::TYPE_OF_SERVICE).unwrap_or(0) as u8;
         let ttl = packet.get_bits(ipv4::TTL).unwrap_or(0) as u8;
@@ -274,21 +232,16 @@ impl Network {
             )),
             None => RouterAction::Dropped("responder produced no message"),
         };
-        let ingress_addr = self
-            .router
-            .interfaces
-            .get(ingress_iface)
-            .map(|i| i.addr)
-            .unwrap_or(0);
+        let ingress_addr = self.interfaces.get(ingress).map(|i| i.addr).unwrap_or(0);
 
         // Unsupported type of service → parameter problem (Appendix A).
-        if tos != self.router.supported_tos {
+        if tos != SUPPORTED_TOS {
             let msg = responder.respond(IcmpEvent::ParameterProblem(1), packet);
             return reply_via(msg, ingress_addr);
         }
 
         // Addressed to the router itself.
-        if self.is_router_address(dst) {
+        if self.owns(dst) {
             if protocol == ipv4::PROTO_ICMP {
                 let t = FieldView::new(ipv4::payload(packet))
                     .get_bits(icmp::TYPE)
@@ -314,57 +267,62 @@ impl Network {
         }
 
         // Routing decision.
-        let egress = self
-            .router
-            .interfaces
-            .iter()
-            .position(|iface| iface.contains(dst));
-        let Some(egress) = egress else {
-            let msg = responder.respond(IcmpEvent::DestinationUnreachable, packet);
-            return reply_via(msg, ingress_addr);
-        };
-
-        // Redirect: next hop is on the same subnet the packet arrived from.
-        if egress == ingress_iface {
-            let gateway = self.router.interfaces[egress].addr;
-            let msg = responder.respond(IcmpEvent::Redirect(gateway), packet);
-            return reply_via(msg, ingress_addr);
+        match self.interfaces.iter().position(|iface| iface.contains(dst)) {
+            // Redirect: next hop is on the same subnet the packet arrived
+            // from.
+            Some(egress) if egress == ingress => {
+                let gateway = self.interfaces[egress].addr;
+                let msg = responder.respond(IcmpEvent::Redirect(gateway), packet);
+                return reply_via(msg, ingress_addr);
+            }
+            // Source quench: outbound buffer full.
+            Some(egress) if self.full_buffers.contains(&egress) => {
+                let msg = responder.respond(IcmpEvent::SourceQuench, packet);
+                return reply_via(msg, ingress_addr);
+            }
+            Some(_) => {}
+            // A transit hop the surrounding network routes.
+            None if transit(dst) => {}
+            None => {
+                let msg = responder.respond(IcmpEvent::DestinationUnreachable, packet);
+                return reply_via(msg, ingress_addr);
+            }
         }
 
-        // Source quench: outbound buffer full.
-        if self.router.full_buffers.contains(&egress)
-            || self.router.interfaces[egress].buffer_full()
-        {
-            let msg = responder.respond(IcmpEvent::SourceQuench, packet);
-            return reply_via(msg, ingress_addr);
-        }
-
-        // Forward: decrement TTL, refresh checksum, enqueue.
+        // Forward: decrement TTL, refresh checksum.
         let mut fwd = packet.clone();
         fwd.set_bits(ipv4::TTL, u64::from(ttl - 1)).expect("field");
         ipv4::refresh_checksum(&mut fwd);
-        self.router.interfaces[egress].queue.push(fwd);
-        RouterAction::Forwarded(egress)
+        RouterAction::Forwarded(fwd)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tools::ping::echo_request;
 
     fn echo_request_packet(dst: u32, ttl: u8, tos: u8) -> PacketBuf {
-        let echo = icmp::build_echo(false, 0x42, 1, b"abcdefgh");
-        let mut p = ipv4::build_packet(
-            ipv4::addr(10, 0, 1, 100),
-            dst,
-            ipv4::PROTO_ICMP,
-            ttl,
-            echo.as_bytes(),
-        );
-        p.set_field(ipv4::FIELDS, "type_of_service", u64::from(tos))
-            .unwrap();
+        let mut p = echo_request(ipv4::addr(10, 0, 1, 100), dst, 0x42, 1, b"abcdefgh");
+        p.set_bits(ipv4::TTL, u64::from(ttl)).unwrap();
+        p.set_bits(ipv4::TYPE_OF_SERVICE, u64::from(tos)).unwrap();
         ipv4::refresh_checksum(&mut p);
         p
+    }
+
+    /// The Appendix-A router on its own: nothing beyond its subnets routes.
+    fn process(router: &Router, packet: &PacketBuf) -> RouterAction {
+        router.process(packet, 0, |_| false, &mut ReferenceResponder)
+    }
+
+    /// The ICMP type of a reply, or a panic naming the action.
+    fn reply_type(action: RouterAction) -> u64 {
+        let RouterAction::IcmpReply(reply) = action else {
+            panic!("expected an ICMP reply, got {action:?}");
+        };
+        assert!(ipv4::checksum_ok(&reply));
+        let inner = PacketBuf::from_bytes(ipv4::payload(&reply).to_vec());
+        inner.get_field(icmp::FIELDS, "type").unwrap()
     }
 
     #[test]
@@ -393,9 +351,8 @@ mod tests {
 
     #[test]
     fn echo_request_to_router_yields_echo_reply() {
-        let mut net = Network::appendix_a();
         let pkt = echo_request_packet(ipv4::addr(10, 0, 1, 1), 64, 0);
-        let action = net.router_process(&pkt, 0, &mut ReferenceResponder);
+        let action = process(&Router::appendix_a(), &pkt);
         let RouterAction::IcmpReply(reply) = action else {
             panic!("expected ICMP reply, got {action:?}");
         };
@@ -408,59 +365,59 @@ mod tests {
 
     #[test]
     fn unknown_destination_yields_destination_unreachable() {
-        let mut net = Network::appendix_a();
         let pkt = echo_request_packet(ipv4::addr(8, 8, 8, 8), 64, 0);
-        let action = net.router_process(&pkt, 0, &mut ReferenceResponder);
-        let RouterAction::IcmpReply(reply) = action else {
-            panic!("expected reply, got {action:?}");
+        assert_eq!(reply_type(process(&Router::appendix_a(), &pkt)), 3);
+    }
+
+    #[test]
+    fn a_routed_transit_destination_is_forwarded() {
+        let pkt = echo_request_packet(ipv4::addr(8, 8, 8, 8), 64, 0);
+        let routes = |dst: u32| dst == ipv4::addr(8, 8, 8, 8);
+        let action = Router::appendix_a().process(&pkt, 0, routes, &mut ReferenceResponder);
+        let RouterAction::Forwarded(forwarded) = action else {
+            panic!("expected a forward, got {action:?}");
         };
-        let inner = PacketBuf::from_bytes(ipv4::payload(&reply).to_vec());
-        assert_eq!(inner.get_field(icmp::FIELDS, "type").unwrap(), 3);
+        assert_eq!(forwarded.get_field(ipv4::FIELDS, "ttl").unwrap(), 63);
+    }
+
+    #[test]
+    fn multicast_is_delivered_locally_without_a_reply() {
+        for (ttl, tos) in [(64, 0), (1, 0), (64, 1)] {
+            let pkt = echo_request_packet(ipv4::addr(224, 0, 0, 1), ttl, tos);
+            let routes_everything = |_| true;
+            let action =
+                Router::appendix_a().process(&pkt, 0, routes_everything, &mut ReferenceResponder);
+            assert_eq!(action, RouterAction::DeliveredLocally);
+        }
     }
 
     #[test]
     fn ttl_expiry_yields_time_exceeded() {
-        let mut net = Network::appendix_a();
         let pkt = echo_request_packet(ipv4::addr(192, 168, 2, 100), 1, 0);
-        let action = net.router_process(&pkt, 0, &mut ReferenceResponder);
-        let RouterAction::IcmpReply(reply) = action else {
-            panic!("expected reply, got {action:?}");
-        };
-        let inner = PacketBuf::from_bytes(ipv4::payload(&reply).to_vec());
-        assert_eq!(inner.get_field(icmp::FIELDS, "type").unwrap(), 11);
+        assert_eq!(reply_type(process(&Router::appendix_a(), &pkt)), 11);
     }
 
     #[test]
     fn unsupported_tos_yields_parameter_problem() {
-        let mut net = Network::appendix_a();
         let pkt = echo_request_packet(ipv4::addr(192, 168, 2, 100), 64, 1);
-        let action = net.router_process(&pkt, 0, &mut ReferenceResponder);
-        let RouterAction::IcmpReply(reply) = action else {
-            panic!("expected reply, got {action:?}");
-        };
-        let inner = PacketBuf::from_bytes(ipv4::payload(&reply).to_vec());
-        assert_eq!(inner.get_field(icmp::FIELDS, "type").unwrap(), 12);
+        assert_eq!(reply_type(process(&Router::appendix_a(), &pkt)), 12);
     }
 
     #[test]
     fn full_buffer_yields_source_quench() {
-        let mut net = Network::appendix_a();
-        net.router.full_buffers.push(1);
-        let pkt = echo_request_packet(ipv4::addr(192, 168, 2, 100), 64, 0);
-        let action = net.router_process(&pkt, 0, &mut ReferenceResponder);
-        let RouterAction::IcmpReply(reply) = action else {
-            panic!("expected reply, got {action:?}");
+        let router = Router {
+            full_buffers: vec![1],
+            ..Router::appendix_a()
         };
-        let inner = PacketBuf::from_bytes(ipv4::payload(&reply).to_vec());
-        assert_eq!(inner.get_field(icmp::FIELDS, "type").unwrap(), 4);
+        let pkt = echo_request_packet(ipv4::addr(192, 168, 2, 100), 64, 0);
+        assert_eq!(reply_type(process(&router, &pkt)), 4);
     }
 
     #[test]
     fn same_subnet_next_hop_yields_redirect() {
-        let mut net = Network::appendix_a();
         // Destination on the same subnet the packet arrived from.
         let pkt = echo_request_packet(ipv4::addr(10, 0, 1, 200), 64, 0);
-        let action = net.router_process(&pkt, 0, &mut ReferenceResponder);
+        let action = process(&Router::appendix_a(), &pkt);
         let RouterAction::IcmpReply(reply) = action else {
             panic!("expected reply, got {action:?}");
         };
@@ -476,18 +433,39 @@ mod tests {
 
     #[test]
     fn normal_packets_are_forwarded_with_decremented_ttl() {
-        let mut net = Network::appendix_a();
         let pkt = echo_request_packet(ipv4::addr(192, 168, 2, 100), 64, 0);
-        let action = net.router_process(&pkt, 0, &mut ReferenceResponder);
-        assert_eq!(action, RouterAction::Forwarded(1));
-        let forwarded = &net.router.interfaces[1].queue[0];
-        assert_eq!(forwarded.get_field(ipv4::FIELDS, "ttl").unwrap(), 63);
-        assert!(ipv4::checksum_ok(forwarded));
+        let mut expected = pkt.clone();
+        expected.set_bits(ipv4::TTL, 63).unwrap();
+        ipv4::refresh_checksum(&mut expected);
+        let action = process(&Router::appendix_a(), &pkt);
+        assert_eq!(action, RouterAction::Forwarded(expected));
+    }
+
+    #[test]
+    fn a_reused_router_never_source_quenches_a_forward() {
+        // One router decides every packet alike: twenty forwards in a row
+        // all leave the router, none is answered with a source quench.
+        let router = Router::appendix_a();
+        for seq in 1..=20 {
+            let pkt = echo_request(
+                ipv4::addr(10, 0, 1, 100),
+                ipv4::addr(192, 168, 2, 100),
+                0x42,
+                seq,
+                b"abcdefgh",
+            );
+            let action = process(&router, &pkt);
+            let RouterAction::Forwarded(forwarded) = action else {
+                panic!("packet {seq}: expected a forward, got {action:?}");
+            };
+            assert_eq!(forwarded.get_field(ipv4::FIELDS, "ttl").unwrap(), 63);
+            assert!(ipv4::checksum_ok(&forwarded), "packet {seq}");
+        }
     }
 
     #[test]
     fn timestamp_and_info_requests_get_replies() {
-        let mut net = Network::appendix_a();
+        let router = Router::appendix_a();
         let ts = icmp::build_timestamp(false, 7, 1, 1000, 0, 0);
         let pkt = ipv4::build_packet(
             ipv4::addr(10, 0, 1, 100),
@@ -496,12 +474,7 @@ mod tests {
             64,
             ts.as_bytes(),
         );
-        let RouterAction::IcmpReply(reply) = net.router_process(&pkt, 0, &mut ReferenceResponder)
-        else {
-            panic!("expected timestamp reply");
-        };
-        let inner = PacketBuf::from_bytes(ipv4::payload(&reply).to_vec());
-        assert_eq!(inner.get_field(icmp::FIELDS, "type").unwrap(), 14);
+        assert_eq!(reply_type(process(&router, &pkt)), 14);
 
         let info = icmp::build_info(false, 9, 1);
         let pkt = ipv4::build_packet(
@@ -511,11 +484,6 @@ mod tests {
             64,
             info.as_bytes(),
         );
-        let RouterAction::IcmpReply(reply) = net.router_process(&pkt, 0, &mut ReferenceResponder)
-        else {
-            panic!("expected info reply");
-        };
-        let inner = PacketBuf::from_bytes(ipv4::payload(&reply).to_vec());
-        assert_eq!(inner.get_field(icmp::FIELDS, "type").unwrap(), 16);
+        assert_eq!(reply_type(process(&router, &pkt)), 16);
     }
 }

@@ -1,9 +1,9 @@
 //! The deterministic discrete-event simulation kernel.
 //!
-//! This is the multi-node generalisation of [`crate::net`]: instead of one
-//! router driven synchronously by a scenario function, an N-node
-//! [`Topology`] (hosts and routers joined by links with per-link delay,
-//! bandwidth and fault models) runs under a virtual clock.  Everything a
+//! An N-node [`Topology`] (hosts and routers joined by links with per-link
+//! delay, bandwidth and fault models) runs under a virtual clock.  Routers
+//! run [`RouterNode`]s, which decide with [`crate::net::Router::process`],
+//! the ladder `ping` and `traceroute` call synchronously.  Everything a
 //! node does happens inside an event handler — the [`Node`] trait — so any
 //! responder (the hand-written references, SAGE-generated adapters from
 //! `sage-interp`, or deliberately faulty student models) can be bound to any
@@ -28,7 +28,7 @@
 
 use crate::buffer::PacketBuf;
 use crate::headers::ipv4;
-use crate::net::{IcmpResponder, Interface, Network, RouterAction, RouterConfig};
+use crate::net::{IcmpResponder, Interface, Router, RouterAction};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -401,16 +401,15 @@ impl Topology {
             .ok_or(SimError::NodeWithoutAddress { node: n.0 })
     }
 
-    /// A [`RouterConfig`] for node `n` built from its interfaces — how
-    /// [`RouterNode`] reuses the Appendix-A decision ladder verbatim.
-    pub fn router_config(&self, n: NodeId) -> RouterConfig {
-        RouterConfig {
+    /// The [`Router`] of node `n`, one interface per address and no full
+    /// buffer — what a [`RouterNode`] on `n` decides with.
+    pub fn router_config(&self, n: NodeId) -> Router {
+        Router {
             interfaces: self.nodes[n.0]
                 .addrs
                 .iter()
                 .map(|(addr, prefix)| Interface::new(*addr, *prefix))
                 .collect(),
-            supported_tos: 0,
             full_buffers: Vec::new(),
         }
     }
@@ -2027,49 +2026,34 @@ pub fn is_multicast(addr: u32) -> bool {
 // The router as an event handler
 // ---------------------------------------------------------------------------
 
-/// The Appendix-A router ported onto the kernel: wraps
-/// [`Network::router_process`] verbatim (so every ICMP decision — parameter
-/// problem, echo, TTL expiry, unreachable, redirect, source quench —
-/// byte-matches the synchronous router), and adds kernel-routed transit
-/// forwarding for destinations in subnets the router is not directly
-/// attached to (multi-hop topologies).
+/// The Appendix-A router as an event handler: it infers the interface a
+/// packet arrived on, lets [`Router::process`] decide with the kernel's
+/// routing table as the transit test, and applies the action.
 pub struct RouterNode {
-    net: Network,
+    router: Router,
     responder: Box<dyn IcmpResponder>,
 }
 
 impl RouterNode {
-    /// A router over `config` answering ICMP events through `responder`.
-    pub fn new(config: RouterConfig, responder: Box<dyn IcmpResponder>) -> RouterNode {
-        RouterNode {
-            net: Network {
-                router: config,
-                hosts: Vec::new(),
-            },
-            responder,
-        }
+    /// A node deciding with `router` and answering ICMP events through
+    /// `responder`.
+    pub fn new(router: Router, responder: Box<dyn IcmpResponder>) -> RouterNode {
+        RouterNode { router, responder }
     }
 
     /// Infer the ingress interface: the interface whose subnet contains an
     /// address of the neighbour the packet arrived from, falling back to
     /// the interface containing the packet source, then to 0.
     fn ingress_iface(&self, ctx: &Ctx<'_>, src: u32) -> usize {
+        let interfaces = &self.router.interfaces;
         if let Some(from) = ctx.arrival_from() {
             for (addr, _) in ctx.node_addrs(from) {
-                if let Some(i) = self
-                    .net
-                    .router
-                    .interfaces
-                    .iter()
-                    .position(|iface| iface.contains(*addr))
-                {
+                if let Some(i) = interfaces.iter().position(|iface| iface.contains(*addr)) {
                     return i;
                 }
             }
         }
-        self.net
-            .router
-            .interfaces
+        interfaces
             .iter()
             .position(|iface| iface.contains(src))
             .unwrap_or(0)
@@ -2078,57 +2062,16 @@ impl RouterNode {
 
 impl Node for RouterNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: &PacketBuf) {
-        let dst = ipv4::destination_address(packet);
-        let src = ipv4::source_address(packet);
-        let tos = packet.get_bits(ipv4::TYPE_OF_SERVICE).unwrap_or(0) as u8;
-        let ttl = packet.get_bits(ipv4::TTL).unwrap_or(0) as u8;
-
-        // Link-local / group traffic is consumed silently: routers do not
-        // forward 224.0.0.0/4 here and must not answer it with ICMP errors.
-        if is_multicast(dst) {
-            ctx.deliver_local();
-            return;
-        }
-
-        // Transit forwarding: the destination is in no directly-attached
-        // subnet, but the kernel routes it (multi-hop topologies).  Checked
-        // in ladder order — TOS, local delivery and TTL still go through
-        // `router_process` below so those ICMP paths stay byte-identical.
-        let locally_attached = self
-            .net
-            .router
-            .interfaces
-            .iter()
-            .any(|iface| iface.contains(dst));
-        if tos == self.net.router.supported_tos
-            && !self.net.is_router_address(dst)
-            && ttl > 1
-            && !locally_attached
-            && ctx.has_route(dst)
-        {
-            let mut fwd = packet.clone();
-            if fwd.set_bits(ipv4::TTL, u64::from(ttl - 1)).is_err() {
-                ctx.drop_packet("truncated header");
-                return;
-            }
-            ipv4::refresh_checksum(&mut fwd);
-            ctx.forward(fwd);
-            return;
-        }
-
-        let ingress = self.ingress_iface(ctx, src);
-        match self
-            .net
-            .router_process(packet, ingress, self.responder.as_mut())
-        {
+        let ingress = self.ingress_iface(ctx, ipv4::source_address(packet));
+        let action = self.router.process(
+            packet,
+            ingress,
+            |dst| ctx.has_route(dst),
+            self.responder.as_mut(),
+        );
+        match action {
             RouterAction::IcmpReply(reply) => ctx.send(reply),
-            RouterAction::Forwarded(egress) => {
-                // `router_process` queued the TTL-decremented copy on the
-                // egress interface; hand it to the kernel.
-                if let Some(fwd) = self.net.router.interfaces[egress].queue.pop() {
-                    ctx.forward(fwd);
-                }
-            }
+            RouterAction::Forwarded(fwd) => ctx.forward(fwd),
             RouterAction::DeliveredLocally => ctx.deliver_local(),
             RouterAction::Dropped(reason) => ctx.drop_packet(reason),
         }
@@ -2181,7 +2124,7 @@ mod tests {
         sim.bind_named(
             "router",
             Box::new(RouterNode::new(
-                RouterConfig::appendix_a(),
+                Router::appendix_a(),
                 Box::new(ReferenceResponder),
             )),
         )
@@ -2593,7 +2536,7 @@ mod tests {
             sim.bind_named(
                 "router",
                 Box::new(RouterNode::new(
-                    RouterConfig::appendix_a(),
+                    Router::appendix_a(),
                     Box::new(ReferenceResponder),
                 )),
             )

@@ -4,7 +4,7 @@
 
 use crate::buffer::PacketBuf;
 use crate::headers::{icmp, ipv4};
-use crate::net::{IcmpResponder, Network, RouterAction};
+use crate::net::{IcmpResponder, Router, RouterAction};
 
 /// The result of one echo exchange.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,10 +42,11 @@ pub fn echo_request(src: u32, dst: u32, identifier: u16, seq: u16, payload: &[u8
     ipv4::build_packet(src, dst, ipv4::PROTO_ICMP, 64, echo.as_bytes())
 }
 
-/// Send one echo request from `src` to `dst` through the network, having the
-/// router answer with `responder`, and validate the reply.
+/// Send one echo request from `src` to `dst` through `router` (on its
+/// interface 0, routing nothing beyond its subnets), having it answer with
+/// `responder`, and validate the reply.
 pub fn ping_once(
-    net: &mut Network,
+    router: &Router,
     responder: &mut dyn IcmpResponder,
     src: u32,
     dst: u32,
@@ -54,7 +55,7 @@ pub fn ping_once(
     payload: &[u8],
 ) -> PingOutcome {
     let request = echo_request(src, dst, identifier, seq, payload);
-    match net.router_process(&request, 0, responder) {
+    match router.process(&request, 0, |_| false, responder) {
         RouterAction::IcmpReply(reply) => validate_reply(&reply, src, identifier, seq, payload),
         RouterAction::Forwarded(_) | RouterAction::DeliveredLocally => PingOutcome::NoReply,
         RouterAction::Dropped(_) => PingOutcome::NoReply,
@@ -124,9 +125,8 @@ mod tests {
 
     #[test]
     fn ping_router_succeeds_with_reference_responder() {
-        let mut net = Network::appendix_a();
         let outcome = ping_once(
-            &mut net,
+            &Router::appendix_a(),
             &mut ReferenceResponder,
             addr(10, 0, 1, 100),
             addr(10, 0, 1, 1),
@@ -146,9 +146,8 @@ mod tests {
 
     #[test]
     fn ping_unknown_destination_reports_unreachable() {
-        let mut net = Network::appendix_a();
         let outcome = ping_once(
-            &mut net,
+            &Router::appendix_a(),
             &mut ReferenceResponder,
             addr(10, 0, 1, 100),
             addr(8, 8, 8, 8),

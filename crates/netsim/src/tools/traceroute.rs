@@ -5,7 +5,7 @@
 
 use crate::buffer::PacketBuf;
 use crate::headers::{icmp, ipv4, udp};
-use crate::net::{IcmpResponder, Network, RouterAction};
+use crate::net::{IcmpResponder, Router, RouterAction};
 
 /// One hop observed by traceroute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,10 +38,11 @@ impl TracerouteReport {
     }
 }
 
-/// Run a traceroute from `src` towards `dst` using UDP probes to high ports,
-/// with TTLs from 1 to `max_ttl`.
+/// Run a traceroute from `src` towards `dst` through `router` (on its
+/// interface 0, routing nothing beyond its subnets) using UDP probes to
+/// high ports, with TTLs from 1 to `max_ttl`.
 pub fn traceroute(
-    net: &mut Network,
+    router: &Router,
     responder: &mut dyn IcmpResponder,
     src: u32,
     dst: u32,
@@ -58,7 +59,7 @@ pub fn traceroute(
             b"probe",
         );
         let probe = ipv4::build_packet(src, dst, ipv4::PROTO_UDP, ttl, probe_udp.as_bytes());
-        let action = net.router_process(&probe, 0, responder);
+        let action = router.process(&probe, 0, |_| false, responder);
         let hop = match action {
             RouterAction::IcmpReply(reply) => {
                 let from = reply.get_field(ipv4::FIELDS, "source_address").unwrap_or(0) as u32;
@@ -106,9 +107,8 @@ mod tests {
 
     #[test]
     fn traceroute_to_server_sees_router_then_destination() {
-        let mut net = Network::appendix_a();
         let report = traceroute(
-            &mut net,
+            &Router::appendix_a(),
             &mut ReferenceResponder,
             addr(10, 0, 1, 100),
             addr(192, 168, 2, 100),
@@ -129,9 +129,8 @@ mod tests {
 
     #[test]
     fn traceroute_to_unknown_destination_terminates_with_unreachable() {
-        let mut net = Network::appendix_a();
         let report = traceroute(
-            &mut net,
+            &Router::appendix_a(),
             &mut ReferenceResponder,
             addr(10, 0, 1, 100),
             addr(8, 8, 8, 8),
@@ -146,9 +145,8 @@ mod tests {
 
     #[test]
     fn max_ttl_bounds_the_probe_count() {
-        let mut net = Network::appendix_a();
         let report = traceroute(
-            &mut net,
+            &Router::appendix_a(),
             &mut ReferenceResponder,
             addr(10, 0, 1, 100),
             addr(192, 168, 2, 100),

@@ -5,10 +5,11 @@
 use sage_repro::core::{generate_icmp_program, icmp_end_to_end};
 use sage_repro::interp::GeneratedResponder;
 use sage_repro::netsim::headers::{icmp, ipv4};
-use sage_repro::netsim::net::{Network, RouterAction};
+use sage_repro::netsim::net::{Router, RouterAction};
 use sage_repro::netsim::pcap::{read_pcap, PcapWriter};
+use sage_repro::netsim::sim::Topology;
 use sage_repro::netsim::tcpdump::decode_packet;
-use sage_repro::netsim::tools::ping::ping_once;
+use sage_repro::netsim::tools::ping::{echo_request, ping_once};
 
 #[test]
 fn generated_icmp_interoperates_end_to_end() {
@@ -22,35 +23,37 @@ fn generated_icmp_interoperates_end_to_end() {
 // `generated_code_matches_reference_for_echo`) now lives in
 // `tests/parity.rs` as one parameterized suite spanning all four protocols.
 
+/// The Appendix-A client (10.0.1.100) and the router interface facing it
+/// (10.0.1.1).
+fn client_and_router() -> (u32, u32) {
+    let topology = Topology::appendix_a();
+    let addr = |name: &str| topology.addr_of(topology.node_named(name).expect("Appendix-A node"));
+    (addr("client"), addr("router"))
+}
+
 #[test]
 fn all_eight_message_scenarios_produce_clean_captures() {
     let program = generate_icmp_program();
-    let client = ipv4::addr(10, 0, 1, 100);
-    let router = ipv4::addr(10, 0, 1, 1);
-    let mut net = Network::appendix_a();
+    let (client, router_addr) = client_and_router();
+    // Source quench: mark a buffer full.
+    let router = Router {
+        full_buffers: vec![1],
+        ..Router::appendix_a()
+    };
     let mut responder = GeneratedResponder::new(program);
     let mut pcap = PcapWriter::new();
 
-    let scenarios: Vec<(&str, sage_repro::netsim::buffer::PacketBuf)> = vec![
-        (
-            "echo",
-            ipv4::build_packet(
-                client,
-                router,
-                ipv4::PROTO_ICMP,
-                64,
-                icmp::build_echo(false, 1, 1, b"x").as_bytes(),
-            ),
-        ),
+    // Parameter problem: unsupported type of service.
+    let mut param_problem_trigger = echo_request(client, ipv4::addr(172, 64, 3, 100), 8, 1, b"x");
+    param_problem_trigger
+        .set_field(ipv4::FIELDS, "type_of_service", 1)
+        .unwrap();
+    ipv4::refresh_checksum(&mut param_problem_trigger);
+    let all: Vec<(&str, sage_repro::netsim::buffer::PacketBuf)> = vec![
+        ("echo", echo_request(client, router_addr, 1, 1, b"x")),
         (
             "dest-unreachable",
-            ipv4::build_packet(
-                client,
-                ipv4::addr(9, 9, 9, 9),
-                ipv4::PROTO_ICMP,
-                64,
-                icmp::build_echo(false, 2, 1, b"x").as_bytes(),
-            ),
+            echo_request(client, ipv4::addr(9, 9, 9, 9), 2, 1, b"x"),
         ),
         (
             "time-exceeded",
@@ -64,19 +67,13 @@ fn all_eight_message_scenarios_produce_clean_captures() {
         ),
         (
             "redirect",
-            ipv4::build_packet(
-                client,
-                ipv4::addr(10, 0, 1, 50),
-                ipv4::PROTO_ICMP,
-                64,
-                icmp::build_echo(false, 4, 1, b"x").as_bytes(),
-            ),
+            echo_request(client, ipv4::addr(10, 0, 1, 50), 4, 1, b"x"),
         ),
         (
             "timestamp",
             ipv4::build_packet(
                 client,
-                router,
+                router_addr,
                 ipv4::PROTO_ICMP,
                 64,
                 icmp::build_timestamp(false, 5, 1, 123, 0, 0).as_bytes(),
@@ -86,42 +83,22 @@ fn all_eight_message_scenarios_produce_clean_captures() {
             "information",
             ipv4::build_packet(
                 client,
-                router,
+                router_addr,
                 ipv4::PROTO_ICMP,
                 64,
                 icmp::build_info(false, 6, 1).as_bytes(),
             ),
         ),
+        (
+            "source-quench",
+            echo_request(client, ipv4::addr(192, 168, 2, 100), 7, 1, b"x"),
+        ),
+        ("parameter-problem", param_problem_trigger),
     ];
-    // Source quench: mark a buffer full.
-    net.router.full_buffers.push(1);
-    let source_quench_trigger = ipv4::build_packet(
-        client,
-        ipv4::addr(192, 168, 2, 100),
-        ipv4::PROTO_ICMP,
-        64,
-        icmp::build_echo(false, 7, 1, b"x").as_bytes(),
-    );
-    // Parameter problem: unsupported type of service.
-    let mut param_problem_trigger = ipv4::build_packet(
-        client,
-        ipv4::addr(172, 64, 3, 100),
-        ipv4::PROTO_ICMP,
-        64,
-        icmp::build_echo(false, 8, 1, b"x").as_bytes(),
-    );
-    param_problem_trigger
-        .set_field(ipv4::FIELDS, "type_of_service", 1)
-        .unwrap();
-    ipv4::refresh_checksum(&mut param_problem_trigger);
-
-    let mut all = scenarios;
-    all.push(("source-quench", source_quench_trigger));
-    all.push(("parameter-problem", param_problem_trigger));
 
     let mut replies = 0;
     for (i, (name, pkt)) in all.iter().enumerate() {
-        match net.router_process(pkt, 0, &mut responder) {
+        match router.process(pkt, 0, |_| false, &mut responder) {
             RouterAction::IcmpReply(reply) => {
                 replies += 1;
                 pcap.add_packet(i as u32, reply.as_bytes());
@@ -145,20 +122,19 @@ fn all_eight_message_scenarios_produce_clean_captures() {
 #[test]
 fn faulty_student_implementations_fail_ping_but_generated_code_passes() {
     use sage_repro::netsim::faulty::{ChecksumInterpretation, FaultSpec, StudentResponder};
-    let client = ipv4::addr(10, 0, 1, 100);
-    let router = ipv4::addr(10, 0, 1, 1);
+    let (client, router_addr) = client_and_router();
+    let router = Router::appendix_a();
 
     // A wrong checksum-range interpretation (Table 3 row 4) breaks interop.
-    let mut net = Network::appendix_a();
     let mut faulty = StudentResponder::new(FaultSpec {
         checksum: ChecksumInterpretation::IpHeader,
         ..FaultSpec::correct()
     });
     let outcome = ping_once(
-        &mut net,
+        &router,
         &mut faulty,
         client,
-        router,
+        router_addr,
         1,
         1,
         b"payload-bytes",
@@ -167,13 +143,12 @@ fn faulty_student_implementations_fail_ping_but_generated_code_passes() {
 
     // The SAGE-generated implementation passes the same test.
     let program = generate_icmp_program();
-    let mut net = Network::appendix_a();
     let mut generated = GeneratedResponder::new(program);
     let outcome = ping_once(
-        &mut net,
+        &router,
         &mut generated,
         client,
-        router,
+        router_addr,
         1,
         1,
         b"payload-bytes",

@@ -13,9 +13,7 @@ use sage_repro::interp::{
 };
 use sage_repro::netsim::buffer::PacketBuf;
 use sage_repro::netsim::headers::{bfd, icmp, igmp, ipv4, ntp};
-use sage_repro::netsim::net::{
-    IcmpEvent, IcmpResponder, Network, ReferenceResponder, RouterAction,
-};
+use sage_repro::netsim::net::{IcmpEvent, IcmpResponder, ReferenceResponder, Router, RouterAction};
 use sage_repro::netsim::tools::bfd_session::{BfdEndpoint, ReferenceBfdEndpoint};
 use sage_repro::netsim::tools::igmp::IgmpResponder;
 use sage_repro::netsim::tools::ntp_exchange::{
@@ -162,7 +160,7 @@ fn icmp_cases() -> Vec<ParityCase> {
         .into_iter()
         .map(|(case, compare, event, request)| {
             let render = |responder: &mut dyn IcmpResponder| match event {
-                None => match Network::appendix_a().router_process(&request, 0, responder) {
+                None => match Router::appendix_a().process(&request, 0, |_| false, responder) {
                     RouterAction::IcmpReply(reply) => render_icmp(ipv4::payload(&reply), compare),
                     other => format!("{other:?}"),
                 },
@@ -403,9 +401,8 @@ fn engine_transcript(mode: ExecMode) -> String {
             ttl,
             icmp::build_echo(false, 0xE1, 9, b"engine-parity").as_bytes(),
         );
-        let mut net = Network::appendix_a();
         let mut responder = GeneratedResponder::new(icmp_program.clone()).with_mode(mode);
-        let rendered = match net.router_process(&request, 0, &mut responder) {
+        let rendered = match Router::appendix_a().process(&request, 0, |_| false, &mut responder) {
             RouterAction::IcmpReply(reply) => hex(reply.as_bytes()),
             other => format!("{other:?}"),
         };

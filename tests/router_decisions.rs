@@ -23,9 +23,7 @@
 
 use sage_repro::netsim::buffer::PacketBuf;
 use sage_repro::netsim::headers::{icmp, ipv4, udp};
-use sage_repro::netsim::net::{
-    IcmpEvent, IcmpResponder, Network, ReferenceResponder, RouterAction,
-};
+use sage_repro::netsim::net::{IcmpEvent, IcmpResponder, ReferenceResponder, Router, RouterAction};
 use sage_repro::netsim::sim::{
     Ctx, EventTrace, LinkDelivery, LinkId, LinkModel, Node, RouterNode, SimBuilder, Topology,
 };
@@ -159,10 +157,12 @@ fn describe(packet: &PacketBuf) -> String {
 
 /// One synchronous stimulus through a fresh Appendix-A router.
 fn sync_line(label: &str, packet: &PacketBuf, ingress: usize, full_buffers: &[usize]) -> String {
-    let mut net = Network::appendix_a();
-    net.router.full_buffers = full_buffers.to_vec();
+    let router = Router {
+        full_buffers: full_buffers.to_vec(),
+        ..Router::appendix_a()
+    };
     let mut responder = Recorder::default();
-    let action = net.router_process(packet, ingress, &mut responder);
+    let action = router.process(packet, ingress, |_| false, &mut responder);
     let events: Vec<String> = responder.0.into_iter().map(event_name).collect();
     let event = if events.is_empty() {
         "-".to_string()
@@ -170,10 +170,7 @@ fn sync_line(label: &str, packet: &PacketBuf, ingress: usize, full_buffers: &[us
         events.join(",")
     };
     let action = match action {
-        RouterAction::Forwarded(egress) => {
-            let forwarded = &net.router.interfaces[egress].queue[0];
-            format!("forward {}", describe(forwarded))
-        }
+        RouterAction::Forwarded(forwarded) => format!("forward {}", describe(&forwarded)),
         RouterAction::IcmpReply(reply) => format!("reply {}", describe(&reply)),
         RouterAction::DeliveredLocally => "local".to_string(),
         RouterAction::Dropped(reason) => format!("drop {reason}"),

@@ -12,8 +12,9 @@ use sage_repro::core::programs::generate_program;
 use sage_repro::interp::{generated_scenarios, ExecMode, ResponderRegistry};
 use sage_repro::netsim::headers::bfd::SessionState;
 use sage_repro::netsim::headers::{icmp, igmp, ipv4, ntp, udp};
-use sage_repro::netsim::net::{IcmpResponder, Network, ReferenceResponder, RouterAction};
+use sage_repro::netsim::net::{IcmpResponder, ReferenceResponder, Router, RouterAction};
 use sage_repro::netsim::scenario::{reference_scenarios, run_scenario, ScenarioRegistry};
+use sage_repro::netsim::sim::Topology;
 use sage_repro::netsim::tools::{
     BfdEndpoint, IgmpResponder, NtpServer, NtpTimeoutPolicy, ReferenceBfdEndpoint,
     ReferenceIgmpResponder, ReferenceNtpServer, ReferenceTimeoutPolicy,
@@ -40,20 +41,29 @@ fn kernel_packets(scenarios: &ScenarioRegistry, name: &str) -> Vec<Vec<u8>> {
     run.trace.originated_packets()
 }
 
-/// The first host of Appendix A (the client, 10.0.1.100).
-fn client_addr(net: &Network) -> u32 {
-    net.hosts[0].iface.addr
+/// The `index`-th host of Appendix A (0: the client, 10.0.1.100;
+/// 1: server1, 192.168.2.100).
+fn host_addr(index: usize) -> u32 {
+    let topology = Topology::appendix_a();
+    topology.addr_of(topology.host_at(index).expect("Appendix-A host"))
+}
+
+/// The Appendix-A router's first interface (10.0.1.1).
+fn router_addr() -> u32 {
+    let topology = Topology::appendix_a();
+    topology.addr_of(topology.router_at(0).expect("Appendix-A router"))
 }
 
 /// The ping exchange as on-the-wire bytes: the echo request plus the reply
 /// the Appendix-A router produces with `responder`.
 fn hand_built_ping(responder: &mut dyn IcmpResponder) -> Vec<Vec<u8>> {
-    let mut net = Network::appendix_a();
-    let client = client_addr(&net);
-    let router = net.router.interfaces[0].addr;
+    let client = host_addr(0);
+    let router = router_addr();
     let echo = icmp::build_echo(false, 0x77, 1, b"0123456789abcdef");
     let request = ipv4::build_packet(client, router, ipv4::PROTO_ICMP, 64, echo.as_bytes());
-    let RouterAction::IcmpReply(reply) = net.router_process(&request, 0, responder) else {
+    let RouterAction::IcmpReply(reply) =
+        Router::appendix_a().process(&request, 0, |_| false, responder)
+    else {
         panic!("router did not reply to the echo request");
     };
     vec![request.as_bytes().to_vec(), reply.as_bytes().to_vec()]
@@ -62,8 +72,7 @@ fn hand_built_ping(responder: &mut dyn IcmpResponder) -> Vec<Vec<u8>> {
 /// The IGMP exchange: the router's all-hosts Host Membership Query (TTL 1)
 /// and `host`'s report for `group`.
 fn hand_built_igmp(host: &mut dyn IgmpResponder, group: u32) -> Vec<Vec<u8>> {
-    let net = Network::appendix_a();
-    let router = net.router.interfaces[0].addr;
+    let router = router_addr();
     let query = igmp::build_message(igmp::msg_type::MEMBERSHIP_QUERY, 0);
     let query_ip = ipv4::build_packet(
         router,
@@ -73,13 +82,7 @@ fn hand_built_igmp(host: &mut dyn IgmpResponder, group: u32) -> Vec<Vec<u8>> {
         query.as_bytes(),
     );
     let report = host.respond(&query).expect("host reports membership");
-    let report_ip = ipv4::build_packet(
-        client_addr(&net),
-        group,
-        ipv4::PROTO_IGMP,
-        1,
-        report.as_bytes(),
-    );
+    let report_ip = ipv4::build_packet(host_addr(0), group, ipv4::PROTO_IGMP, 1, report.as_bytes());
     vec![query_ip.as_bytes().to_vec(), report_ip.as_bytes().to_vec()]
 }
 
@@ -94,9 +97,8 @@ fn hand_built_ntp(policy: &mut dyn NtpTimeoutPolicy, server: &mut dyn NtpServer)
         mode: ntp::mode::CLIENT,
     };
     assert!(policy.timeout_due(&peer), "timeout procedure must fire");
-    let mut net = Network::appendix_a();
-    let client = client_addr(&net);
-    let server_addr = net.hosts[1].iface.addr;
+    let client = host_addr(0);
+    let server_addr = host_addr(1);
     let client_port = 45123;
 
     let request = ntp::build_packet(0, 1, ntp::mode::CLIENT, 0, 0xDEAD_BEEF);
@@ -108,9 +110,16 @@ fn hand_built_ntp(policy: &mut dyn NtpTimeoutPolicy, server: &mut dyn NtpServer)
         64,
         request_udp.as_bytes(),
     );
+    let forwarded = ipv4::build_packet(
+        client,
+        server_addr,
+        ipv4::PROTO_UDP,
+        63,
+        request_udp.as_bytes(),
+    );
     assert_eq!(
-        net.router_process(&request_ip, 0, &mut ReferenceResponder),
-        RouterAction::Forwarded(1)
+        Router::appendix_a().process(&request_ip, 0, |_| false, &mut ReferenceResponder),
+        RouterAction::Forwarded(forwarded)
     );
 
     let reply = server.respond(&request).expect("server answers a client");
@@ -302,9 +311,8 @@ fn kernel_traces_are_identical_on_both_execution_engines() {
 #[test]
 fn ping_outcome_parity_between_kernel_and_legacy_driver() {
     use sage_repro::netsim::tools::ping::ping_once;
-    let mut net = Network::appendix_a();
     let legacy = ping_once(
-        &mut net,
+        &Router::appendix_a(),
         &mut ReferenceResponder,
         ipv4::addr(10, 0, 1, 100),
         ipv4::addr(10, 0, 1, 1),
