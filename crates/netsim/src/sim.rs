@@ -441,15 +441,20 @@ impl Topology {
         t
     }
 
-    /// A chain of `n` routers between a client and a server: subnet `i+1`
-    /// joins router `i` and router `i+1`.
+    /// A chain of `n` routers `r1..rn` between a client and a server.
+    /// Subnet 10.0.k.0/24 joins the two nodes either side of it: the
+    /// client (.100) and r1 (.1) for k = 1, r(k-1) (.1) and rk (.2) in
+    /// between, and rn (.1) and the server (.100) for k = n+1.  As in
+    /// `ring` and `mesh10`, the right-hand router on a shared subnet takes
+    /// .2, so every address belongs to one router.
     pub fn line(n: usize) -> Topology {
         let n = n.max(1);
         let mut t = Topology::named("line");
         t.name = format!("line{n}");
         let routers: Vec<NodeId> = (0..n)
             .map(|i| {
-                let left = ipv4::addr(10, 0, (i + 1) as u8, 1);
+                let left_host = if i == 0 { 1 } else { 2 };
+                let left = ipv4::addr(10, 0, (i + 1) as u8, left_host);
                 let right = ipv4::addr(10, 0, (i + 2) as u8, 1);
                 t.router(&format!("r{}", i + 1), &[(left, 24), (right, 24)])
             })
@@ -2177,6 +2182,30 @@ mod tests {
         let p = PacketBuf::from_bytes(delivered[0].clone());
         assert_eq!(p.get_field(ipv4::FIELDS, "ttl").unwrap(), 61);
         assert!(ipv4::checksum_ok(&p));
+    }
+
+    #[test]
+    fn every_interface_address_belongs_to_one_node() {
+        let topologies = Topology::library()
+            .into_iter()
+            .chain((1..=8).map(Topology::line))
+            .chain((2..=8).map(Topology::star))
+            .chain((3..=8).map(Topology::ring));
+        for topo in topologies {
+            let mut owners: HashMap<u32, &str> = HashMap::new();
+            for node in &topo.nodes {
+                for (addr, _) in &node.addrs {
+                    if let Some(first) = owners.insert(*addr, &node.name) {
+                        panic!(
+                            "{}: {} is on {first} and on {}",
+                            topo.name,
+                            ipv4::addr_to_string(*addr),
+                            node.name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
