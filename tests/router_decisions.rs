@@ -241,7 +241,6 @@ impl LinkModel for Substitute {
 }
 
 /// How a kernel stimulus reaches the first router.
-#[derive(Clone, Copy, PartialEq)]
 enum Delivery {
     /// The sender originates it and the kernel routes it.
     Routed,
@@ -312,115 +311,77 @@ fn kernel_cases() -> Vec<String> {
     for (sender, [a, b, c], [x, y, z]) in sides {
         let src = ipv4::addr(a, b, c, 100);
         let own_router = ipv4::addr(a, b, c, 1);
-        let far_router = ipv4::addr(x, y, z, 1);
         let far_host = ipv4::addr(x, y, z, 100);
-        let neighbour = ipv4::addr(a, b, c, 200);
         let echo = |dst: u32, tos: u8, ttl: u8| {
-            packet(
-                src,
-                dst,
-                ipv4::PROTO_ICMP,
-                tos,
-                ttl,
-                &icmp::build_echo(false, 0x57, 1, b"kernel"),
-            )
+            let payload = icmp::build_echo(false, 0x57, 1, b"kernel");
+            packet(src, dst, ipv4::PROTO_ICMP, tos, ttl, &payload)
         };
-        let mut cases: Vec<(String, PacketBuf, Delivery, Vec<usize>)> = Vec::new();
+        let mut run = |label: &str, stimulus: PacketBuf, delivery: Delivery, full: &[usize]| {
+            let case = kernel_lines(&appendix_a, sender, label, stimulus, delivery, full);
+            lines.extend(case);
+        };
         for (name, protocol, payload) in payloads(src, own_router) {
             let p = packet(src, own_router, protocol, 0, 64, &payload);
-            cases.push((format!("{name} to own interface"), p, Routed, vec![]));
+            run(&format!("{name} to own interface"), p, Routed, &[]);
         }
-        cases.push((
-            "echo to far interface".into(),
+        let far_router = ipv4::addr(x, y, z, 1);
+        run(
+            "echo to far interface",
             echo(far_router, 0, 64),
             Routed,
-            vec![],
-        ));
+            &[],
+        );
         for (name, protocol, payload) in payloads(src, far_host) {
             let p = packet(src, far_host, protocol, 0, 64, &payload);
-            cases.push((format!("{name} to far host"), p, Routed, vec![]));
+            run(&format!("{name} to far host"), p, Routed, &[]);
         }
         let server2 = ipv4::addr(172, 64, 3, 100);
-        cases.push((
-            "echo to server2".into(),
-            echo(server2, 0, 64),
-            Routed,
-            vec![],
-        ));
-        cases.push((
-            "echo ttl=1 to far host".into(),
-            echo(far_host, 0, 1),
-            Routed,
-            vec![],
-        ));
-        cases.push((
-            "echo tos=1 to far host".into(),
-            echo(far_host, 1, 64),
-            Routed,
-            vec![],
-        ));
-        cases.push((
-            "echo full=1 to far host".into(),
+        run("echo to server2", echo(server2, 0, 64), Routed, &[]);
+        run("echo ttl=1 to far host", echo(far_host, 0, 1), Routed, &[]);
+        run("echo tos=1 to far host", echo(far_host, 1, 64), Routed, &[]);
+        run(
+            "echo full=1 to far host",
             echo(far_host, 0, 64),
             Routed,
-            vec![1],
-        ));
+            &[1],
+        );
         let group = ipv4::addr(224, 0, 0, 1);
-        cases.push(("echo to group".into(), echo(group, 0, 64), Routed, vec![]));
-        cases.push((
-            "echo tos=1 ttl=1 to group".into(),
-            echo(group, 1, 1),
-            Routed,
-            vec![],
-        ));
+        run("echo to group", echo(group, 0, 64), Routed, &[]);
+        run("echo tos=1 ttl=1 to group", echo(group, 1, 1), Routed, &[]);
         let unknown = ipv4::addr(8, 8, 8, 8);
-        cases.push((
-            "echo to unknown".into(),
-            echo(unknown, 0, 64),
-            Substituted,
-            vec![],
-        ));
-        cases.push((
-            "echo to neighbour".into(),
+        run("echo to unknown", echo(unknown, 0, 64), Substituted, &[]);
+        let neighbour = ipv4::addr(a, b, c, 200);
+        run(
+            "echo to neighbour",
             echo(neighbour, 0, 64),
             Substituted,
-            vec![],
-        ));
+            &[],
+        );
         let whole = echo(far_host, 0, 64);
         for len in [0, 8, 19, 20] {
             let cut = PacketBuf::from_bytes(whole.as_bytes()[..len].to_vec());
-            cases.push((
-                format!("echo cut={len} to far host"),
+            run(
+                &format!("echo cut={len} to far host"),
                 cut,
                 Substituted,
-                vec![],
-            ));
-        }
-        for (label, stimulus, delivery, full) in cases {
-            lines.extend(kernel_lines(
-                &appendix_a,
-                sender,
-                &label,
-                stimulus,
-                delivery,
-                &full,
-            ));
+                &[],
+            );
         }
     }
 
     let ring = Topology::ring(4);
-    let src = ipv4::addr(10, 0, 1, 100);
-    let far_host = ipv4::addr(10, 0, 3, 100);
     let echo = |dst: u32, tos: u8, ttl: u8| {
+        let payload = icmp::build_echo(false, 0x58, 1, b"ring");
         packet(
-            src,
+            ipv4::addr(10, 0, 1, 100),
             dst,
             ipv4::PROTO_ICMP,
             tos,
             ttl,
-            &icmp::build_echo(false, 0x58, 1, b"ring"),
+            &payload,
         )
     };
+    let far_host = ipv4::addr(10, 0, 3, 100);
     let ring_cases = [
         ("echo to far host", echo(far_host, 0, 64), Routed),
         (
