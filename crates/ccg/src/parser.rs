@@ -92,11 +92,6 @@ impl ParseResult {
     pub fn lf_count(&self) -> usize {
         self.logical_forms.len()
     }
-
-    /// True when the sentence parsed to exactly one LF.
-    pub fn unambiguous(&self) -> bool {
-        self.logical_forms.len() == 1
-    }
 }
 
 /// Reusable per-thread parsing state: the memoized lexicon view, private
@@ -162,13 +157,6 @@ impl<'lex> ParserWorkspace<'lex> {
     /// real lexicon probe.
     pub fn lookup_stats(&self) -> (u64, u64) {
         self.cache.stats()
-    }
-
-    /// `(category nodes, semantic nodes)` currently interned — a measure of
-    /// how much *distinct* structure the corpus produced, since recycled
-    /// parses reuse existing nodes.
-    pub fn arena_sizes(&self) -> (usize, usize) {
-        (self.cats.len(), self.sems.len())
     }
 
     /// Parse a raw sentence: tokenize, chunk noun phrases, then chart-parse.
@@ -715,8 +703,6 @@ mod tests {
         }
         let (hits, _misses) = ws.lookup_stats();
         assert!(hits > 0, "repeat sentence should hit the lookup memo");
-        let (cats, sems) = ws.arena_sizes();
-        assert!(cats >= 6 && sems > 0);
         assert_eq!(ws.lexicon().len(), lexicon.len());
     }
 

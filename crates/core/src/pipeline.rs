@@ -166,13 +166,6 @@ impl AnalysisWorkspace<'_> {
         self.parser.lookup_stats()
     }
 
-    /// `(category nodes, semantic nodes)` interned by the parser so far —
-    /// growth tracks *distinct* structure, since recycled parses reuse
-    /// existing arena nodes.
-    pub fn parser_arena_sizes(&self) -> (usize, usize) {
-        self.parser.arena_sizes()
-    }
-
     /// Number of distinct logical-form nodes interned so far.
     pub fn arena_nodes(&self) -> usize {
         self.arena.len()

@@ -68,24 +68,9 @@ pub struct WinnowTrace {
 }
 
 impl WinnowTrace {
-    /// Count after a given stage.
-    pub fn count_after(&self, stage: WinnowStage) -> usize {
-        let idx = WinnowStage::ALL
-            .iter()
-            .position(|s| *s == stage)
-            .expect("known stage");
-        self.counts[idx]
-    }
-
     /// True if winnowing reached a single interpretation.
     pub fn resolved(&self) -> bool {
         self.survivors.len() == 1
-    }
-
-    /// True if the sentence remains ambiguous (>1 LF) after all checks —
-    /// what the paper calls a *true ambiguity* requiring a human rewrite.
-    pub fn truly_ambiguous(&self) -> bool {
-        self.survivors.len() > 1
     }
 }
 
@@ -408,7 +393,6 @@ mod tests {
         let a = parse_lf("@Is('checksum', @Of('checksum', 'ip_header'))").unwrap();
         let b = parse_lf("@Is('checksum', @Of('checksum', 'icmp_message'))").unwrap();
         let trace = winnow(&[a, b]);
-        assert!(trace.truly_ambiguous());
         assert_eq!(trace.survivors.len(), 2);
     }
 
@@ -438,12 +422,6 @@ mod tests {
 
     #[test]
     fn stage_lookup_by_name() {
-        let trace = winnow(&figure2_lfs());
-        assert_eq!(trace.count_after(WinnowStage::Base), 4);
-        assert_eq!(
-            trace.count_after(WinnowStage::Associativity),
-            trace.survivors.len()
-        );
         assert_eq!(WinnowStage::Base.label(), "Base");
         assert_eq!(WinnowStage::ALL.len(), 6);
     }

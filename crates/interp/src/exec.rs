@@ -3,7 +3,7 @@
 use crate::env::Env;
 use sage_codegen::ir::{Expr, Function, Stmt};
 use sage_netsim::checksum::checksum_omitting_field;
-use sage_netsim::headers::{self, ipv4};
+use sage_netsim::headers;
 use std::fmt;
 
 /// Errors raised during execution of generated code.
@@ -257,24 +257,12 @@ pub fn exec_function(env: &mut Env, function: &Function) -> Result<(), ExecError
     Ok(())
 }
 
-/// Convenience used by responders: after running the generated code, wrap
-/// the reply message in an IP packet using the (possibly swapped) addresses.
-pub fn encapsulate_reply(env: &Env) -> sage_netsim::buffer::PacketBuf {
-    ipv4::build_packet(
-        env.reply_src,
-        env.reply_dst,
-        ipv4::PROTO_ICMP,
-        64,
-        env.reply.as_bytes(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sage_netsim::checksum::checksum_omitting_field;
     use sage_netsim::headers::icmp;
-    use sage_netsim::headers::ipv4::addr;
+    use sage_netsim::headers::ipv4::{self, addr};
     use sage_netsim::net::IcmpEvent;
 
     fn echo_env() -> Env {
@@ -480,24 +468,5 @@ mod tests {
             eval_expr(&mut env, &Expr::field("icmp", "nonexistent")),
             Err(ExecError::UnknownField(_))
         ));
-    }
-
-    #[test]
-    fn encapsulated_reply_is_a_valid_ip_packet() {
-        let mut env = echo_env();
-        exec_stmt(
-            &mut env,
-            &Stmt::Call {
-                name: "reverse_source_and_destination".into(),
-                args: vec![],
-            },
-        )
-        .unwrap();
-        let pkt = encapsulate_reply(&env);
-        assert!(ipv4::checksum_ok(&pkt));
-        assert_eq!(
-            pkt.get_field(ipv4::FIELDS, "destination_address").unwrap(),
-            u64::from(addr(10, 0, 1, 100))
-        );
     }
 }

@@ -182,16 +182,6 @@ impl Lf {
         };
         f(rebuilt)
     }
-
-    /// Wrap this form in an `@AdvComment`, marking it non-actionable.
-    pub fn into_comment(self) -> Lf {
-        Lf::Pred(PredName::AdvComment, vec![self])
-    }
-
-    /// True if this form is tagged non-actionable.
-    pub fn is_comment(&self) -> bool {
-        matches!(self, Lf::Pred(PredName::AdvComment, _))
-    }
 }
 
 impl fmt::Display for Lf {
@@ -303,13 +293,6 @@ mod tests {
             Some(8)
         );
         assert_eq!(Lf::atom("checksum").as_number(), None);
-    }
-
-    #[test]
-    fn comment_wrapping() {
-        let lf = checksum_zero().into_comment();
-        assert!(lf.is_comment());
-        assert!(!checksum_zero().is_comment());
     }
 
     #[test]

@@ -360,20 +360,6 @@ impl PredName {
         }
     }
 
-    /// True for predicates whose sub-forms are *conditions* rather than
-    /// effects (used by the predicate-ordering checks).
-    pub fn is_condition_context(&self) -> bool {
-        matches!(self, PredName::If | PredName::Compare | PredName::Not)
-    }
-
-    /// True for advice predicates (`@AdvBefore`, `@AdvAfter`, `@AdvComment`).
-    pub fn is_advice(&self) -> bool {
-        matches!(
-            self,
-            PredName::AdvBefore | PredName::AdvAfter | PredName::AdvComment
-        )
-    }
-
     /// True for predicates that describe an executable effect.
     pub fn is_effect(&self) -> bool {
         matches!(
@@ -509,24 +495,11 @@ mod tests {
     }
 
     #[test]
-    fn advice_classification() {
-        assert!(PredName::AdvBefore.is_advice());
-        assert!(PredName::AdvComment.is_advice());
-        assert!(!PredName::Is.is_advice());
-    }
-
-    #[test]
     fn effect_classification() {
         assert!(PredName::Is.is_effect());
         assert!(PredName::Action.is_effect());
         assert!(!PredName::If.is_effect());
         assert!(!PredName::Num.is_effect());
-    }
-
-    #[test]
-    fn condition_context_classification() {
-        assert!(PredName::If.is_condition_context());
-        assert!(!PredName::And.is_condition_context());
     }
 
     #[test]

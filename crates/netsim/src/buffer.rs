@@ -7,7 +7,7 @@
 //! [`PacketBuf`] reads and writes those fields in network byte order.
 //!
 //! Code that addresses a field by name at run time — the generated-code
-//! engines, the tcpdump/pcap decoders — scans the table per access.  Code
+//! engines, the tcpdump decoder — scans the table per access.  Code
 //! that knows its fields when it is written resolves them once, at compile
 //! time, with [`field`]: `const TTL: &FieldSpec = field(FIELDS, "ttl");`.
 

@@ -377,12 +377,13 @@ pub fn classify_errors(
 }
 
 // ---------------------------------------------------------------------------
-// Per-link fault injection for the event kernel
+// Seeded randomness for fault schedules
 // ---------------------------------------------------------------------------
 
 /// A deterministic SplitMix64 stream, the same generator the vendored
-/// proptest shim uses, so link faults replay under the same
-/// `PROPTEST_SEED` contract as the property tests.
+/// proptest shim uses.  [`crate::fuzz::FaultSchedule`]'s generators and
+/// the campaign grids' per-cell seeds draw from it, so a fault schedule
+/// replays under the same `PROPTEST_SEED` contract as the property tests.
 #[derive(Debug, Clone)]
 pub struct FaultRng {
     state: u64,
@@ -396,14 +397,6 @@ impl FaultRng {
         }
     }
 
-    /// A stream seeded from `PROPTEST_SEED` (decimal or `0x`-prefixed hex),
-    /// falling back to the same default the proptest shim uses.  The
-    /// parsing and precedence live in [`crate::fuzz::seed_from_env`], the
-    /// one seed source every suite shares.
-    pub fn from_env() -> FaultRng {
-        FaultRng::new(crate::fuzz::seed_from_env())
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -411,96 +404,6 @@ impl FaultRng {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    /// A value uniform in `[0, 1000)` — the permille draw fault rates use.
-    fn permille(&mut self) -> u32 {
-        (self.next_u64() % 1000) as u32
-    }
-}
-
-/// A seeded, replayable per-link fault model for the event kernel: loss,
-/// duplication and single-byte corruption, each expressed as a permille
-/// rate.  This moves the fault vocabulary of [`FaultSpec`] (per-codec
-/// wrappers) down to the wire, where any protocol exchange — not just ICMP
-/// replies — can be subjected to it.
-#[derive(Debug, Clone)]
-pub struct FaultyLink {
-    /// Packets lost, in permille.
-    pub loss_permille: u32,
-    /// Packets duplicated, in permille.
-    pub duplicate_permille: u32,
-    /// Packets with one corrupted byte, in permille.
-    pub corrupt_permille: u32,
-    rng: FaultRng,
-}
-
-impl FaultyLink {
-    /// A fault model with explicit rates and seed.
-    pub fn new(
-        loss_permille: u32,
-        duplicate_permille: u32,
-        corrupt_permille: u32,
-        seed: u64,
-    ) -> FaultyLink {
-        FaultyLink {
-            loss_permille,
-            duplicate_permille,
-            corrupt_permille,
-            rng: FaultRng::new(seed),
-        }
-    }
-
-    /// A fault model seeded from `PROPTEST_SEED` (the replay contract the
-    /// property tests already use).
-    pub fn from_env(
-        loss_permille: u32,
-        duplicate_permille: u32,
-        corrupt_permille: u32,
-    ) -> FaultyLink {
-        FaultyLink {
-            loss_permille,
-            duplicate_permille,
-            corrupt_permille,
-            rng: FaultRng::from_env(),
-        }
-    }
-
-    fn corrupt(&mut self, packet: &PacketBuf) -> PacketBuf {
-        let mut bytes = packet.as_bytes().to_vec();
-        if !bytes.is_empty() {
-            let idx = (self.rng.next_u64() as usize) % bytes.len();
-            bytes[idx] ^= 0xFF;
-        }
-        PacketBuf::from_bytes(bytes)
-    }
-}
-
-impl crate::sim::LinkModel for FaultyLink {
-    fn transmit(&mut self, packet: &PacketBuf) -> Vec<crate::sim::LinkDelivery> {
-        // One draw per decision, always in the same order, so a fixed seed
-        // replays the exact same fault schedule.
-        let lost = self.rng.permille() < self.loss_permille;
-        let duplicated = self.rng.permille() < self.duplicate_permille;
-        let corrupted = self.rng.permille() < self.corrupt_permille;
-        if lost {
-            return Vec::new();
-        }
-        let delivered = if corrupted {
-            self.corrupt(packet)
-        } else {
-            packet.clone()
-        };
-        let mut out = vec![crate::sim::LinkDelivery::intact(delivered.clone())];
-        if duplicated {
-            out.push(crate::sim::LinkDelivery {
-                packet: delivered,
-                // The duplicate trails the original slightly, as a
-                // retransmitted copy would.
-                extra_delay_ns: 1_000,
-            });
-        }
-        out
     }
 }
 
@@ -662,45 +565,5 @@ mod tests {
             ErrorCategory::Checksum.label(),
             "Incorrect checksum or dropped by kernel"
         );
-    }
-
-    #[test]
-    fn faulty_link_replays_the_same_schedule_for_the_same_seed() {
-        use crate::sim::LinkModel;
-        let packet = echo_request();
-        let run = |seed: u64| {
-            let mut link = FaultyLink::new(300, 300, 300, seed);
-            (0..64)
-                .map(|_| {
-                    link.transmit(&packet)
-                        .iter()
-                        .map(|d| d.packet.as_bytes().to_vec())
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43), "different seeds should differ");
-    }
-
-    #[test]
-    fn faulty_link_extreme_rates_behave() {
-        use crate::sim::LinkModel;
-        let packet = echo_request();
-        let mut lossy = FaultyLink::new(1000, 0, 0, 1);
-        assert!(lossy.transmit(&packet).is_empty());
-        let mut dup = FaultyLink::new(0, 1000, 0, 1);
-        let out = dup.transmit(&packet);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].packet.as_bytes(), out[1].packet.as_bytes());
-        assert!(out[1].extra_delay_ns > 0);
-        let mut corrupt = FaultyLink::new(0, 0, 1000, 1);
-        let out = corrupt.transmit(&packet);
-        assert_eq!(out.len(), 1);
-        assert_ne!(out[0].packet.as_bytes(), packet.as_bytes());
-        let mut clean = FaultyLink::new(0, 0, 0, 1);
-        let out = clean.transmit(&packet);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].packet.as_bytes(), packet.as_bytes());
     }
 }

@@ -15,8 +15,6 @@
 //! * [`net`] — the Appendix-A router (the Mininet substitute's router): one
 //!   decision ladder for TTL handling, routing and every ICMP trigger, with
 //!   the ICMP messages built by a pluggable responder;
-//! * [`pcap`] — a classic-format pcap writer for packet-capture
-//!   verification;
 //! * [`tcpdump`] — a decoder/validator that mimics `tcpdump`'s sanity
 //!   checks (truncation, bad checksums, unknown types);
 //! * [`tools`] — `ping` and `traceroute` clients driven against the virtual
@@ -35,7 +33,6 @@ pub mod faulty;
 pub mod fuzz;
 pub mod headers;
 pub mod net;
-pub mod pcap;
 pub mod scenario;
 pub mod sim;
 pub mod tcpdump;
@@ -58,6 +55,6 @@ pub use scenario::{
 };
 pub use sim::{
     EventTrace, LatencyHistogram, LinkDelivery, LinkModel, Node, NodeId, RouterNode, Sim,
-    SimBuilder, SimError, SimTime, Topology, TopologyError, TraceMode, TraceSummary,
+    SimBuilder, SimTime, Topology, TopologyError, TraceMode, TraceSummary,
 };
 pub use tcpdump::{decode_packet, Decoded, Warning};

@@ -208,14 +208,6 @@ impl ScenarioRegistry {
     pub fn find(&self, name: &str) -> Option<&Arc<dyn Scenario>> {
         self.scenarios.iter().find(|s| s.name() == name)
     }
-
-    /// Run every scenario on its preferred topology.
-    pub fn run_all(&self) -> Result<Vec<ScenarioRun>, TopologyError> {
-        self.scenarios
-            .iter()
-            .map(|s| run_scenario(s.as_ref()))
-            .collect()
-    }
 }
 
 /// The peer every NTP session polls: its timer has reached the threshold,
@@ -928,7 +920,8 @@ mod tests {
 
     #[test]
     fn reference_scenarios_pass_on_their_preferred_topology() {
-        for run in reference_scenarios().run_all().unwrap() {
+        for scenario in reference_scenarios().scenarios() {
+            let run = run_scenario(scenario.as_ref()).unwrap();
             assert!(
                 run.ok(),
                 "{}/{} failed {:?}\n{}",

@@ -41,11 +41,6 @@ impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// A duration of `us` microseconds.
-    pub fn from_micros(us: u64) -> SimTime {
-        SimTime(us * 1_000)
-    }
-
     /// A duration of `ms` milliseconds.
     pub fn from_millis(ms: u64) -> SimTime {
         SimTime(ms * 1_000_000)
@@ -121,69 +116,6 @@ impl std::fmt::Display for TopologyError {
 }
 
 impl std::error::Error for TopologyError {}
-
-/// A typed kernel-level failure: an out-of-range node/link id or a
-/// routing lookup that cannot succeed.  These are the *reachable*
-/// failure modes of the kernel API surface — callers constructing ids by
-/// hand, or asking for routes on disconnected topologies.  (Packet-time
-/// route misses are deliberately *not* errors: a packet with no route is
-/// a simulation outcome and traces as a `Drop`, never a panic.)
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
-    /// A [`NodeId`] outside the topology's node table.
-    UnknownNode {
-        /// The out-of-range index.
-        node: usize,
-        /// Number of nodes the topology has.
-        nodes: usize,
-    },
-    /// A [`LinkId`] outside the topology's link table.
-    UnknownLink {
-        /// The out-of-range index.
-        link: usize,
-        /// Number of links the topology has.
-        links: usize,
-    },
-    /// The node has no interface address to use as its primary address.
-    NodeWithoutAddress {
-        /// The addressless node.
-        node: usize,
-    },
-    /// No path exists between two nodes of the topology.
-    NoRoute {
-        /// The source node.
-        src: usize,
-        /// The destination node.
-        dst: usize,
-    },
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::UnknownNode { node, nodes } => {
-                write!(
-                    f,
-                    "node id {node} out of range (topology has {nodes} nodes)"
-                )
-            }
-            SimError::UnknownLink { link, links } => {
-                write!(
-                    f,
-                    "link id {link} out of range (topology has {links} links)"
-                )
-            }
-            SimError::NodeWithoutAddress { node } => {
-                write!(f, "node {node} has no interface address")
-            }
-            SimError::NoRoute { src, dst } => {
-                write!(f, "no route from node {src} to node {dst}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
 
 /// Whether a node is an end host or a packet-forwarding router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -377,28 +309,13 @@ impl Topology {
     }
 
     /// The primary address of a node (its first interface).  Returns 0
-    /// for an addressless or out-of-range node; [`Topology::try_addr_of`]
-    /// is the checked form.
+    /// for an addressless or out-of-range node.
     pub fn addr_of(&self, n: NodeId) -> u32 {
         self.nodes
             .get(n.0)
             .and_then(|spec| spec.addrs.first())
             .map(|(a, _)| *a)
             .unwrap_or(0)
-    }
-
-    /// The primary address of a node, with out-of-range ids and
-    /// addressless nodes reported as typed [`SimError`]s instead of a
-    /// silent 0 sentinel.
-    pub fn try_addr_of(&self, n: NodeId) -> Result<u32, SimError> {
-        let spec = self.nodes.get(n.0).ok_or(SimError::UnknownNode {
-            node: n.0,
-            nodes: self.nodes.len(),
-        })?;
-        spec.addrs
-            .first()
-            .map(|(a, _)| *a)
-            .ok_or(SimError::NodeWithoutAddress { node: n.0 })
     }
 
     /// The [`Router`] of node `n`, one interface per address and no full
@@ -674,27 +591,9 @@ impl Routes {
     /// Indexing invariant: `next_hop` is an N×N table built by
     /// [`Routes::compute`] from the same topology the ids came from, so
     /// in-kernel callers (which only ever pass ids the topology produced)
-    /// cannot go out of range.  Hand-built ids go through
-    /// [`Routes::try_link_towards`].
+    /// cannot go out of range.
     pub fn link_towards(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
         self.next_hop[src.0][dst.0]
-    }
-
-    /// [`Routes::link_towards`] with out-of-range ids and unreachable
-    /// pairs reported as typed [`SimError`]s — the checked form scenario
-    /// and campaign code validates topologies with.
-    pub fn try_link_towards(&self, src: NodeId, dst: NodeId) -> Result<LinkId, SimError> {
-        let nodes = self.next_hop.len();
-        let row = self
-            .next_hop
-            .get(src.0)
-            .ok_or(SimError::UnknownNode { node: src.0, nodes })?;
-        row.get(dst.0)
-            .ok_or(SimError::UnknownNode { node: dst.0, nodes })?
-            .ok_or(SimError::NoRoute {
-                src: src.0,
-                dst: dst.0,
-            })
     }
 }
 
@@ -725,7 +624,7 @@ impl LinkDelivery {
 /// A per-link behaviour hook: loss, duplication, corruption and jitter are
 /// expressed by returning zero, one or many [`LinkDelivery`]s per transmit.
 /// Implementations must be deterministic for a fixed seed —
-/// [`crate::faulty::FaultyLink`] is the seeded reference implementation.
+/// [`crate::fuzz::ScheduledLink`] is the seeded implementation.
 pub trait LinkModel: Send {
     /// Decide what arrives when `packet` is transmitted on this link.
     fn transmit(&mut self, packet: &PacketBuf) -> Vec<LinkDelivery>;
@@ -1483,26 +1382,10 @@ impl SimBuilder {
     ///
     /// Indexing invariant: `handlers` is sized from the topology at
     /// construction, so ids the topology produced cannot go out of
-    /// range; hand-built ids go through [`SimBuilder::try_bind`].
+    /// range.
     pub fn bind(&mut self, node: NodeId, handler: Box<dyn Node>) -> &mut Self {
         self.handlers[node.0] = Some(handler);
         self
-    }
-
-    /// [`SimBuilder::bind`] with an out-of-range id reported as a typed
-    /// [`SimError`] instead of a panic.
-    pub fn try_bind(
-        &mut self,
-        node: NodeId,
-        handler: Box<dyn Node>,
-    ) -> Result<&mut Self, SimError> {
-        if node.0 >= self.handlers.len() {
-            return Err(SimError::UnknownNode {
-                node: node.0,
-                nodes: self.handlers.len(),
-            });
-        }
-        Ok(self.bind(node, handler))
     }
 
     /// Bind a handler to a node by name.  A scenario/topology mismatch
@@ -1520,27 +1403,11 @@ impl SimBuilder {
     /// Attach a fault/delay model to a link.
     ///
     /// Indexing invariant: `link_models` is sized from the topology at
-    /// construction; hand-built ids go through
-    /// [`SimBuilder::try_bind_link_model`].
+    /// construction, so ids the topology produced cannot go out of
+    /// range.
     pub fn bind_link_model(&mut self, link: LinkId, model: Box<dyn LinkModel>) -> &mut Self {
         self.link_models[link.0] = Some(model);
         self
-    }
-
-    /// [`SimBuilder::bind_link_model`] with an out-of-range id reported
-    /// as a typed [`SimError`] instead of a panic.
-    pub fn try_bind_link_model(
-        &mut self,
-        link: LinkId,
-        model: Box<dyn LinkModel>,
-    ) -> Result<&mut Self, SimError> {
-        if link.0 >= self.link_models.len() {
-            return Err(SimError::UnknownLink {
-                link: link.0,
-                links: self.link_models.len(),
-            });
-        }
-        Ok(self.bind_link_model(link, model))
     }
 
     /// Cap the total number of processed events (runaway-loop backstop).

@@ -62,14 +62,6 @@ impl Phrase {
             token_count: tokens.len(),
         }
     }
-
-    /// True if this phrase behaves as a noun phrase for CCG purposes.
-    pub fn is_nominal(&self) -> bool {
-        matches!(
-            self.kind,
-            PhraseKind::DomainTerm | PhraseKind::NounPhrase | PhraseKind::Number
-        )
-    }
 }
 
 /// Configuration of the chunking stage; both switches default to `true`.
@@ -285,7 +277,6 @@ mod tests {
         let p = default_chunks("the type code changed to 16");
         let num = p.iter().find(|x| x.text == "16").unwrap();
         assert_eq!(num.kind, PhraseKind::Number);
-        assert!(num.is_nominal());
     }
 
     #[test]

@@ -47,16 +47,6 @@ impl Token {
             start,
         }
     }
-
-    /// True for tokens that terminate a clause (., ;).
-    pub fn is_clause_end(&self) -> bool {
-        self.kind == TokenKind::Punct && (self.text == "." || self.text == ";")
-    }
-
-    /// True for the comma token.
-    pub fn is_comma(&self) -> bool {
-        self.kind == TokenKind::Punct && self.text == ","
-    }
 }
 
 impl fmt::Display for Token {
@@ -165,19 +155,6 @@ pub fn tokenize(input: &str) -> Vec<Token> {
     tokens
 }
 
-/// Reassemble tokens into a readable string (single spaces, no space before
-/// punctuation).  Used in reports and error messages.
-pub fn detokenize(tokens: &[Token]) -> String {
-    let mut out = String::new();
-    for t in tokens {
-        if !out.is_empty() && t.kind != TokenKind::Punct {
-            out.push(' ');
-        }
-        out.push_str(&t.text);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,23 +223,6 @@ mod tests {
             .collect();
         assert_eq!(n.len(), 1);
         assert_eq!(n[0].text, "16");
-    }
-
-    #[test]
-    fn commas_and_clause_ends() {
-        let toks = tokenize("a, b; c.");
-        assert!(toks[1].is_comma());
-        assert!(toks[3].is_clause_end());
-        assert!(toks[5].is_clause_end());
-    }
-
-    #[test]
-    fn detokenize_is_readable() {
-        let toks = tokenize("For computing the checksum, the checksum field should be zero.");
-        assert_eq!(
-            detokenize(&toks),
-            "For computing the checksum, the checksum field should be zero."
-        );
     }
 
     #[test]

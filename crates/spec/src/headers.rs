@@ -27,11 +27,6 @@ pub struct HeaderStruct {
 }
 
 impl HeaderStruct {
-    /// Total size in bits.
-    pub fn total_bits(&self) -> usize {
-        self.fields.iter().map(|f| f.width_bits).sum()
-    }
-
     /// Look up a field by (normalised) name.
     pub fn field(&self, name: &str) -> Option<&HeaderField> {
         let norm = normalise_name(name);

@@ -6,10 +6,12 @@
 //! the packet kinds, and first-match ownership of an address two nodes
 //! share.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use sage_repro::core::sweep::{full_registry, run_sweep};
 use sage_repro::netsim::buffer::PacketBuf;
-use sage_repro::netsim::faulty::FaultyLink;
+use sage_repro::netsim::fuzz::{FaultSchedule, SchedulePlan};
 use sage_repro::netsim::headers::{icmp, ipv4};
 use sage_repro::netsim::scenario::{reference_scenarios, run_scenario_on};
 use sage_repro::netsim::sim::{
@@ -59,12 +61,20 @@ impl Node for Burst {
     }
 }
 
-/// Build the two-host burst sim with a seeded faulty link and run it.
+/// Up to 32 faults on the one link, over the burst's 64 transmits.
+const BURST_PLAN: SchedulePlan = SchedulePlan {
+    links: 1,
+    max_entries: 32,
+    horizon: 64,
+};
+
+/// Build the two-host burst sim with a seeded fault schedule on its link
+/// and run it.
 fn faulty_burst_trace(seed: u64) -> String {
     let mut topo = Topology::named("faulty-pair");
     let a = topo.host("a", ipv4::addr(10, 0, 1, 1), 24);
     let b = topo.host("b", ipv4::addr(10, 0, 1, 2), 24);
-    let link = topo.link(a, b, 1_000);
+    topo.link(a, b, 1_000);
     let mut sim = SimBuilder::new(topo);
     sim.bind(
         a,
@@ -74,14 +84,21 @@ fn faulty_burst_trace(seed: u64) -> String {
             count: 64,
         }),
     );
-    // Aggressive rates so every fault kind (loss, duplication, corruption)
-    // actually occurs within the burst.
-    sim.bind_link_model(link, Box::new(FaultyLink::new(250, 250, 250, seed)));
+    FaultSchedule::generate(seed, &BURST_PLAN).apply(&mut sim);
     sim.build().run().render()
 }
 
 #[test]
 fn seeded_faulty_link_replays_the_same_trace() {
+    // Every fault kind occurs within the burst, so the replay covers them
+    // all.
+    let schedule = FaultSchedule::generate(0x5A6E, &BURST_PLAN);
+    let kinds: HashSet<_> = schedule
+        .entries
+        .iter()
+        .map(|e| std::mem::discriminant(&e.action))
+        .collect();
+    assert_eq!(kinds.len(), 5, "{}", schedule.render());
     let first = faulty_burst_trace(0x5A6E);
     let second = faulty_burst_trace(0x5A6E);
     assert_eq!(first, second, "same seed must replay byte-identically");
@@ -280,35 +297,6 @@ fn delayed_duplicates_sort_by_time_before_seq() {
         )],
     );
     assert_eq!(delivered_sequence(&trace, "b"), vec![0, 1, 0]);
-}
-
-/// `FaultyLink` honours `PROPTEST_SEED`-style seeding at the API level too:
-/// two links with the same seed produce the same schedule over the same
-/// packet sequence.
-#[test]
-fn faulty_link_schedule_is_a_pure_function_of_the_seed() {
-    use sage_repro::netsim::sim::LinkModel;
-    let echo = icmp::build_echo(false, 9, 9, b"seeded");
-    let packet = ipv4::build_packet(
-        ipv4::addr(10, 0, 1, 1),
-        ipv4::addr(10, 0, 1, 2),
-        ipv4::PROTO_ICMP,
-        64,
-        echo.as_bytes(),
-    );
-    let schedule = |seed: u64| -> Vec<Vec<(Vec<u8>, u64)>> {
-        let mut link = FaultyLink::new(200, 200, 200, seed);
-        (0..32)
-            .map(|_| {
-                link.transmit(&packet)
-                    .into_iter()
-                    .map(|d| (d.packet.as_bytes().to_vec(), d.extra_delay_ns))
-                    .collect()
-            })
-            .collect()
-    };
-    assert_eq!(schedule(7), schedule(7));
-    assert_ne!(schedule(7), schedule(8));
 }
 
 /// A host that notes whether the kernel can route to `probe` (when set),
