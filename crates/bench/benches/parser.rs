@@ -4,10 +4,7 @@
 //! [`ParserWorkspace`] (cloned arenas, packed chart, memoized lexicon view)
 //! across the whole ICMP corpus, and `interned_fresh` pays the workspace
 //! construction per sentence (the `parse_sentence` convenience entry).
-//! The committed `BENCH_parser.json` baseline still holds a
-//! `parser/reference/icmp_corpus` row: the pre-refactor boxed engine, since
-//! deleted, timed when the interned engine replaced it; `bench-diff`
-//! reports it as not exercised.
+//! The committed `BENCH_parser.json` baseline holds both.
 //!
 //! The `parser_dedup` group is the regression guard for the old quadratic
 //! `Vec::contains` per-cell deduplication: it parses the longest corpus

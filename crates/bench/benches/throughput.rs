@@ -5,9 +5,10 @@
 //! so the check families are rebuilt and the lexicon is probed uncached
 //! every time.  The `batch_workers/*` entries drive the same
 //! ICMP corpus through [`BatchPipeline`] with a shared read-only lexicon and
-//! per-worker memoized workspaces (symbol-keyed lexicon cache, hash-consed
-//! LF arena, pre-built winnower).  The committed `BENCH_batch.json` baseline
-//! records the batch engine beating the sequential loop.
+//! per-worker memoized workspaces (symbol-keyed lexicon cache, parse memo,
+//! hash-consed LF arena, pre-built winnower), built afresh on every run.
+//! The committed `BENCH_batch.json` baseline records the batch engine
+//! beating the sequential loop, and holds every row of this file.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sage_core::batch::{BatchItem, BatchPipeline};

@@ -10,7 +10,7 @@
 //!   every verdict plane, predicate mask and leaf-type memo starts empty,
 //!   so this measures the engine without cross-sentence memoization;
 //! * `interned_warm` — the production shape: one long-lived arena (as in a
-//!   recycled batch workspace), where a verdict computed for a subterm of
+//!   batch worker's workspace), where a verdict computed for a subterm of
 //!   one sentence is a memo hit for every later occurrence.  The committed
 //!   `BENCH_winnow.json` baseline records this path beating the boxed
 //!   reference by well over the required 3×.

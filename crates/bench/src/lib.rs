@@ -316,25 +316,14 @@ pub fn extract_bench_results(json: &str) -> Vec<(String, f64)> {
 pub fn render_bench_diff(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> String {
     let fresh_by_id: std::collections::HashMap<&str, f64> =
         fresh.iter().map(|(id, ns)| (id.as_str(), *ns)).collect();
-    // An id can appear in several baseline files (BENCH_parser.json refreshes
-    // the throughput rows of BENCH_batch.json); the later file wins, keeping
-    // the first file's position.
-    let mut base_order: Vec<&str> = Vec::new();
-    let mut base_by_id: std::collections::HashMap<&str, f64> = std::collections::HashMap::new();
-    for (id, ns) in baseline {
-        if base_by_id.insert(id.as_str(), *ns).is_none() {
-            base_order.push(id.as_str());
-        }
-    }
     let mut out = String::from("Bench drift vs committed BENCH_*.json baselines\n");
     out.push_str(&format!(
         "{:<50} {:>14} {:>14} {:>9}\n",
         "benchmark", "baseline", "fresh", "delta"
     ));
     let mut not_exercised = 0usize;
-    for id in base_order {
-        let base_ns = base_by_id[id];
-        match fresh_by_id.get(id) {
+    for (id, base_ns) in baseline {
+        match fresh_by_id.get(id.as_str()) {
             Some(fresh_ns) => {
                 let delta = (fresh_ns - base_ns) / base_ns * 100.0;
                 out.push_str(&format!(
@@ -349,7 +338,7 @@ pub fn render_bench_diff(baseline: &[(String, f64)], fresh: &[(String, f64)]) ->
         }
     }
     for (id, fresh_ns) in fresh {
-        if !base_by_id.contains_key(id.as_str()) {
+        if !baseline.iter().any(|(base_id, _)| base_id == id) {
             out.push_str(&format!(
                 "{:<50} {:>14} {:>11.1} ms {:>9}\n",
                 id,

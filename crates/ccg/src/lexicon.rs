@@ -72,7 +72,6 @@ pub struct InternedEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Lexicon {
     entries: HashMap<String, Vec<InternedEntry>>,
-    count_by_group: HashMap<LexiconGroup, usize>,
     cats: CatArena,
     sems: SemArena,
 }
@@ -164,7 +163,6 @@ impl Lexicon {
     /// category and semantics into the lexicon's arenas.
     pub fn add_entries(&mut self, entries: Vec<LexEntry>) {
         for e in entries {
-            *self.count_by_group.entry(e.group).or_insert(0) += 1;
             let item = InternedEntry {
                 cat: self.cats.intern(&e.category),
                 sem: self.sems.intern_term(&e.sem),
@@ -209,11 +207,6 @@ impl Lexicon {
     /// True if the lexicon is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Number of entries contributed by a group.
-    pub fn group_count(&self, group: LexiconGroup) -> usize {
-        self.count_by_group.get(&group).copied().unwrap_or(0)
     }
 }
 
@@ -863,8 +856,6 @@ mod tests {
     #[test]
     fn icmp_adds_71_entries() {
         assert_eq!(icmp_entries().len(), 71);
-        let lex = Lexicon::icmp();
-        assert_eq!(lex.group_count(LexiconGroup::Icmp), 71);
     }
 
     #[test]
@@ -872,11 +863,6 @@ mod tests {
         assert_eq!(igmp_entries().len(), 8);
         assert_eq!(ntp_entries().len(), 5);
         assert_eq!(bfd_entries().len(), 15);
-        let lex = Lexicon::bfd();
-        assert_eq!(lex.group_count(LexiconGroup::Igmp), 8);
-        assert_eq!(lex.group_count(LexiconGroup::Ntp), 5);
-        assert_eq!(lex.group_count(LexiconGroup::Bfd), 15);
-        assert_eq!(lex.group_count(LexiconGroup::Icmp), 71);
     }
 
     #[test]

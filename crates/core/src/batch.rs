@@ -2,18 +2,20 @@
 //!
 //! [`BatchPipeline`] fans a corpus of sentences across scoped worker threads.
 //! The [`Sage`] pipeline (configuration, lexicon, term dictionary) is shared
-//! read-only; each worker leases an [`AnalysisWorkspace`] from the
-//! pipeline's pool — its private interned-parser workspace (recycled
-//! category/semantics arenas and packed chart over the pre-interned
-//! lexicon), memo-carrying logical-form arena (per-subterm check verdicts,
-//! leaf types, canonical forms) and compiled check families — so the hot
-//! path takes no locks, and the memos survive from run to run.  The worker
-//! count is capped at the machine's available parallelism (oversubscription
-//! only adds setup and contention), and the [`grid`](crate::grid) runner
-//! merges every sentence's [`StageReport`] by corpus index, so the
-//! [`BatchReport`] is identical regardless of worker count, scheduling order
-//! or memo warmth (the determinism test pins byte-identical rendered reports
-//! for 1, 2 and 8 workers).
+//! read-only; each worker builds one
+//! [`AnalysisWorkspace`](crate::pipeline::AnalysisWorkspace) for the run —
+//! its private interned-parser workspace (recycled category/semantics arenas
+//! and packed chart over the pre-interned lexicon), sentence-level parse memo,
+//! memo-carrying logical-form arena (per-subterm check verdicts, leaf types,
+//! canonical forms) and compiled check families — and runs
+//! [`Sage::analyze_sentence_in`] on every item it claims, so the hot path
+//! takes no locks.  The worker count is capped at the machine's available
+//! parallelism (oversubscription only adds setup and contention), and the
+//! [`grid`](crate::grid) runner merges every sentence's [`StageReport`] by
+//! corpus index, so the [`BatchReport`] is identical regardless of worker
+//! count or scheduling order (the determinism test pins byte-identical
+//! rendered reports for 1, 2 and 8 workers).  [`Sage::analyze_document`] and
+//! [`Sage::analyze_sentences`] are this engine on one worker.
 //!
 //! ```
 //! use sage_core::batch::{BatchItem, BatchPipeline};
@@ -27,13 +29,9 @@
 //! ```
 
 use crate::grid::{effective_workers, par_map_with};
-use crate::pipeline::{
-    field_value_idiom, AnalysisWorkspace, PipelineReport, Sage, SentenceAnalysis, SentenceStatus,
-};
-use sage_ccg::ParseResult;
+use crate::pipeline::{Sage, SentenceAnalysis, SentenceStatus};
 use sage_spec::context::{context_for, ContextDict, Role};
 use sage_spec::document::{Document, Sentence};
-use std::sync::Mutex;
 
 /// One unit of batch work: a sentence plus its already-resolved context.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,42 +99,29 @@ impl BatchItem {
     }
 }
 
-/// The per-sentence stage record a worker emits: corpus position, the
-/// Figure-5 stage counts, the outcome, and the full analysis.
+/// The per-sentence record a worker emits: the sentence's corpus position
+/// and its full analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageReport {
     /// Position of the sentence in the input corpus.
     pub index: usize,
-    /// Surviving-LF counts after each winnowing stage (Base → Associativity).
-    pub counts: [usize; 6],
-    /// Final sentence status.
-    pub status: SentenceStatus,
-    /// The single surviving logical form, rendered, when resolved.
-    pub resolved_lf: Option<String>,
     /// The full per-sentence analysis.
     pub analysis: SentenceAnalysis,
 }
 
 impl StageReport {
-    fn new(index: usize, analysis: SentenceAnalysis) -> StageReport {
-        StageReport {
-            index,
-            counts: analysis.trace.counts,
-            status: analysis.status,
-            resolved_lf: analysis.resolved_lf().map(|lf| lf.to_string()),
-            analysis,
-        }
-    }
-
-    /// One deterministic report line for this sentence.
+    /// One deterministic report line for this sentence: its status, its
+    /// Figure-5 stage counts and its resolved logical form, if any.
     pub fn render_line(&self) -> String {
+        let analysis = &self.analysis;
+        let lf = analysis.resolved_lf().map(ToString::to_string);
         format!(
             "[{:>3}] {:<9} counts={:?} lf={} :: {}",
             self.index,
-            status_label(self.status),
-            self.counts,
-            self.resolved_lf.as_deref().unwrap_or("-"),
-            self.analysis.sentence.text
+            status_label(analysis.status),
+            analysis.trace.counts,
+            lf.as_deref().unwrap_or("-"),
+            analysis.sentence.text
         )
     }
 }
@@ -154,18 +139,21 @@ fn status_label(status: SentenceStatus) -> &'static str {
 /// order, independent of how many workers produced them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
-    /// Number of worker threads that produced the report.
-    pub workers: usize,
     /// Per-sentence reports, sorted by corpus index.
     pub reports: Vec<StageReport>,
 }
 
 impl BatchReport {
+    /// The per-sentence analyses, in corpus order.
+    pub fn analyses(&self) -> impl Iterator<Item = &SentenceAnalysis> {
+        self.reports.iter().map(|r| &r.analysis)
+    }
+
     /// Sum of per-sentence stage counts (the corpus-level Figure 5 row).
     pub fn stage_totals(&self) -> [usize; 6] {
         let mut totals = [0usize; 6];
-        for r in &self.reports {
-            for (t, c) in totals.iter_mut().zip(r.counts.iter()) {
+        for analysis in self.analyses() {
+            for (t, c) in totals.iter_mut().zip(analysis.trace.counts) {
                 *t += c;
             }
         }
@@ -174,19 +162,11 @@ impl BatchReport {
 
     /// Number of sentences with the given status.
     pub fn count(&self, status: SentenceStatus) -> usize {
-        self.reports.iter().filter(|r| r.status == status).count()
+        self.analyses().filter(|a| a.status == status).count()
     }
 
-    /// Flatten into the sequential pipeline's report type.
-    pub fn into_pipeline_report(self) -> PipelineReport {
-        PipelineReport {
-            analyses: self.reports.into_iter().map(|r| r.analysis).collect(),
-        }
-    }
-
-    /// Render the whole report as deterministic text.  Worker count is
-    /// deliberately excluded: runs with different worker counts must render
-    /// byte-identically.
+    /// Render the whole report as deterministic text, byte-identical at
+    /// every worker count.
     pub fn render(&self) -> String {
         let totals = self.stage_totals();
         let mut out = format!("Batch pipeline report: {} sentences\n", self.reports.len());
@@ -209,23 +189,10 @@ impl BatchReport {
     }
 }
 
-/// The batch driver: a shared read-only [`Sage`], a worker count, and a
-/// pool of recycled per-worker workspaces.
-///
-/// The pool is what makes the memoized check engine pay off across *runs*,
-/// not just across the sentences of one run: a worker's
-/// [`AnalysisWorkspace`] carries the hash-consed LF arena (with its
-/// per-subterm check verdicts and leaf-type memos), the sentence-level
-/// parse memo, and the parser's recycled chart buffers.  Workspaces are
-/// leased to the worker threads for the duration of a run and returned
-/// afterwards, so a corpus analysed twice — or two corpora sharing
-/// boilerplate RFC prose — reuses every verdict and parse the first pass
-/// computed.  Results are independent of memo warmth (pinned by the
-/// determinism and parity suites), so recycling never changes a report.
+/// The batch engine: a shared read-only [`Sage`] and a worker count.
 pub struct BatchPipeline<'s> {
     sage: &'s Sage,
     workers: usize,
-    pool: Mutex<Vec<AnalysisWorkspace<'s>>>,
 }
 
 impl<'s> BatchPipeline<'s> {
@@ -234,27 +201,7 @@ impl<'s> BatchPipeline<'s> {
         BatchPipeline {
             sage,
             workers: effective_workers(usize::MAX, usize::MAX),
-            pool: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Take `n` workspaces out of the pool, building any that are missing.
-    fn lease_workspaces(&self, n: usize) -> Vec<AnalysisWorkspace<'s>> {
-        let mut pool = self.pool.lock().expect("workspace pool");
-        let mut out: Vec<AnalysisWorkspace<'s>> = Vec::with_capacity(n);
-        while out.len() < n {
-            match pool.pop() {
-                Some(ws) => out.push(ws),
-                None => out.push(self.sage.workspace()),
-            }
-        }
-        out
-    }
-
-    /// Return leased workspaces — with their newly warmed memos — to the
-    /// pool for the next run.
-    fn return_workspaces(&self, workspaces: Vec<AnalysisWorkspace<'s>>) {
-        self.pool.lock().expect("workspace pool").extend(workspaces);
     }
 
     /// Override the worker count (clamped to at least 1).  The count
@@ -264,11 +211,6 @@ impl<'s> BatchPipeline<'s> {
         self
     }
 
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// The number of worker threads a run over `items` sentences will
     /// actually spawn: the configured count capped at the machine's
     /// available parallelism and at the item count.
@@ -276,112 +218,31 @@ impl<'s> BatchPipeline<'s> {
     /// Requesting more workers than cores used to *slow the batch down*
     /// (6.2 ms at 1 worker → 8.0 ms at 8 on a 1-CPU container): every extra
     /// thread pays workspace setup — a parser workspace, an LF arena, a
-    /// compiled check set, a preloaded parse memo — and then competes for
-    /// the same core, contending on the work cursor and the `Arc` refcounts
-    /// while contributing no parallelism.  Capping at the hardware keeps
-    /// oversubscribed configurations byte-identical (reports are merged by
-    /// corpus index, never by worker) and no slower than the best
-    /// configuration.
+    /// compiled check set — and then competes for the same core, contending
+    /// on the work cursor while contributing no parallelism.  Capping at the
+    /// hardware keeps oversubscribed configurations byte-identical (reports
+    /// are merged by corpus index, never by worker) and no slower than the
+    /// best configuration.
     pub fn effective_workers(&self, items: usize) -> usize {
         effective_workers(self.workers, items)
     }
 
-    /// Phase 1: chart-parse each *distinct* sentence exactly once, then the
-    /// distinct subject-supplied retries ("The {field} is {text}") for the
-    /// sentences whose primary parse came back empty — so no worker ever
-    /// re-parses a sentence another worker (or the retry path) already has.
-    /// Sentences the pipeline resolves without parsing (empty after
-    /// trimming, or matched by the field-value idiom) are skipped, mirroring
-    /// the analysis path.
-    fn parse_unique(
-        &self,
-        items: &[BatchItem],
-        workspaces: &mut [AnalysisWorkspace<'s>],
-    ) -> Vec<(String, std::sync::Arc<ParseResult>)> {
-        let parse =
-            |ws: &mut AnalysisWorkspace<'s>, text: &&str| self.sage.parse_memoized(text, ws);
-        let mut unique: Vec<&str> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for item in items {
-            let text = item.sentence.text.trim();
-            if text.is_empty() || field_value_idiom(text, &item.context).is_some() {
-                continue;
-            }
-            if seen.insert(text) {
-                unique.push(text);
-            }
-        }
-        let results = par_map_with(&unique, workspaces, parse);
-        let empty: std::collections::HashMap<&str, bool> = unique
-            .iter()
-            .zip(&results)
-            .map(|(t, r)| (*t, r.logical_forms.is_empty()))
-            .collect();
-
-        // Distinct retry texts, built exactly as `analyze_sentence_in` does.
-        let mut retry_texts: Vec<String> = Vec::new();
-        let mut seen_retry = std::collections::HashSet::new();
-        for item in items {
-            let text = item.sentence.text.trim();
-            if empty.get(text) != Some(&true) {
-                continue;
-            }
-            if let Some(field) = &item.sentence.field {
-                let with_subject = format!("The {} is {}", field.to_ascii_lowercase(), text);
-                if seen_retry.insert(with_subject.clone()) {
-                    retry_texts.push(with_subject);
-                }
-            }
-        }
-        let retry_refs: Vec<&str> = retry_texts.iter().map(String::as_str).collect();
-        let retry_results = par_map_with(&retry_refs, workspaces, parse);
-
-        unique
-            .into_iter()
-            .map(str::to_string)
-            .zip(results)
-            .chain(retry_texts.into_iter().zip(retry_results))
-            .collect()
-    }
-
-    /// Analyze every item, fanning the corpus across the grid runner's
-    /// workers, each leasing a workspace from the pool.
+    /// Analyze every item: the grid runner fans the corpus across the
+    /// effective worker count, and each worker runs
+    /// [`Sage::analyze_sentence_in`] on its claims through one workspace of
+    /// its own.
     pub fn run(&self, items: &[BatchItem]) -> BatchReport {
-        let worker_count = self.effective_workers(items.len());
-        let mut workspaces = self.lease_workspaces(worker_count);
-        let parsed = self.parse_unique(items, &mut workspaces);
-        // Distribute every parse to every worker: a refcount bump per
-        // entry, so no sentence is chart-parsed twice however the corpus
-        // is sharded.
-        for ws in workspaces.iter_mut() {
-            for (text, result) in &parsed {
-                ws.preload_parse(text, std::sync::Arc::clone(result));
-            }
-        }
-
+        let workers = self.effective_workers(items.len());
+        let mut workspaces: Vec<_> = (0..workers).map(|_| self.sage.workspace()).collect();
         let reports = par_map_with(items, &mut workspaces, |ws, item| {
             self.sage
                 .analyze_sentence_in(&item.sentence, item.context.clone(), ws)
         })
         .into_iter()
         .enumerate()
-        .map(|(i, analysis)| StageReport::new(i, analysis))
+        .map(|(index, analysis)| StageReport { index, analysis })
         .collect();
-        self.return_workspaces(workspaces);
-        BatchReport {
-            workers: worker_count,
-            reports,
-        }
-    }
-
-    /// [`BatchPipeline::run`] over a structured document.
-    pub fn run_document(&self, doc: &Document) -> BatchReport {
-        self.run(&BatchItem::from_document(doc))
-    }
-
-    /// [`BatchPipeline::run`] over a bare sentence list.
-    pub fn run_sentences(&self, protocol: &str, sentences: &[&str]) -> BatchReport {
-        self.run(&BatchItem::from_sentences(protocol, sentences))
+        BatchReport { reports }
     }
 }
 
@@ -391,15 +252,23 @@ mod tests {
     use crate::pipeline::SageConfig;
     use sage_spec::corpus::Protocol;
 
+    /// Each item analysed on a fresh workspace of its own: no memo is
+    /// shared between sentences, so it is an oracle independent of the
+    /// batch's workspaces.
+    fn per_sentence(sage: &Sage, items: &[BatchItem]) -> Vec<SentenceAnalysis> {
+        items
+            .iter()
+            .map(|item| sage.analyze_sentence(&item.sentence, item.context.clone()))
+            .collect()
+    }
+
     #[test]
     fn batch_report_matches_sequential_document_analysis() {
         let sage = Sage::new(SageConfig::default());
-        let doc = Protocol::Icmp.document();
-        let sequential = sage.analyze_document(&doc);
-        let batch = BatchPipeline::new(&sage).with_workers(2).run_document(&doc);
-        assert_eq!(batch.reports.len(), sequential.analyses.len());
-        let merged = batch.into_pipeline_report();
-        assert_eq!(merged, sequential);
+        let items = BatchItem::from_document(&Protocol::Icmp.document());
+        let batch = BatchPipeline::new(&sage).with_workers(2).run(&items);
+        let analyses: Vec<SentenceAnalysis> = batch.analyses().cloned().collect();
+        assert_eq!(analyses, per_sentence(&sage, &items));
     }
 
     #[test]
@@ -416,12 +285,11 @@ mod tests {
     #[test]
     fn batch_sentences_match_sequential_sentence_analysis() {
         let sage = Sage::default();
-        let sentences = sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES;
-        let sequential = sage.analyze_sentences("BFD", sentences);
-        let batch = BatchPipeline::new(&sage)
-            .with_workers(3)
-            .run_sentences("BFD", sentences);
-        assert_eq!(batch.into_pipeline_report(), sequential);
+        let items =
+            BatchItem::from_sentences("BFD", sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES);
+        let batch = BatchPipeline::new(&sage).with_workers(3).run(&items);
+        let analyses: Vec<SentenceAnalysis> = batch.analyses().cloned().collect();
+        assert_eq!(analyses, per_sentence(&sage, &items));
     }
 
     #[test]
@@ -483,9 +351,8 @@ mod tests {
     #[test]
     fn stage_totals_and_counts_are_consistent() {
         let sage = Sage::default();
-        let batch = BatchPipeline::new(&sage)
-            .with_workers(2)
-            .run_document(&Protocol::Icmp.document());
+        let items = BatchItem::from_document(&Protocol::Icmp.document());
+        let batch = BatchPipeline::new(&sage).with_workers(2).run(&items);
         let totals = batch.stage_totals();
         // Winnowing never increases the number of LFs stage over stage.
         for w in totals.windows(2) {

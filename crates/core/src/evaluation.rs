@@ -6,7 +6,7 @@ use crate::pipeline::{Sage, SageConfig, SentenceStatus};
 use sage_ccg::ParserConfig;
 use sage_disambig::stats::{all_check_effects_interned, CheckEffect};
 use sage_disambig::winnow::WinnowStage;
-use sage_logic::parse_lf;
+use sage_logic::{parse_lf, Lf};
 use sage_netsim::faulty::{
     classify_errors, ChecksumInterpretation, ErrorCategory, FaultSpec, StudentResponder,
 };
@@ -288,7 +288,7 @@ pub fn table8() -> Vec<Table8Row> {
             let mut increase = 0;
             let mut decrease = 0;
             let mut zero = 0;
-            for (b, a) in baseline.analyses.iter().zip(ablated.analyses.iter()) {
+            for (b, a) in baseline.analyses().zip(ablated.analyses()) {
                 if a.base_lf_count == 0 && b.base_lf_count > 0 {
                     zero += 1;
                 } else if a.base_lf_count > b.base_lf_count {
@@ -487,11 +487,7 @@ pub fn figure5(protocol: Protocol) -> Vec<Fig5Point> {
         }
         _ => sage.analyze_document(&protocol.document()),
     };
-    let ambiguous: Vec<_> = report
-        .analyses
-        .iter()
-        .filter(|a| a.base_lf_count > 1)
-        .collect();
+    let ambiguous: Vec<_> = report.analyses().filter(|a| a.base_lf_count > 1).collect();
     WinnowStage::ALL
         .iter()
         .enumerate()
@@ -521,7 +517,11 @@ pub fn figure5(protocol: Protocol) -> Vec<Fig5Point> {
 pub fn figure6() -> Vec<CheckEffect> {
     let sage = Sage::default();
     let report = sage.analyze_document(&Protocol::Icmp.document());
-    let base_sets = report.ambiguous_base_sets();
+    let base_sets: Vec<Vec<Lf>> = report
+        .analyses()
+        .filter(|a| a.base_lf_count > 1)
+        .map(|a| a.base_lfs.clone())
+        .collect();
     let mut arena = sage_logic::LfArena::new();
     all_check_effects_interned(&base_sets, &mut arena)
 }
@@ -617,7 +617,7 @@ pub fn lexicon_extension_counts() -> Vec<(&'static str, usize)> {
 pub fn disambiguation_summary() -> Vec<(&'static str, usize)> {
     let report = Sage::default().analyze_document(&Protocol::Icmp.document());
     vec![
-        ("total sentences", report.analyses.len()),
+        ("total sentences", report.reports.len()),
         (
             "resolved automatically",
             report.count(SentenceStatus::Resolved),

@@ -13,7 +13,7 @@
 //!
 //! let sage = Sage::new(SageConfig::default());
 //! let report = sage.analyze_document(&Protocol::Icmp.document());
-//! assert!(report.analyses.len() > 50);
+//! assert!(report.reports.len() > 50);
 //! ```
 
 #![deny(missing_docs)]
@@ -34,9 +34,7 @@ pub use fuzz::{
     FuzzFinding, FuzzReport,
 };
 pub use icmp::{generate_icmp_program, icmp_end_to_end, IcmpEndToEnd};
-pub use pipeline::{
-    AnalysisWorkspace, PipelineReport, Sage, SageConfig, SentenceAnalysis, SentenceStatus,
-};
+pub use pipeline::{AnalysisWorkspace, Sage, SageConfig, SentenceAnalysis, SentenceStatus};
 pub use programs::{
     generate_bfd_program, generate_igmp_program, generate_ntp_program, generate_program,
     lowering_summary, LoweringSummary,

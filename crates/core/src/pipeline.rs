@@ -1,8 +1,8 @@
 //! The SAGE pipeline: parse → disambiguate → report / generate.
 
-use crate::batch::BatchItem;
+use crate::batch::{BatchItem, BatchPipeline, BatchReport};
 use sage_ccg::overgenerate::{overgenerate_with, OvergenConfig};
-use sage_ccg::{parse_sentence, Lexicon, ParseResult, ParserConfig, ParserWorkspace};
+use sage_ccg::{Lexicon, ParseResult, ParserConfig, ParserWorkspace};
 use sage_disambig::{WinnowTrace, Winnower};
 use sage_logic::{Interner, Lf, LfArena, PredName, Symbol};
 use sage_nlp::{ChunkerConfig, TermDictionary};
@@ -99,37 +99,6 @@ impl SentenceAnalysis {
     }
 }
 
-/// The result of running the pipeline over a document.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PipelineReport {
-    /// One record per processed sentence.
-    pub analyses: Vec<SentenceAnalysis>,
-}
-
-impl PipelineReport {
-    /// Sentences with the given status.
-    pub fn with_status(&self, status: SentenceStatus) -> Vec<&SentenceAnalysis> {
-        self.analyses
-            .iter()
-            .filter(|a| a.status == status)
-            .collect()
-    }
-
-    /// Count of sentences with the given status.
-    pub fn count(&self, status: SentenceStatus) -> usize {
-        self.with_status(status).len()
-    }
-
-    /// The ambiguous-sentence analyses whose base LF sets feed Figures 5/6.
-    pub fn ambiguous_base_sets(&self) -> Vec<Vec<Lf>> {
-        self.analyses
-            .iter()
-            .filter(|a| a.base_lf_count > 1)
-            .map(|a| a.base_lfs.clone())
-            .collect()
-    }
-}
-
 /// The SAGE pipeline object.
 pub struct Sage {
     config: SageConfig,
@@ -142,19 +111,18 @@ pub struct Sage {
 /// The lexicon and configuration live in the shared, read-only [`Sage`];
 /// everything mutable — the [`ParserWorkspace`] (memoized lexicon lookups
 /// plus the recycled category/semantics arenas and packed-chart buffers of
-/// the interned CKY engine), the hash-consing logical-form arena, and the
-/// pre-built winnowing check families — lives here.  The batch pipeline
-/// gives each worker thread its own workspace, so no locks are taken on the
-/// hot path.
+/// the interned CKY engine), the sentence-level parse memo, the
+/// hash-consing logical-form arena, and the pre-built winnowing check
+/// families — lives here.  The batch pipeline gives each worker thread its
+/// own workspace, so no locks are taken on the hot path.  A workspace
+/// serves only the [`Sage`] that built it.
 pub struct AnalysisWorkspace<'s> {
+    /// The pipeline this workspace was built by; its lexicon is the one
+    /// `parser` caches and `parse_memo` was filled from.
+    sage: &'s Sage,
     parser: ParserWorkspace<'s>,
     arena: LfArena,
     winnower: Winnower,
-    /// Configuration of the [`Sage`] this workspace was built from; the
-    /// sentence-level parse memo is only consulted when it matches the
-    /// pipeline actually running, so a workspace handed to a differently
-    /// configured pipeline stays correct (just uncached).
-    config: SageConfig,
     texts: Interner,
     parse_memo: HashMap<Symbol, Arc<ParseResult>>,
     parse_hits: u64,
@@ -188,16 +156,6 @@ impl AnalysisWorkspace<'_> {
     pub fn parse_memo_stats(&self) -> (u64, usize) {
         (self.parse_hits, self.parse_memo.len())
     }
-
-    /// Seed the sentence-level parse memo with an already-computed result.
-    /// The batch driver parses each distinct sentence once (work-shared
-    /// across the pool) and preloads every worker — a refcount bump per
-    /// entry, not a deep clone — so no sentence is chart-parsed twice
-    /// however the corpus is sharded.
-    pub fn preload_parse(&mut self, text: &str, result: Arc<ParseResult>) {
-        let sym = self.texts.intern(text);
-        self.parse_memo.insert(sym, result);
-    }
 }
 
 impl Sage {
@@ -215,45 +173,32 @@ impl Sage {
         }
     }
 
-    /// Access the configuration.
-    pub fn config(&self) -> &SageConfig {
-        &self.config
-    }
-
     /// Build a fresh per-worker workspace borrowing this pipeline's shared
-    /// read-only lexicon.
+    /// read-only lexicon; it serves this pipeline only.
     pub fn workspace(&self) -> AnalysisWorkspace<'_> {
         AnalysisWorkspace {
+            sage: self,
             parser: ParserWorkspace::new(&self.lexicon),
             arena: LfArena::new(),
             winnower: Winnower::new(),
-            config: self.config,
             texts: Interner::new(),
             parse_memo: HashMap::new(),
             parse_hits: 0,
         }
     }
 
-    /// Parse through the workspace: memoized lexicon lookups always, plus a
-    /// sentence-level memo keyed by the interned text when the workspace was
-    /// built for this pipeline's configuration.
-    pub(crate) fn parse_memoized(
-        &self,
-        text: &str,
-        ws: &mut AnalysisWorkspace<'_>,
-    ) -> Arc<ParseResult> {
-        if ws.config != self.config {
-            // Workspace built for a different configuration: its lexicon
-            // cache and memo belong to another pipeline, so parse against
-            // *this* pipeline's lexicon directly — correct, just uncached.
-            return Arc::new(parse_sentence(
-                text,
-                &self.lexicon,
-                &self.dictionary,
-                self.config.chunker,
-                self.config.parser,
-            ));
-        }
+    /// Parse through the workspace: memoized lexicon lookups, plus a
+    /// sentence-level memo keyed by the interned text.
+    ///
+    /// # Panics
+    ///
+    /// If `ws` was built by another [`Sage`], whose lexicon and
+    /// configuration its caches belong to.
+    fn parse_memoized(&self, text: &str, ws: &mut AnalysisWorkspace<'_>) -> Arc<ParseResult> {
+        assert!(
+            std::ptr::eq(ws.sage, self),
+            "an AnalysisWorkspace serves only the Sage that built it"
+        );
         let sym = ws.texts.intern(text);
         if let Some(result) = ws.parse_memo.get(&sym) {
             ws.parse_hits += 1;
@@ -274,6 +219,11 @@ impl Sage {
     /// by interned symbol, logical forms are hash-consed in the workspace
     /// arena, and winnowing compares arena ids instead of string trees.  A
     /// warm workspace produces the same analysis as a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// If the sentence needs a parse and `ws` was built by another [`Sage`]
+    /// (see [`Sage::workspace`]).
     pub fn analyze_sentence_in(
         &self,
         sentence: &Sentence,
@@ -356,27 +306,21 @@ impl Sage {
         self.analyze_sentence_in(sentence, context, &mut self.workspace())
     }
 
-    /// Run the pipeline over every sentence of a document.
-    pub fn analyze_document(&self, doc: &Document) -> PipelineReport {
-        self.analyze_items(BatchItem::from_document(doc))
+    /// Run the pipeline over every sentence of a document: the one-worker
+    /// [`BatchPipeline`] over [`BatchItem::from_document`].
+    pub fn analyze_document(&self, doc: &Document) -> BatchReport {
+        BatchPipeline::new(self)
+            .with_workers(1)
+            .run(&BatchItem::from_document(doc))
     }
 
     /// Analyze a bare list of sentences (used for the BFD state-management
-    /// corpus, which the paper evaluates as a sentence list).
-    pub fn analyze_sentences(&self, protocol: &str, sentences: &[&str]) -> PipelineReport {
-        self.analyze_items(BatchItem::from_sentences(protocol, sentences))
-    }
-
-    /// [`Sage::analyze_sentence_in`] over each item, in order, on one
-    /// workspace.
-    fn analyze_items(&self, items: Vec<BatchItem>) -> PipelineReport {
-        let mut ws = self.workspace();
-        PipelineReport {
-            analyses: items
-                .into_iter()
-                .map(|item| self.analyze_sentence_in(&item.sentence, item.context, &mut ws))
-                .collect(),
-        }
+    /// corpus, which the paper evaluates as a sentence list): the one-worker
+    /// [`BatchPipeline`] over [`BatchItem::from_sentences`].
+    pub fn analyze_sentences(&self, protocol: &str, sentences: &[&str]) -> BatchReport {
+        BatchPipeline::new(self)
+            .with_workers(1)
+            .run(&BatchItem::from_sentences(protocol, sentences))
     }
 }
 
@@ -422,7 +366,7 @@ mod tests {
     fn icmp_document_pipeline_produces_mostly_resolved_sentences() {
         let sage = Sage::default();
         let report = sage.analyze_document(&Protocol::Icmp.document());
-        let total = report.analyses.len();
+        let total = report.reports.len();
         assert!(total >= 60, "only {total} sentences analysed");
         let resolved = report.count(SentenceStatus::Resolved);
         assert!(
@@ -541,10 +485,9 @@ mod tests {
         let sage = Sage::default();
         let report =
             sage.analyze_sentences("BFD", sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES);
-        assert_eq!(report.analyses.len(), 22);
+        assert_eq!(report.reports.len(), 22);
         let parsed = report
-            .analyses
-            .iter()
+            .analyses()
             .filter(|a| a.status != SentenceStatus::ZeroLf)
             .count();
         assert!(parsed >= 12, "only {parsed}/22 BFD sentences parsed");
@@ -567,15 +510,14 @@ mod tests {
     }
 
     #[test]
-    fn foreign_workspace_is_correct_just_uncached() {
-        // A workspace built from a differently-configured pipeline must not
-        // leak its lexicon or memo into the analysis.
-        let icmp_sage = Sage::new(SageConfig {
-            lexicon: LexiconChoice::Icmp,
-            ..SageConfig::default()
-        });
-        let bfd_sage = Sage::default();
-        let mut foreign_ws = icmp_sage.workspace();
+    #[should_panic(expected = "serves only the Sage that built it")]
+    fn foreign_workspace_is_refused() {
+        // A workspace's lexicon cache and parse memo belong to the pipeline
+        // that built it; another pipeline, even one configured the same,
+        // may not analyse through it.
+        let builder = Sage::default();
+        let other = Sage::default();
+        let mut foreign_ws = builder.workspace();
         let sentence = Sentence {
             text: "If bfd.RemoteDemandMode is 1, the local system must cease the periodic \
                    transmission of BFD Control packets."
@@ -583,15 +525,7 @@ mod tests {
             section: "BFD state management".into(),
             field: None,
         };
-        let ctx = ContextDict {
-            protocol: "BFD".into(),
-            message: sentence.section.clone(),
-            field: String::new(),
-            role: Default::default(),
-        };
-        let plain = bfd_sage.analyze_sentence(&sentence, ctx.clone());
-        let via_foreign = bfd_sage.analyze_sentence_in(&sentence, ctx, &mut foreign_ws);
-        assert_eq!(via_foreign, plain);
+        other.analyze_sentence_in(&sentence, ContextDict::default(), &mut foreign_ws);
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub use checks::{
 };
 pub use stats::{
     all_check_effects, all_check_effects_interned, apply_single_family,
-    apply_single_family_interned, per_check_effect, per_check_effect_interned, CheckEffect,
+    apply_single_family_interned, per_check_effect, CheckEffect,
 };
 pub use winnow::{winnow, IdWinnowTrace, WinnowStage, WinnowTrace, Winnower};

@@ -210,17 +210,8 @@ pub fn per_check_effect(stage: WinnowStage, sentences: &[Vec<Lf>]) -> CheckEffec
 
 /// Id-native counterpart of [`per_check_effect`]: the caller's arena carries
 /// the verdict memos, so repeated sub-structure across sentences is judged
-/// once.  Produces the identical statistics.
-pub fn per_check_effect_interned(
-    stage: WinnowStage,
-    sentences: &[Vec<Lf>],
-    arena: &mut LfArena,
-) -> CheckEffect {
-    per_check_effect_with(stage, sentences, arena, &IdChecks::new())
-}
-
-/// [`per_check_effect_interned`] with a caller-compiled check set, so one
-/// [`IdChecks`] serves all four families of [`all_check_effects_interned`].
+/// once, and one caller-compiled [`IdChecks`] serves all four families of
+/// [`all_check_effects_interned`].  Produces the identical statistics.
 fn per_check_effect_with(
     stage: WinnowStage,
     sentences: &[Vec<Lf>],

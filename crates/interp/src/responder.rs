@@ -388,12 +388,6 @@ impl GeneratedResponder {
             fn_index,
         }
     }
-
-    /// Select the function for an event: prefer the receiver-side function
-    /// for the matching message, falling back to the role-less one.
-    pub fn function_for(&self, event: IcmpEvent) -> Option<&Function> {
-        self.fn_index[event_kind(event)].map(|i| &self.program().functions[i])
-    }
 }
 
 impl IcmpResponder for GeneratedResponder {
@@ -834,6 +828,12 @@ mod tests {
     use sage_netsim::net::{ReferenceResponder, Router, RouterAction};
     use sage_netsim::tools::ping::{ping_once, ECHO_PAYLOAD};
 
+    /// Select the function for an event: prefer the receiver-side function
+    /// for the matching message, falling back to the role-less one.
+    fn function_for(responder: &GeneratedResponder, event: IcmpEvent) -> Option<&Function> {
+        responder.fn_index[event_kind(event)].map(|i| &responder.program().functions[i])
+    }
+
     /// A hand-assembled program equivalent to what the pipeline generates
     /// for the echo-reply sentence G (used to test the adapter in isolation;
     /// the full pipeline is exercised in `sage-core` and the integration
@@ -922,7 +922,7 @@ mod tests {
             body: vec![],
         });
         let responder = GeneratedResponder::new(program);
-        let f = responder.function_for(IcmpEvent::EchoRequest).unwrap();
+        let f = function_for(&responder, IcmpEvent::EchoRequest).unwrap();
         assert_eq!(f.role, "receiver");
     }
 

@@ -123,17 +123,6 @@ impl Lf {
         }
     }
 
-    /// Collect every predicate name appearing in the tree (with repeats).
-    pub fn predicates(&self) -> Vec<PredName> {
-        let mut out = Vec::new();
-        self.visit_preorder(&mut |n| {
-            if let Lf::Pred(p, _) = n {
-                out.push(p.clone());
-            }
-        });
-        out
-    }
-
     /// Collect every atom appearing in the tree (with repeats).
     pub fn atoms(&self) -> Vec<&str> {
         let mut out = Vec::new();
@@ -262,10 +251,6 @@ mod tests {
         let lf = Lf::if_then(
             Lf::is(Lf::atom("code"), Lf::num(0)),
             Lf::is(Lf::atom("identifier"), Lf::num(0)),
-        );
-        assert_eq!(
-            lf.predicates(),
-            vec![PredName::If, PredName::Is, PredName::Is]
         );
         assert_eq!(lf.atoms(), vec!["code", "identifier"]);
     }

@@ -28,4 +28,4 @@ pub use intern::{Interner, LfArena, LfId, LfNode, Symbol};
 pub use lf::Lf;
 pub use parse::{parse_lf, ParseError};
 pub use pred::{PredName, PredProperties};
-pub use types::{infer_atom_type, infer_type_interned, AtomType};
+pub use types::{infer_atom_type, AtomType};

@@ -152,11 +152,6 @@ impl PredName {
         Some(Symbol::from_raw(index))
     }
 
-    /// Rebuild a predicate name from an interned symbol.
-    pub fn from_symbol(sym: Symbol, interner: &Interner) -> PredName {
-        PredName::from_name(interner.resolve(sym))
-    }
-
     /// Parse a predicate name as it appears in textual LFs (without the `@`).
     pub fn from_name(name: &str) -> PredName {
         match name {
@@ -412,6 +407,11 @@ impl PredProperties {
 mod tests {
     use super::*;
 
+    /// Rebuild a predicate name from an interned symbol.
+    fn from_symbol(sym: Symbol, interner: &Interner) -> PredName {
+        PredName::from_name(interner.resolve(sym))
+    }
+
     #[test]
     fn round_trips_known_names() {
         for name in [
@@ -523,13 +523,13 @@ mod tests {
             let p = PredName::from_name(name);
             assert!(!matches!(p, PredName::Custom(_)), "{name} became Custom");
             let sym = p.intern(&mut interner);
-            assert_eq!(PredName::from_symbol(sym, &interner), p);
+            assert_eq!(from_symbol(sym, &interner), p);
         }
         assert_eq!(interner.len(), PredName::BUILTIN_NAMES.len());
         // Custom predicates intern by their preserved name.
         let custom = PredName::Custom("Frobnicate".into());
         let sym = custom.intern(&mut interner);
-        assert_eq!(PredName::from_symbol(sym, &interner), custom);
+        assert_eq!(from_symbol(sym, &interner), custom);
     }
 
     #[test]

@@ -269,12 +269,6 @@ pub fn valid_function_name(lf: &Lf) -> bool {
 // trees.  All three functions cache through the arena's per-symbol memo
 // tables: one word-list scan per *distinct* atom, ever.
 
-/// Interned counterpart of [`infer_lf_type`]: classify an arena node,
-/// memoized through the arena ([`LfArena::type_of`]).
-pub fn infer_type_interned(arena: &mut LfArena, id: LfId) -> Option<AtomType> {
-    arena.type_of(id)
-}
-
 /// Interned counterpart of [`assignable`]: fields, state variables and other
 /// noun phrases can head an `@Is`, constants cannot, and `@Of`/`@Field`
 /// references are assignable.
@@ -377,7 +371,7 @@ mod tests {
         ];
         for lf in &cases {
             let id = arena.intern_lf(lf);
-            assert_eq!(infer_type_interned(&mut arena, id), infer_lf_type(lf));
+            assert_eq!(arena.type_of(id), infer_lf_type(lf));
             assert_eq!(assignable_interned(&mut arena, id), assignable(lf), "{lf}");
             assert_eq!(
                 valid_function_name_interned(&mut arena, id),

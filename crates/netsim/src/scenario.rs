@@ -772,13 +772,6 @@ impl BfdScenario {
             ],
         }
     }
-
-    /// Override the expected state path of endpoint b (the classic
-    /// handshake is Down → Init → Up).
-    pub fn with_expected_path(mut self, path: Vec<bfd::SessionState>) -> BfdScenario {
-        self.expect_path = path;
-        self
-    }
 }
 
 /// One BFD endpoint as an event handler.  Transmission is receive-driven:
@@ -1042,14 +1035,14 @@ mod tests {
     #[test]
     fn misconfigured_bfd_discriminator_still_comes_up() {
         let factory = Responders::reference().bfd.unwrap();
-        let scenario = BfdScenario::new(
+        let mut scenario = BfdScenario::new(
             "bfd/misconfigured",
             factory.clone(),
             factory,
             (7, 999),
             (9, 7),
-        )
-        .with_expected_path(vec![bfd::SessionState::Down, bfd::SessionState::Up]);
+        );
+        scenario.expect_path = vec![bfd::SessionState::Down, bfd::SessionState::Up];
         let run = run_scenario(&scenario).unwrap();
         assert!(run.ok(), "{:?}\n{}", run.outcome, run.trace.render());
         assert_eq!(run.originated(), 4);

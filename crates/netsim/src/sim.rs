@@ -41,11 +41,6 @@ impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// A duration of `ms` milliseconds.
-    pub fn from_millis(ms: u64) -> SimTime {
-        SimTime(ms * 1_000_000)
-    }
-
     /// Saturating addition of a nanosecond delta.
     pub fn offset(self, delta_ns: u64) -> SimTime {
         SimTime(self.0.saturating_add(delta_ns))
@@ -1388,18 +1383,6 @@ impl SimBuilder {
         self
     }
 
-    /// Bind a handler to a node by name.  A scenario/topology mismatch
-    /// comes back as a [`TopologyError`] naming the nodes that do exist,
-    /// instead of a panic.
-    pub fn bind_named(
-        &mut self,
-        name: &str,
-        handler: Box<dyn Node>,
-    ) -> Result<&mut Self, TopologyError> {
-        let node = self.topology.node_named(name)?;
-        Ok(self.bind(node, handler))
-    }
-
     /// Attach a fault/delay model to a link.
     ///
     /// Indexing invariant: `link_models` is sized from the topology at
@@ -1956,6 +1939,18 @@ mod tests {
     use crate::headers::icmp;
     use crate::net::ReferenceResponder;
 
+    /// Bind a handler to a node by name.  A scenario/topology mismatch
+    /// comes back as a [`TopologyError`] naming the nodes that do exist,
+    /// instead of a panic.
+    fn bind_named<'b>(
+        sim: &'b mut SimBuilder,
+        name: &str,
+        handler: Box<dyn Node>,
+    ) -> Result<&'b mut SimBuilder, TopologyError> {
+        let node = sim.topology.node_named(name)?;
+        Ok(sim.bind(node, handler))
+    }
+
     /// A host that notes every packet it receives.
     struct Probe;
     impl Node for Probe {
@@ -1993,7 +1988,8 @@ mod tests {
         let client = topo.addr_of(topo.node_named("client").unwrap());
         let router_addr = topo.addr_of(topo.node_named("router").unwrap());
         let mut sim = SimBuilder::new(topo);
-        sim.bind_named(
+        bind_named(
+            &mut sim,
             "router",
             Box::new(RouterNode::new(
                 Router::appendix_a(),
@@ -2001,7 +1997,8 @@ mod tests {
             )),
         )
         .unwrap();
-        sim.bind_named(
+        bind_named(
+            &mut sim,
             "client",
             Box::new(Pinger {
                 src: client,
@@ -2014,7 +2011,7 @@ mod tests {
         assert_eq!(notes.len(), 1, "{}", trace.render());
         assert!(notes[0].1.contains("Reply"), "{}", trace.render());
         // Two wire trips at 1ms each.
-        assert_eq!(trace.duration(), SimTime::from_millis(2));
+        assert_eq!(trace.duration(), SimTime(2_000_000));
     }
 
     #[test]
@@ -2030,7 +2027,8 @@ mod tests {
                 Box::new(RouterNode::new(cfg, Box::new(ReferenceResponder))),
             );
         }
-        sim.bind_named(
+        bind_named(
+            &mut sim,
             "client",
             Box::new(Pinger {
                 src: client,
@@ -2038,7 +2036,7 @@ mod tests {
             }),
         )
         .unwrap();
-        sim.bind_named("server", Box::new(Probe)).unwrap();
+        bind_named(&mut sim, "server", Box::new(Probe)).unwrap();
         let trace = sim.build().run();
         let notes = trace.notes();
         assert_eq!(notes.len(), 1, "{}", trace.render());
@@ -2089,7 +2087,7 @@ mod tests {
         }
         assert!(err.to_string().contains("client"), "{err}");
         let mut sim = SimBuilder::new(topo);
-        assert!(sim.bind_named("nope", Box::new(Probe)).is_err());
+        assert!(bind_named(&mut sim, "nope", Box::new(Probe)).is_err());
     }
 
     #[test]
@@ -2429,7 +2427,8 @@ mod tests {
             let client = topo.addr_of(topo.node_named("client").unwrap());
             let router_addr = topo.addr_of(topo.node_named("router").unwrap());
             let mut sim = SimBuilder::new(topo);
-            sim.bind_named(
+            bind_named(
+                &mut sim,
                 "router",
                 Box::new(RouterNode::new(
                     Router::appendix_a(),
@@ -2437,7 +2436,8 @@ mod tests {
                 )),
             )
             .unwrap();
-            sim.bind_named(
+            bind_named(
+                &mut sim,
                 "client",
                 Box::new(Pinger {
                     src: client,
@@ -2474,8 +2474,7 @@ mod tests {
             fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: &PacketBuf) {}
         }
         let mut sim = SimBuilder::new(topo);
-        sim.bind_named("hub", Box::new(Caster { src: hub_addr }))
-            .unwrap();
+        bind_named(&mut sim, "hub", Box::new(Caster { src: hub_addr })).unwrap();
         let trace = sim.build().run();
         assert_eq!(trace.delivered_count(), 4, "{}", trace.render());
         assert_eq!(trace.originated_packets().len(), 1);

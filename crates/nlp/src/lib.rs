@@ -5,7 +5,6 @@
 //!
 //! * [`token`] — a tokenizer tailored to RFC prose (keeps `bfd.SessionState`,
 //!   `10.0.1.1/24`, `16-bit` and `=` together as single tokens);
-//! * [`sentence`] — a sentence splitter aware of RFC abbreviations;
 //! * [`dict`] — the ~400-term networking dictionary built, as in the paper,
 //!   from a networking-textbook index;
 //! * [`pos`] — a heuristic part-of-speech tagger for the closed-class words
@@ -18,11 +17,9 @@
 pub mod chunker;
 pub mod dict;
 pub mod pos;
-pub mod sentence;
 pub mod token;
 
 pub use chunker::{chunk, ChunkerConfig, Phrase, PhraseKind};
 pub use dict::TermDictionary;
 pub use pos::{tag, PosTag};
-pub use sentence::split_sentences;
 pub use token::{tokenize, Token, TokenKind};

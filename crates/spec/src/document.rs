@@ -143,9 +143,11 @@ impl Document {
     }
 }
 
+/// Split prose into sentences at every `.` and `;` (a piece that is only
+/// its terminator is dropped).  Dotted identifiers, numbers and
+/// abbreviations are cut too; the corpus analyses and their goldens are
+/// recorded over this splitting.
 fn split_prose(text: &str) -> Vec<String> {
-    // Delegates to a simple splitter equivalent to sage-nlp's; kept local so
-    // sage-spec has no dependency on sage-nlp.
     let mut out = Vec::new();
     let mut current = String::new();
     for ch in text.chars() {

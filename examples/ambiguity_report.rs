@@ -16,7 +16,7 @@ fn main() {
 
     println!(
         "analysed {} sentences from RFC {} ({})\n",
-        report.analyses.len(),
+        report.reports.len(),
         doc.rfc_number,
         doc.protocol
     );
@@ -34,7 +34,10 @@ fn main() {
     );
 
     println!("\n--- sentences needing a human rewrite (ambiguous after winnowing) ---");
-    for a in report.with_status(SentenceStatus::Ambiguous) {
+    for a in report
+        .analyses()
+        .filter(|a| a.status == SentenceStatus::Ambiguous)
+    {
         println!(
             "\n[{} | field: {}]\n  {}",
             a.sentence.section,
@@ -51,7 +54,11 @@ fn main() {
     }
 
     println!("\n--- sentences the parser could not interpret (0 LFs) ---");
-    for a in report.with_status(SentenceStatus::ZeroLf).iter().take(10) {
+    for a in report
+        .analyses()
+        .filter(|a| a.status == SentenceStatus::ZeroLf)
+        .take(10)
+    {
         println!("  [{}] {}", a.sentence.section, a.sentence.text);
     }
 

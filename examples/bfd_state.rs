@@ -16,9 +16,9 @@ fn main() {
 
     println!(
         "analysed {} BFD state-management sentences (RFC 5880 §6.8.6)\n",
-        report.analyses.len()
+        report.reports.len()
     );
-    for a in &report.analyses {
+    for a in report.analyses() {
         let marker = match a.status {
             SentenceStatus::Resolved => "resolved ",
             SentenceStatus::Ambiguous => "ambiguous",

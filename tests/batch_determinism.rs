@@ -3,8 +3,18 @@
 //! workers, and must agree with the sequential single-sentence loop.
 
 use sage_repro::core::batch::{BatchItem, BatchPipeline};
-use sage_repro::core::pipeline::{Sage, SentenceStatus};
+use sage_repro::core::pipeline::{Sage, SentenceAnalysis, SentenceStatus};
 use sage_repro::spec::corpus::Protocol;
+
+/// Each item through `Sage::analyze_sentence`, on a fresh workspace of its
+/// own: an oracle that shares no parse memo, arena or verdict with the
+/// batch's workspaces.
+fn per_sentence(sage: &Sage, items: &[BatchItem]) -> Vec<SentenceAnalysis> {
+    items
+        .iter()
+        .map(|item| sage.analyze_sentence(&item.sentence, item.context.clone()))
+        .collect()
+}
 
 #[test]
 fn icmp_batch_reports_are_byte_identical_across_worker_counts() {
@@ -28,15 +38,18 @@ fn icmp_batch_reports_are_byte_identical_across_worker_counts() {
 #[test]
 fn batch_report_agrees_with_sequential_pipeline() {
     let sage = Sage::default();
-    let doc = Protocol::Icmp.document();
-    let sequential = sage.analyze_document(&doc);
-    let batch = BatchPipeline::new(&sage).with_workers(8).run_document(&doc);
-    assert_eq!(batch.reports.len(), sequential.analyses.len());
+    let items = BatchItem::from_document(&Protocol::Icmp.document());
+    let sequential = per_sentence(&sage, &items);
+    let batch = BatchPipeline::new(&sage).with_workers(8).run(&items);
+    assert_eq!(batch.reports.len(), sequential.len());
     assert_eq!(
         batch.count(SentenceStatus::Resolved),
-        sequential.count(SentenceStatus::Resolved)
+        sequential
+            .iter()
+            .filter(|a| a.status == SentenceStatus::Resolved)
+            .count()
     );
-    assert_eq!(batch.into_pipeline_report(), sequential);
+    assert_eq!(batch.analyses().cloned().collect::<Vec<_>>(), sequential);
 }
 
 #[test]
@@ -57,21 +70,12 @@ fn mixed_four_protocol_batch_is_byte_identical_across_worker_counts() {
         .collect();
     assert_eq!(rendered[0], rendered[1], "1 vs 2 workers diverged");
     assert_eq!(rendered[0], rendered[2], "1 vs 8 workers diverged");
-    // The mixed batch agrees with the per-corpus sequential pipelines run
-    // back to back.
+    // The mixed batch agrees with every sentence analysed on its own.
     let batch = BatchPipeline::new(&sage).with_workers(4).run(&items);
-    let mut sequential = Vec::new();
-    for p in Protocol::all() {
-        let report = match p {
-            Protocol::Bfd => sage.analyze_sentences(
-                "BFD",
-                sage_repro::spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES,
-            ),
-            _ => sage.analyze_document(&p.document()),
-        };
-        sequential.extend(report.analyses);
-    }
-    assert_eq!(batch.into_pipeline_report().analyses, sequential);
+    assert_eq!(
+        batch.analyses().cloned().collect::<Vec<_>>(),
+        per_sentence(&sage, &items)
+    );
 }
 
 #[test]

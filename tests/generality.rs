@@ -12,7 +12,7 @@ fn igmp_corpus_parses_and_membership_query_interoperates() {
     // Parsing: the IGMP Appendix I text goes through the pipeline.
     let sage = Sage::new(SageConfig::default());
     let report = sage.analyze_document(&Protocol::Igmp.document());
-    assert!(report.analyses.len() >= 8);
+    assert!(report.reports.len() >= 8);
     assert!(report.count(SentenceStatus::Resolved) >= 3);
 
     // Interoperation: a host membership query gets a report back whose
@@ -45,7 +45,7 @@ fn ntp_timeout_table11_reproduces() {
 fn ntp_document_parses_and_udp_encapsulation_works() {
     let sage = Sage::default();
     let report = sage.analyze_document(&Protocol::Ntp.document());
-    assert!(report.analyses.len() >= 10);
+    assert!(report.reports.len() >= 10);
 
     use sage_repro::netsim::headers::{ntp, udp};
     let msg = ntp::build_packet(0, 1, ntp::mode::CLIENT, 2, 42);
@@ -60,25 +60,19 @@ fn bfd_state_management_parses_and_winnows() {
         "BFD",
         sage_repro::spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES,
     );
-    assert_eq!(report.analyses.len(), 22);
+    assert_eq!(report.reports.len(), 22);
     let parsed = report
-        .analyses
-        .iter()
+        .analyses()
         .filter(|a| a.status != SentenceStatus::ZeroLf)
         .count();
     assert!(parsed >= 12, "only {parsed}/22 BFD sentences parsed");
     // Long conditionals over-generate and are winnowed back down.
-    let worst = report
-        .analyses
-        .iter()
-        .map(|a| a.base_lf_count)
-        .max()
-        .unwrap();
+    let worst = report.analyses().map(|a| a.base_lf_count).max().unwrap();
     assert!(
         worst >= 4,
         "expected over-generation on long sentences, max base was {worst}"
     );
-    for a in &report.analyses {
+    for a in report.analyses() {
         if a.base_lf_count > 0 {
             assert!(
                 a.trace.counts[5] <= a.base_lf_count,

@@ -80,44 +80,37 @@ fn analysis_configurations() -> [(&'static str, SageConfig); 3] {
     ]
 }
 
-/// The corpora of [`BatchItem::mixed_corpus`], analysed in the same order
-/// through `Sage::analyze_document` / `Sage::analyze_sentences`.
-fn sequential_analyses(sage: &Sage) -> Vec<SentenceAnalysis> {
-    let mut analyses = Vec::new();
-    for protocol in Protocol::all() {
-        let report = match protocol {
-            Protocol::Bfd => sage.analyze_sentences(
-                "BFD",
-                sage_repro::spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES,
-            ),
-            _ => sage.analyze_document(&protocol.document()),
-        };
-        analyses.extend(report.analyses);
-    }
-    analyses
+/// Each item through `Sage::analyze_sentence`, on a fresh workspace of its
+/// own: an oracle that shares no parse memo, arena or verdict with the
+/// batch pipeline's workspace.
+fn per_sentence_analyses(sage: &Sage, items: &[BatchItem]) -> Vec<SentenceAnalysis> {
+    items
+        .iter()
+        .map(|item| sage.analyze_sentence(&item.sentence, item.context.clone()))
+        .collect()
 }
 
 /// One line per configuration × item of the mixed four-protocol corpus:
 /// status, LF counts, whether the subject was supplied, the Figure-5 stage
 /// counts, and FNV-1a hashes of the base LFs' and the survivors' `{:?}`
-/// renderings.  Before rendering, `analyze_document` / `analyze_sentences`
-/// must agree with the batch pipeline on every item.
+/// renderings.  Before rendering, each item analysed on its own by
+/// `Sage::analyze_sentence` must agree with the batch pipeline.
 fn analyses_snapshot() -> String {
     let items = BatchItem::mixed_corpus();
     let mut out = String::new();
     for (label, config) in analysis_configurations() {
         let sage = Sage::new(config);
         let batch = BatchPipeline::new(&sage).with_workers(1).run(&items);
-        let sequential = sequential_analyses(&sage);
+        let sequential = per_sentence_analyses(&sage, &items);
         assert_eq!(
-            sequential.len(),
+            batch.reports.len(),
             items.len(),
             "{label}: corpus sizes differ"
         );
         for ((item, report), analysis) in items.iter().zip(&batch.reports).zip(&sequential) {
             assert_eq!(
                 analysis, &report.analysis,
-                "{label}: sequential and batch analyses diverged on {:?}",
+                "{label}: per-sentence and batch analyses diverged on {:?}",
                 item.sentence.text
             );
             writeln!(

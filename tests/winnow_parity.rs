@@ -37,9 +37,9 @@ fn corpus_base_sets() -> Vec<Vec<Lf>> {
         };
         sets.extend(
             report
-                .analyses
+                .reports
                 .into_iter()
-                .map(|a| a.base_lfs)
+                .map(|r| r.analysis.base_lfs)
                 .filter(|b| !b.is_empty()),
         );
     }

@@ -79,8 +79,8 @@ fn analyze_document_end_to_end_on_one_sentence() {
         }],
     };
     let report = sage.analyze_document(&doc);
-    assert_eq!(report.analyses.len(), 1);
-    let analysis = &report.analyses[0];
+    assert_eq!(report.reports.len(), 1);
+    let analysis = &report.reports[0].analysis;
     assert_eq!(
         analysis.status,
         SentenceStatus::Resolved,
