@@ -373,6 +373,62 @@ mod tests {
         assert!(notes.iter().any(|n| n.contains("panic")));
     }
 
+    /// The generated ICMP primary of session 0's soak service.
+    fn generated_icmp(registry: &ResponderRegistry) -> Box<dyn SoakResponder> {
+        generated_soak_service(registry, SoakProtocol::Icmp, 0, ipv4::addr(10, 2, 0, 1))
+            .expect("icmp program")
+    }
+
+    #[test]
+    fn generated_execution_errors_are_charged_to_the_budget() {
+        use sage_codegen::ir::{Function, Program, Stmt};
+        // An echo receiver that calls a framework function nobody provides:
+        // it does not lower, and fails on the tree-walker on every packet.
+        let mut registry = ResponderRegistry::new();
+        registry.register(
+            "icmp",
+            Program {
+                structs: vec![],
+                functions: vec![Function {
+                    name: "icmp_echo_or_echo_reply_message_receiver".into(),
+                    role: "receiver".into(),
+                    body: vec![Stmt::Call {
+                        name: "warp_drive".into(),
+                        args: vec![],
+                    }],
+                }],
+            },
+        );
+        let server = ipv4::addr(10, 2, 0, 1);
+        let budget = DEFAULT_ERROR_BUDGET;
+        let mut contained = Contained::new(
+            "icmp",
+            generated_icmp(&registry),
+            reference_soak_service(SoakProtocol::Icmp, 0, server),
+            budget,
+        );
+        let mut served = contained_soak_service(&registry, SoakProtocol::Icmp, 0, server, budget);
+        let mut reference = reference_soak_service(SoakProtocol::Icmp, 0, server);
+        let (mut notes, mut served_notes) = (Vec::new(), Vec::new());
+        for seq in 0..5u16 {
+            let packet = echo_request(seq);
+            let want = reference.respond(&packet).expect("reference");
+            assert!(want.is_some());
+            assert_eq!(contained.respond(&packet), Ok(want.clone()), "seq {seq}");
+            assert_eq!(served.respond(&packet), Ok(want), "seq {seq}");
+            notes.extend(contained.drain_notes());
+            served_notes.extend(served.drain_notes());
+        }
+        let error = "unknown framework function warp_drive";
+        let want: Vec<String> = (1..=3)
+            .map(|n| format!("responder-error icmp {n}/3 {error}"))
+            .chain(["quarantine icmp fallback=reference".to_string()])
+            .collect();
+        assert_eq!(notes, want);
+        assert_eq!(served_notes, want);
+        assert!(contained.quarantined());
+    }
+
     #[test]
     fn quarantined_replies_match_reference_replies_exactly() {
         let mut contained = contained_canary(false, 1);
