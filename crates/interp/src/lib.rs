@@ -22,21 +22,21 @@
 //!   network as [`sage_netsim::net::IcmpResponder`]s and into the pluggable
 //!   roles of the protocol sessions in `sage_netsim::tools`;
 //!   [`ResponderRegistry`] holds one generated program per protocol,
-//!   lowered once per role at registration, dispatches to the right
-//!   adapter, and bundles them as the sessions' roles
-//!   ([`ResponderRegistry::responders`]).  Every adapter runs its
-//!   program through one shared runner that seeds and reads back the
-//!   role's state variables on either engine; adapters execute on the VM
-//!   by default and fall back to the tree-walker whenever a program is
-//!   outside the lowerable subset;
+//!   lowered once per role at registration, and bundles the adapters as
+//!   the sessions' roles ([`ResponderRegistry::responders`]).  Every
+//!   adapter runs its program through one shared runner that seeds and
+//!   reads back the role's state variables on either engine; adapters
+//!   execute on the VM by default and fall back to the tree-walker
+//!   whenever a program is outside the lowerable subset;
 //! * [`harness`] — the tri-engine differential harness: one fuzzed
 //!   exchange run on the VM, the tree-walker and the hand-written
 //!   reference, traces diffed line-for-line and failures shrunk to
 //!   minimal replayable fault schedules;
 //! * [`quarantine`] — runtime containment for generated responders in
 //!   soak campaigns: `catch_unwind` dispatch, per-responder error
-//!   budgets, and permanent quarantine with fallback to the reference
-//!   engine once a budget is exhausted.
+//!   budgets charged with panics and with the errors the served roles
+//!   report through `take_error`, and permanent quarantine with fallback
+//!   to the reference engine once a budget is exhausted.
 
 #![deny(missing_docs)]
 
@@ -56,8 +56,7 @@ pub use harness::{
 };
 pub use lower::lower_program;
 pub use quarantine::{
-    contained_soak_service, generated_soak_service, reference_soak_service, CanarySoakResponder,
-    Contained, DrainingBfdSoak, DrainingIcmpSoak, DrainingIgmpSoak, DrainingNtpSoak,
+    contained_soak_service, reference_soak_service, CanarySoakResponder, Contained,
     DEFAULT_ERROR_BUDGET,
 };
 pub use responder::{

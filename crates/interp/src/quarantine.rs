@@ -17,19 +17,10 @@ use std::mem;
 use std::panic::{self, AssertUnwindSafe};
 
 use sage_netsim::buffer::PacketBuf;
-use sage_netsim::net::ReferenceResponder;
-use sage_netsim::tools::bfd_session::ReferenceBfdEndpoint;
-use sage_netsim::tools::igmp::{ReferenceIgmpResponder, SESSION_GROUP};
-use sage_netsim::tools::ntp_exchange::{ReferenceNtpServer, SERVER_CLOCK, SERVER_STRATUM};
-use sage_netsim::tools::soak::{
-    soak_discriminators, BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder, NtpSoakResponder,
-    SoakProtocol, SoakResponder,
-};
+use sage_netsim::scenario::Responders;
+use sage_netsim::tools::soak::{soak_service, SoakProtocol, SoakResponder};
 
-use crate::responder::{
-    GeneratedBfdEndpoint, GeneratedIgmpResponder, GeneratedNtpServer, GeneratedResponder,
-    ResponderRegistry,
-};
+use crate::responder::{ExecMode, ResponderRegistry};
 
 /// The default error budget a contained responder gets before quarantine.
 pub const DEFAULT_ERROR_BUDGET: u32 = 3;
@@ -170,52 +161,6 @@ impl SoakResponder for CanarySoakResponder {
     }
 }
 
-/// Generated responders accumulate [`crate::ExecError`]s silently in their
-/// `errors` vector; this macro derives a [`SoakResponder`] wrapper that
-/// drains that vector after every dispatch and surfaces the first error as
-/// the trait's `Err`, so [`Contained`] can charge it against the budget.
-macro_rules! draining_soak {
-    ($name:ident, $adapter:ty, $doc:literal) => {
-        #[doc = $doc]
-        pub struct $name {
-            /// The wrapped protocol adapter over the generated responder.
-            pub adapter: $adapter,
-        }
-
-        impl SoakResponder for $name {
-            fn respond(&mut self, packet: &PacketBuf) -> Result<Option<PacketBuf>, String> {
-                let reply = self.adapter.respond(packet)?;
-                let errors = mem::take(&mut self.adapter.inner.errors);
-                match errors.into_iter().next() {
-                    Some(error) => Err(error.to_string()),
-                    None => Ok(reply),
-                }
-            }
-        }
-    };
-}
-
-draining_soak!(
-    DrainingIcmpSoak,
-    IcmpSoakResponder<GeneratedResponder>,
-    "Error-draining soak wrapper over the generated ICMP responder."
-);
-draining_soak!(
-    DrainingIgmpSoak,
-    IgmpSoakResponder<GeneratedIgmpResponder>,
-    "Error-draining soak wrapper over the generated IGMP responder."
-);
-draining_soak!(
-    DrainingNtpSoak,
-    NtpSoakResponder<GeneratedNtpServer>,
-    "Error-draining soak wrapper over the generated NTP server."
-);
-draining_soak!(
-    DrainingBfdSoak,
-    BfdSoakResponder<GeneratedBfdEndpoint>,
-    "Error-draining soak wrapper over the generated BFD endpoint."
-);
-
 /// The hand-written reference soak service for one session — the
 /// quarantine fallback, and the whole engine of reference-only shards.
 pub fn reference_soak_service(
@@ -223,63 +168,8 @@ pub fn reference_soak_service(
     session: u32,
     server_addr: u32,
 ) -> Box<dyn SoakResponder> {
-    let (client_discr, server_discr) = soak_discriminators(session);
-    match protocol {
-        SoakProtocol::Icmp => Box::new(IcmpSoakResponder {
-            inner: ReferenceResponder,
-        }),
-        SoakProtocol::Igmp => Box::new(IgmpSoakResponder {
-            inner: ReferenceIgmpResponder {
-                group: SESSION_GROUP,
-            },
-            host_addr: server_addr,
-            group: SESSION_GROUP,
-        }),
-        SoakProtocol::Ntp => Box::new(NtpSoakResponder {
-            inner: ReferenceNtpServer {
-                stratum: SERVER_STRATUM,
-                clock: SERVER_CLOCK,
-            },
-        }),
-        SoakProtocol::Bfd => Box::new(BfdSoakResponder {
-            inner: ReferenceBfdEndpoint::new(server_discr, client_discr),
-        }),
-    }
-}
-
-/// The generated (error-draining) soak service for one session, or `None`
-/// when the registry has no program for the protocol.
-pub fn generated_soak_service(
-    registry: &ResponderRegistry,
-    protocol: SoakProtocol,
-    session: u32,
-    server_addr: u32,
-) -> Option<Box<dyn SoakResponder>> {
-    let (client_discr, server_discr) = soak_discriminators(session);
-    Some(match protocol {
-        SoakProtocol::Icmp => Box::new(DrainingIcmpSoak {
-            adapter: IcmpSoakResponder {
-                inner: registry.icmp_responder()?,
-            },
-        }),
-        SoakProtocol::Igmp => Box::new(DrainingIgmpSoak {
-            adapter: IgmpSoakResponder {
-                inner: registry.igmp_responder(SESSION_GROUP)?,
-                host_addr: server_addr,
-                group: SESSION_GROUP,
-            },
-        }),
-        SoakProtocol::Ntp => Box::new(DrainingNtpSoak {
-            adapter: NtpSoakResponder {
-                inner: registry.ntp_server(SERVER_STRATUM, SERVER_CLOCK)?,
-            },
-        }),
-        SoakProtocol::Bfd => Box::new(DrainingBfdSoak {
-            adapter: BfdSoakResponder {
-                inner: registry.bfd_endpoint(server_discr, client_discr)?,
-            },
-        }),
-    })
+    soak_service(&Responders::reference(), protocol, session, server_addr)
+        .expect("the references fill every role")
 }
 
 /// A contained session service: the registry's generated responder as the
@@ -293,14 +183,11 @@ pub fn contained_soak_service(
     server_addr: u32,
     budget: u32,
 ) -> Box<dyn SoakResponder> {
-    match generated_soak_service(registry, protocol, session, server_addr) {
-        Some(primary) => Box::new(Contained::new(
-            protocol.name(),
-            primary,
-            reference_soak_service(protocol, session, server_addr),
-            budget,
-        )),
-        None => reference_soak_service(protocol, session, server_addr),
+    let reference = reference_soak_service(protocol, session, server_addr);
+    let roles = registry.responders(ExecMode::Vm);
+    match soak_service(&roles, protocol, session, server_addr) {
+        Some(primary) => Box::new(Contained::new(protocol.name(), primary, reference, budget)),
+        None => reference,
     }
 }
 
@@ -375,8 +262,8 @@ mod tests {
 
     /// The generated ICMP primary of session 0's soak service.
     fn generated_icmp(registry: &ResponderRegistry) -> Box<dyn SoakResponder> {
-        generated_soak_service(registry, SoakProtocol::Icmp, 0, ipv4::addr(10, 2, 0, 1))
-            .expect("icmp program")
+        let roles = registry.responders(ExecMode::Vm);
+        soak_service(&roles, SoakProtocol::Icmp, 0, ipv4::addr(10, 2, 0, 1)).expect("icmp program")
     }
 
     #[test]

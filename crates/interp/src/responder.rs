@@ -5,8 +5,10 @@
 //! [`GeneratedNtpTimeoutPolicy`] / [`GeneratedNtpServer`] (the Table 11
 //! client trigger and the server reply), [`GeneratedBfdEndpoint`] (session
 //! state management) — plus the [`ResponderRegistry`] that holds the four
-//! generated programs side by side and hands out the right adapter per
-//! protocol.
+//! generated programs side by side and bundles their adapters as the
+//! sessions' roles ([`ResponderRegistry::responders`]).  Each adapter of a
+//! served role keeps its execution errors and reports the first through
+//! the role trait's `take_error`, which soak containment charges.
 //!
 //! Every adapter is one private `Engine` runner plus its role's own step.
 //! The runner seeds the role's state variables on whichever of the two
@@ -280,6 +282,12 @@ fn reply_of(run: Result<Outcome, ExecError>, errors: &mut Vec<ExecError>) -> Opt
     }
 }
 
+/// Drain `errors`, reporting the first: a served role's
+/// [`IcmpResponder::take_error`] and its counterparts.
+fn first_error(errors: &mut Vec<ExecError>) -> Option<String> {
+    errors.drain(..).next().map(|e| e.to_string())
+}
+
 /// The engine accessors every adapter shares.
 macro_rules! engine_accessors {
     ($($adapter:ty),*) => {$(
@@ -409,6 +417,10 @@ impl IcmpResponder for GeneratedResponder {
         let run = self.engine.run(&[idx], start, &mut values);
         reply_of(run, &mut self.errors)
     }
+
+    fn take_error(&mut self) -> Option<String> {
+        first_error(&mut self.errors)
+    }
 }
 
 /// An IGMP host backed by a SAGE-generated program: answers Host Membership
@@ -452,6 +464,10 @@ impl IgmpResponderTrait for GeneratedIgmpResponder {
             .engine
             .run(&[idx], Start::message(query.clone()), &mut values);
         reply_of(run, &mut self.errors)
+    }
+
+    fn take_error(&mut self) -> Option<String> {
+        first_error(&mut self.errors)
     }
 }
 
@@ -559,6 +575,10 @@ impl NtpServer for GeneratedNtpServer {
             .run(&[idx], Start::message(request.clone()), &mut values);
         reply_of(run, &mut self.errors)
     }
+
+    fn take_error(&mut self) -> Option<String> {
+        first_error(&mut self.errors)
+    }
 }
 
 /// One side of a BFD session driven by SAGE-generated state-management code
@@ -658,11 +678,16 @@ impl BfdEndpoint for GeneratedBfdEndpoint {
             self.session.demand_mode,
         )
     }
+
+    fn take_error(&mut self) -> Option<String> {
+        first_error(&mut self.errors)
+    }
 }
 
 /// A protocol-dispatching registry of generated programs: the multi-protocol
 /// responder surface.  Register one [`Program`] per protocol (keyed by name,
-/// case-insensitive), then hand out the protocol-specific adapter.
+/// case-insensitive), then take the roles they fill as one [`Responders`]
+/// bundle.
 ///
 /// Registration lowers the program once for each role its protocol fills
 /// (ICMP, IGMP and BFD one each, NTP the timeout policy and the server);
@@ -713,48 +738,6 @@ impl ResponderRegistry {
     fn lowering(&self, role: Role) -> Option<Arc<Lowering>> {
         let entry = self.entries.get(role.protocol())?;
         entry.lowerings.iter().find(|l| l.role == role).cloned()
-    }
-
-    /// An ICMP responder over the registered ICMP program.
-    pub fn icmp_responder(&self) -> Option<GeneratedResponder> {
-        Some(GeneratedResponder::over(self.lowering(Role::Icmp)?))
-    }
-
-    /// An IGMP host (member of `group`) over the registered IGMP program.
-    pub fn igmp_responder(&self, group: u32) -> Option<GeneratedIgmpResponder> {
-        Some(GeneratedIgmpResponder::over(
-            self.lowering(Role::Igmp)?,
-            group,
-        ))
-    }
-
-    /// The Table 11 timeout policy over the registered NTP program.
-    pub fn ntp_timeout_policy(&self) -> Option<GeneratedNtpTimeoutPolicy> {
-        Some(GeneratedNtpTimeoutPolicy::over(
-            self.lowering(Role::NtpPolicy)?,
-        ))
-    }
-
-    /// An NTP server over the registered NTP program.
-    pub fn ntp_server(&self, stratum: u8, clock: u64) -> Option<GeneratedNtpServer> {
-        Some(GeneratedNtpServer::over(
-            self.lowering(Role::NtpServer)?,
-            stratum,
-            clock,
-        ))
-    }
-
-    /// A BFD endpoint over the registered BFD program.
-    pub fn bfd_endpoint(
-        &self,
-        local_discr: u32,
-        remote_discr: u32,
-    ) -> Option<GeneratedBfdEndpoint> {
-        Some(GeneratedBfdEndpoint::over(
-            self.lowering(Role::Bfd)?,
-            local_discr,
-            remote_discr,
-        ))
     }
 
     /// The session roles filled by the registered programs, every adapter
@@ -914,6 +897,57 @@ mod tests {
     }
 
     #[test]
+    fn every_served_role_reports_its_first_error_once() {
+        // One receiver per role that calls a framework function nobody
+        // provides: each does not lower, and fails on every packet.
+        let failing = |name: &str| Program {
+            structs: vec![],
+            functions: vec![Function {
+                name: name.into(),
+                role: "receiver".into(),
+                body: vec![Stmt::Call {
+                    name: "warp_drive".into(),
+                    args: vec![],
+                }],
+            }],
+        };
+        let mut reg = ResponderRegistry::new();
+        reg.register("icmp", failing("icmp_echo_or_echo_reply_message_receiver"));
+        reg.register("igmp", failing("igmp_host_membership_query_receiver"));
+        reg.register("ntp", failing("ntp_data_format_receiver"));
+        reg.register(
+            "bfd",
+            failing("bfd_reception_of_bfd_control_packets_receiver"),
+        );
+        let roles = reg.responders(ExecMode::Vm);
+        let echo = icmp::build_echo(false, 1, 1, b"abc");
+        let request = ipv4::build_packet(
+            ipv4::addr(10, 0, 1, 100),
+            ipv4::addr(10, 0, 1, 1),
+            ipv4::PROTO_ICMP,
+            64,
+            echo.as_bytes(),
+        );
+        let (mut icmp, mut igmp) = (roles.icmp.unwrap()(), roles.igmp.unwrap()());
+        let (mut ntp, mut bfd) = (roles.ntp.unwrap().1(), roles.bfd.unwrap()(1, 2));
+        for _ in 0..2 {
+            assert!(icmp.respond(IcmpEvent::EchoRequest, &request).is_none());
+            assert!(igmp.respond(&PacketBuf::new()).is_none());
+            assert!(ntp.respond(&PacketBuf::new()).is_none());
+            bfd.receive(&PacketBuf::new());
+        }
+        // Two errors each: the first is reported, the second drained.
+        let want = [
+            Some("unknown framework function warp_drive".to_string()),
+            None,
+        ];
+        assert_eq!([icmp.take_error(), icmp.take_error()], want, "icmp");
+        assert_eq!([igmp.take_error(), igmp.take_error()], want, "igmp");
+        assert_eq!([ntp.take_error(), ntp.take_error()], want, "ntp");
+        assert_eq!([bfd.take_error(), bfd.take_error()], want, "bfd");
+    }
+
+    #[test]
     fn function_selection_prefers_receiver_role() {
         let mut program = echo_reply_program();
         program.functions.push(Function {
@@ -1038,13 +1072,11 @@ mod tests {
         reg.register("bfd", bfd_reception_program());
         assert_eq!(reg.protocols(), vec!["bfd", "icmp"]);
         assert!(reg.program("Icmp").is_some());
-        assert!(reg.icmp_responder().is_some());
-        assert!(
-            reg.igmp_responder(1).is_none(),
-            "no IGMP program registered"
-        );
-        assert!(reg.ntp_server(2, 1).is_none());
-        assert!(reg.bfd_endpoint(1, 2).is_some());
+        let roles = reg.responders(ExecMode::Vm);
+        assert!(roles.icmp.is_some());
+        assert!(roles.igmp.is_none(), "no IGMP program registered");
+        assert!(roles.ntp.is_none());
+        assert!(roles.bfd.is_some());
     }
 
     #[test]
@@ -1052,25 +1084,24 @@ mod tests {
         let mut reg = ResponderRegistry::new();
         reg.register("icmp", echo_reply_program());
         reg.register("ntp", Program::default());
-        let lowering = |r: &GeneratedResponder| Arc::clone(&r.engine.lowering);
-        let first = lowering(&reg.icmp_responder().unwrap());
-        assert!(Arc::ptr_eq(
-            &first,
-            &lowering(&reg.icmp_responder().unwrap())
-        ));
+        let lowering = |reg: &ResponderRegistry| reg.lowering(Role::Icmp).unwrap();
+        let first = lowering(&reg);
+        assert!(Arc::ptr_eq(&first, &lowering(&reg)));
+        // Every adapter a bundle hands out holds that lowering, not a copy.
+        let icmp = reg.responders(ExecMode::Vm).icmp.unwrap();
+        let held = Arc::strong_count(&first);
+        let adapters = [icmp(), icmp()];
+        assert_eq!(Arc::strong_count(&first), held + adapters.len());
         // NTP's two roles share the program, each with its own lowering.
-        let policy = reg.ntp_timeout_policy().unwrap().engine.lowering;
-        let server = reg.ntp_server(2, 1).unwrap().engine.lowering;
+        let policy = reg.lowering(Role::NtpPolicy).unwrap();
+        let server = reg.lowering(Role::NtpServer).unwrap();
         assert!(Arc::ptr_eq(&policy.program, &server.program));
         assert!(!Arc::ptr_eq(&policy, &server));
 
         reg.register("ICMP", echo_reply_program());
-        let second = lowering(&reg.icmp_responder().unwrap());
+        let second = lowering(&reg);
         assert!(!Arc::ptr_eq(&first, &second), "re-registering re-lowers");
-        assert!(Arc::ptr_eq(
-            &second,
-            &lowering(&reg.icmp_responder().unwrap())
-        ));
+        assert!(Arc::ptr_eq(&second, &lowering(&reg)));
     }
 
     /// [`echo_reply_program`] plus a redirect function that writes the
@@ -1123,31 +1154,35 @@ mod tests {
             .map(|event| (event, request.clone()))
         };
         let scripts = [script(100), script(200)];
-        let answer = |r: &mut GeneratedResponder, (event, request): &(IcmpEvent, PacketBuf)| {
+        let answer = |r: &mut dyn IcmpResponder, (event, request): &(IcmpEvent, PacketBuf)| {
             r.respond(*event, request)
                 .map(|reply| reply.as_bytes().to_vec())
         };
         for mode in [ExecMode::Vm, ExecMode::TreeWalk] {
-            let responder = || reg.icmp_responder().unwrap().with_mode(mode);
-            assert_eq!(responder().engine(), mode);
+            let lowering = reg.lowering(Role::Icmp).unwrap();
+            assert_eq!(
+                GeneratedResponder::over(lowering).with_mode(mode).engine(),
+                mode
+            );
+            let responder = reg.responders(mode).icmp.unwrap();
             let alone: Vec<Vec<_>> = scripts
                 .iter()
                 .map(|script| {
                     let mut r = responder();
-                    script.iter().map(|step| answer(&mut r, step)).collect()
+                    script.iter().map(|step| answer(r.as_mut(), step)).collect()
                 })
                 .collect();
             let (mut first, mut second) = (responder(), responder());
             let (mut first_answers, mut second_answers) = (Vec::new(), Vec::new());
             for (a, b) in scripts[0].iter().zip(&scripts[1]) {
-                first_answers.push(answer(&mut first, a));
-                second_answers.push(answer(&mut second, b));
+                first_answers.push(answer(first.as_mut(), a));
+                second_answers.push(answer(second.as_mut(), b));
             }
             assert_eq!(alone, [first_answers, second_answers], "{mode:?}");
             let redirect = alone[1][1].as_ref().expect("redirect answered");
             assert_eq!(redirect[4..8], [10, 0, 1, 201], "{mode:?}");
             assert_ne!(alone[0], alone[1], "{mode:?}: the scripts must differ");
-            assert!(first.errors.is_empty() && second.errors.is_empty());
+            assert_eq!((first.take_error(), second.take_error()), (None, None));
         }
     }
 
@@ -1204,10 +1239,9 @@ mod tests {
             (ep.state(), ep.control_packet().as_bytes().to_vec())
         };
         for mode in [ExecMode::Vm, ExecMode::TreeWalk] {
-            assert_eq!(
-                reg.bfd_endpoint(1, 2).unwrap().with_mode(mode).engine(),
-                mode
-            );
+            let lowering = reg.lowering(Role::Bfd).unwrap();
+            let endpoint = GeneratedBfdEndpoint::over(lowering, 1, 2).with_mode(mode);
+            assert_eq!(endpoint.engine(), mode);
             let factory = reg.responders(mode).bfd.expect("bfd program");
             let alone = |local, remote, packets: &[_]| {
                 let mut ep = factory(local, remote);

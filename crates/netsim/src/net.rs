@@ -74,6 +74,14 @@ pub trait IcmpResponder {
     /// Build the ICMP message (not IP-encapsulated) for `event`, given the
     /// full original IP datagram that triggered it.
     fn respond(&mut self, event: IcmpEvent, original: &PacketBuf) -> Option<PacketBuf>;
+
+    /// The first execution error since the last call, if any, dropping
+    /// the rest: the channel through which a soak's containment charges
+    /// failures of generated code to its error budget.  Hand-written
+    /// roles never fail and keep the default.
+    fn take_error(&mut self) -> Option<String> {
+        None
+    }
 }
 
 /// The hand-written reference responder, used as ground truth in tests and

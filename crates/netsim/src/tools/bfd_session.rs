@@ -24,6 +24,14 @@ pub trait BfdEndpoint {
     fn receive(&mut self, packet: &PacketBuf);
     /// Build the control packet this endpoint currently transmits.
     fn control_packet(&self) -> PacketBuf;
+
+    /// The first execution error since the last call, if any, dropping
+    /// the rest: the channel through which a soak's containment charges
+    /// failures of generated code to its error budget.  Hand-written
+    /// roles never fail and keep the default.
+    fn take_error(&mut self) -> Option<String> {
+        None
+    }
 }
 
 /// The hand-written reference endpoint, used as ground truth in parity

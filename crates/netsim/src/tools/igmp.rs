@@ -21,6 +21,14 @@ pub trait IgmpResponder {
     /// Build the membership report answering `query` (a bare IGMP message),
     /// or `None` to stay silent (e.g. the packet was not a query).
     fn respond(&mut self, query: &PacketBuf) -> Option<PacketBuf>;
+
+    /// The first execution error since the last call, if any, dropping
+    /// the rest: the channel through which a soak's containment charges
+    /// failures of generated code to its error budget.  Hand-written
+    /// roles never fail and keep the default.
+    fn take_error(&mut self) -> Option<String> {
+        None
+    }
 }
 
 /// The hand-written reference host, used as ground truth in parity tests.

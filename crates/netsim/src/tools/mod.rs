@@ -29,7 +29,6 @@ pub use igmp::{IgmpResponder, ReferenceIgmpResponder};
 pub use ntp_exchange::{NtpServer, NtpTimeoutPolicy, ReferenceNtpServer, ReferenceTimeoutPolicy};
 pub use ping::{ping_once, PingOutcome};
 pub use soak::{
-    soak_pair_topology, BfdSoakResponder, IcmpSoakResponder, IgmpSoakResponder, NtpSoakResponder,
-    SoakClientNode, SoakProtocol, SoakResponder, SoakServerNode,
+    soak_pair_topology, soak_service, SoakClientNode, SoakProtocol, SoakResponder, SoakServerNode,
 };
 pub use traceroute::{traceroute, Hop, TracerouteReport};

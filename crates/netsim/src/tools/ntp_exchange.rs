@@ -48,6 +48,14 @@ pub trait NtpServer {
     /// Build the server reply to `request` (a bare NTP message), or `None`
     /// to stay silent (e.g. the request was not in client mode).
     fn respond(&mut self, request: &PacketBuf) -> Option<PacketBuf>;
+
+    /// The first execution error since the last call, if any, dropping
+    /// the rest: the channel through which a soak's containment charges
+    /// failures of generated code to its error budget.  Hand-written
+    /// roles never fail and keep the default.
+    fn take_error(&mut self) -> Option<String> {
+        None
+    }
 }
 
 /// The hand-written reference server, used as ground truth in parity tests.

@@ -9,18 +9,20 @@
 //! between sessions and the kernel's per-node ingress bounds and
 //! backpressure signal map one-to-one onto sessions.  The server side of
 //! every pair is a [`SoakResponder`] — a full-datagram-in /
-//! full-datagram-out service with a typed error channel — with generic
-//! adapters over the existing per-protocol responder traits, so the
-//! hand-written references and the SAGE-generated engines plug in
-//! unchanged.  Error containment (panic catching, error budgets,
-//! quarantine) wraps this trait one level up, in `sage-interp`.
+//! full-datagram-out service with a typed error channel — that
+//! [`soak_service`] builds over the role a [`Responders`] bundle fills,
+//! so the hand-written references and the SAGE-generated engines plug in
+//! through the same seam as the scenarios.  Error containment (panic
+//! catching, error budgets, quarantine) wraps this trait one level up, in
+//! `sage-interp`.
 
 use crate::buffer::{FieldView, PacketBuf};
 use crate::headers::{bfd, icmp, ipv4, udp};
 use crate::net::{IcmpEvent, IcmpResponder};
+use crate::scenario::Responders;
 use crate::sim::{Ctx, Node, NodeId, Topology};
 use crate::tools::bfd_session::{control_datagram, BfdEndpoint, BFD_CONTROL_PORT};
-use crate::tools::igmp::{query_packet, report_packet, IgmpResponder};
+use crate::tools::igmp::{query_packet, report_packet, IgmpResponder, SESSION_GROUP};
 use crate::tools::ntp_exchange::{reply_packet, request_packet, NtpServer};
 use crate::tools::ping::{echo_request, ECHO_PAYLOAD};
 
@@ -104,15 +106,42 @@ pub trait SoakResponder {
     }
 }
 
-/// [`SoakResponder`] over any [`IcmpResponder`] (reference or generated):
-/// unwraps the IP datagram, dispatches echo requests, re-wraps the bare
-/// ICMP reply with the request's addresses swapped.
-pub struct IcmpSoakResponder<R: IcmpResponder> {
-    /// The wrapped echo responder.
-    pub inner: R,
+/// The soak service of session `session`, answering from `server_addr`,
+/// over the role `roles` fills for `protocol` (the server's BFD endpoint
+/// takes the session's second discriminator as its own), or `None` when
+/// the bundle leaves that role empty.  Every soak service is built here:
+/// the references from [`Responders::reference`], generated code from a
+/// registry's bundle.
+pub fn soak_service(
+    roles: &Responders,
+    protocol: SoakProtocol,
+    session: u32,
+    server_addr: u32,
+) -> Option<Box<dyn SoakResponder>> {
+    Some(match protocol {
+        SoakProtocol::Icmp => Box::new(IcmpSoak(roles.icmp.as_ref()?())),
+        SoakProtocol::Igmp => Box::new(IgmpSoak {
+            host: roles.igmp.as_ref()?(),
+            addr: server_addr,
+        }),
+        SoakProtocol::Ntp => Box::new(NtpSoak(roles.ntp.as_ref()?.1())),
+        SoakProtocol::Bfd => {
+            let (client_discr, server_discr) = soak_discriminators(session);
+            Box::new(BfdSoak(roles.bfd.as_ref()?(server_discr, client_discr)))
+        }
+    })
 }
 
-impl<R: IcmpResponder> SoakResponder for IcmpSoakResponder<R> {
+/// `reply`, unless the role reported an execution error while forming it.
+fn checked(reply: Option<PacketBuf>, error: Option<String>) -> Result<Option<PacketBuf>, String> {
+    error.map_or(Ok(reply), Err)
+}
+
+/// An [`IcmpResponder`] serving echo requests: unwraps the IP datagram and
+/// re-wraps the bare ICMP reply with the request's addresses swapped.
+struct IcmpSoak(Box<dyn IcmpResponder>);
+
+impl SoakResponder for IcmpSoak {
     fn respond(&mut self, packet: &PacketBuf) -> Result<Option<PacketBuf>, String> {
         if packet.get_bits(ipv4::PROTOCOL).unwrap_or(0) as u8 != ipv4::PROTO_ICMP {
             return Ok(None);
@@ -123,75 +152,68 @@ impl<R: IcmpResponder> SoakResponder for IcmpSoakResponder<R> {
         }
         let src = ipv4::source_address(packet);
         let dst = ipv4::destination_address(packet);
-        Ok(self
-            .inner
+        let reply = self
+            .0
             .respond(IcmpEvent::EchoRequest, packet)
-            .map(|reply| ipv4::build_packet(dst, src, ipv4::PROTO_ICMP, 64, reply.as_bytes())))
+            .map(|reply| ipv4::build_packet(dst, src, ipv4::PROTO_ICMP, 64, reply.as_bytes()));
+        checked(reply, self.0.take_error())
     }
 }
 
-/// [`SoakResponder`] over any [`IgmpResponder`]: answers membership
-/// queries with a report addressed to the session's group.
-pub struct IgmpSoakResponder<R: IgmpResponder> {
-    /// The wrapped membership responder.
-    pub inner: R,
-    /// This host's own address (reports originate from it).
-    pub host_addr: u32,
-    /// The group reports are addressed to.
-    pub group: u32,
+/// An [`IgmpResponder`] answering membership queries with a report from
+/// `addr` to [`SESSION_GROUP`].
+struct IgmpSoak {
+    host: Box<dyn IgmpResponder>,
+    addr: u32,
 }
 
-impl<R: IgmpResponder> SoakResponder for IgmpSoakResponder<R> {
+impl SoakResponder for IgmpSoak {
     fn respond(&mut self, packet: &PacketBuf) -> Result<Option<PacketBuf>, String> {
         if packet.get_bits(ipv4::PROTOCOL).unwrap_or(0) as u8 != ipv4::PROTO_IGMP {
             return Ok(None);
         }
         // `IgmpResponder::respond` takes a buffer: the one copy.
         let query = PacketBuf::from_bytes(ipv4::payload(packet).to_vec());
-        Ok(self
-            .inner
+        let reply = self
+            .host
             .respond(&query)
-            .map(|msg| report_packet(self.host_addr, self.group, &msg)))
+            .map(|msg| report_packet(self.addr, SESSION_GROUP, &msg));
+        checked(reply, self.host.take_error())
     }
 }
 
-/// [`SoakResponder`] over any [`NtpServer`]: unwraps UDP port 123
-/// requests, re-wraps replies with the request's source port echoed.
-pub struct NtpSoakResponder<S: NtpServer> {
-    /// The wrapped NTP server.
-    pub inner: S,
-}
+/// An [`NtpServer`] answering UDP port 123 requests, the reply re-wrapped
+/// with the request's source port echoed.
+struct NtpSoak(Box<dyn NtpServer>);
 
-impl<S: NtpServer> SoakResponder for NtpSoakResponder<S> {
+impl SoakResponder for NtpSoak {
     fn respond(&mut self, packet: &PacketBuf) -> Result<Option<PacketBuf>, String> {
         let Some(request) = udp::receive(packet, udp::NTP_PORT) else {
             return Ok(None);
         };
-        Ok(self.inner.respond(&request.payload).map(|reply| {
+        let reply = self.0.respond(&request.payload).map(|reply| {
             reply_packet(request.dst_addr, request.src_addr, request.src_port, &reply)
-        }))
+        });
+        checked(reply, self.0.take_error())
     }
 }
 
-/// [`SoakResponder`] over any [`BfdEndpoint`]: feeds received control
-/// packets to the endpoint and answers with its current control packet.
-pub struct BfdSoakResponder<E: BfdEndpoint> {
-    /// The wrapped endpoint.
-    pub inner: E,
-}
+/// A [`BfdEndpoint`] fed every received control packet, answering with
+/// its current control packet.
+struct BfdSoak(Box<dyn BfdEndpoint>);
 
-impl<E: BfdEndpoint> SoakResponder for BfdSoakResponder<E> {
+impl SoakResponder for BfdSoak {
     fn respond(&mut self, packet: &PacketBuf) -> Result<Option<PacketBuf>, String> {
         let Some(received) = udp::receive(packet, BFD_CONTROL_PORT) else {
             return Ok(None);
         };
-        self.inner.receive(&received.payload);
-        let reply = self.inner.control_packet();
-        Ok(Some(control_datagram(
+        self.0.receive(&received.payload);
+        let reply = control_datagram(
             received.dst_addr,
             received.src_addr,
-            &reply,
-        )))
+            &self.0.control_packet(),
+        );
+        checked(Some(reply), self.0.take_error())
     }
 }
 
@@ -342,44 +364,10 @@ impl Node for SoakClientNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::ReferenceResponder;
     use crate::sim::{SimBuilder, TraceMode};
-    use crate::tools::bfd_session::ReferenceBfdEndpoint;
-    use crate::tools::igmp::{ReferenceIgmpResponder, SESSION_GROUP};
-    use crate::tools::ntp_exchange::{ReferenceNtpServer, SERVER_CLOCK, SERVER_STRATUM};
-
-    fn reference_service(
-        protocol: SoakProtocol,
-        session: u32,
-        server_addr: u32,
-    ) -> Box<dyn SoakResponder> {
-        match protocol {
-            SoakProtocol::Icmp => Box::new(IcmpSoakResponder {
-                inner: ReferenceResponder,
-            }),
-            SoakProtocol::Igmp => Box::new(IgmpSoakResponder {
-                inner: ReferenceIgmpResponder {
-                    group: SESSION_GROUP,
-                },
-                host_addr: server_addr,
-                group: SESSION_GROUP,
-            }),
-            SoakProtocol::Ntp => Box::new(NtpSoakResponder {
-                inner: ReferenceNtpServer {
-                    stratum: SERVER_STRATUM,
-                    clock: SERVER_CLOCK,
-                },
-            }),
-            SoakProtocol::Bfd => {
-                let (client_discr, server_discr) = soak_discriminators(session);
-                Box::new(BfdSoakResponder {
-                    inner: ReferenceBfdEndpoint::new(server_discr, client_discr),
-                })
-            }
-        }
-    }
 
     fn run_pairs(protocol: SoakProtocol, sessions: usize, rounds: u32) -> crate::sim::EventTrace {
+        let roles = Responders::reference();
         let topology = soak_pair_topology("soak_test", sessions, 1_000_000, None);
         let mut sim = SimBuilder::new(topology);
         sim.trace_mode(TraceMode::Summary).max_events(1_000_000);
@@ -405,7 +393,7 @@ mod tests {
             sim.bind(
                 server,
                 Box::new(SoakServerNode {
-                    service: reference_service(protocol, i as u32, server_addr),
+                    service: soak_service(&roles, protocol, i as u32, server_addr).unwrap(),
                 }),
             );
         }
@@ -431,6 +419,7 @@ mod tests {
     #[test]
     fn summary_mode_statistics_match_full_mode() {
         let summary = run_pairs(SoakProtocol::Icmp, 3, 8).summary;
+        let roles = Responders::reference();
         let topology = soak_pair_topology("soak_test", 3, 1_000_000, None);
         let mut sim = SimBuilder::new(topology);
         sim.max_events(1_000_000);
@@ -456,7 +445,8 @@ mod tests {
             sim.bind(
                 server,
                 Box::new(SoakServerNode {
-                    service: reference_service(SoakProtocol::Icmp, i as u32, server_addr),
+                    service: soak_service(&roles, SoakProtocol::Icmp, i as u32, server_addr)
+                        .unwrap(),
                 }),
             );
         }

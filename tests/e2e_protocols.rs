@@ -7,12 +7,11 @@
 
 use sage_repro::core::evaluation;
 use sage_repro::core::programs::generate_program;
-use sage_repro::interp::{generated_scenarios, ResponderRegistry};
+use sage_repro::interp::{generated_scenarios, ExecMode, ResponderRegistry};
 use sage_repro::netsim::headers::ntp;
 use sage_repro::netsim::scenario::{run_scenario, NtpScenario, ScenarioRun};
 use sage_repro::netsim::tcpdump::decode_packet;
 use sage_repro::spec::corpus::Protocol;
-use std::sync::Arc;
 
 fn registry() -> ResponderRegistry {
     let mut registry = ResponderRegistry::new();
@@ -78,7 +77,10 @@ fn generated_ntp_code_drives_the_timeout_exchange_end_to_end() {
 
     // Below the threshold — or in server mode — the generated Table 11 rule
     // must not fire: the client scenario stays quiet on the kernel too.
-    let registry = registry();
+    let (policy, server) = registry()
+        .responders(ExecMode::Vm)
+        .ntp
+        .expect("ntp program");
     for (case, peer) in [
         (
             "timer below threshold",
@@ -97,14 +99,7 @@ fn generated_ntp_code_drives_the_timeout_exchange_end_to_end() {
             },
         ),
     ] {
-        let policy_reg = registry.clone();
-        let server_reg = registry.clone();
-        let quiet = NtpScenario::quiet(
-            "ntp/generated-quiet",
-            Arc::new(move || Box::new(policy_reg.ntp_timeout_policy().expect("ntp program"))),
-            Arc::new(move || Box::new(server_reg.ntp_server(2, 0x1000).expect("ntp program"))),
-            peer,
-        );
+        let quiet = NtpScenario::quiet("ntp/generated-quiet", policy.clone(), server.clone(), peer);
         let run = run_scenario(&quiet).unwrap();
         assert!(run.ok(), "{case}: {:?}", run.outcome.failures());
         assert_eq!(run.originated(), 0, "{case}: client must stay silent");

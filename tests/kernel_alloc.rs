@@ -34,7 +34,6 @@ use sage_netsim::headers::{bfd, icmp, igmp, ipv4, ntp, udp};
 use sage_netsim::scenario::run_scenario_on;
 use sage_netsim::sim::{Ctx, Node, NodeId, SimBuilder, Topology, TraceMode};
 use sage_netsim::tools::igmp::SESSION_GROUP;
-use sage_netsim::tools::ntp_exchange::{SERVER_CLOCK, SERVER_STRATUM};
 use sage_netsim::tools::soak::{SoakClientNode, SoakProtocol};
 use sage_spec::corpus::Protocol;
 
@@ -228,20 +227,6 @@ fn handing_out_a_generated_adapter_allocates_at_most_four_times() {
     let (ntp_policy, ntp_server) = factories.ntp.expect("ntp program");
     let bfd = factories.bfd.expect("bfd program");
     let counts = [
-        ("icmp_responder", counted(|| registry.icmp_responder()).1),
-        (
-            "igmp_responder",
-            counted(|| registry.igmp_responder(SESSION_GROUP)).1,
-        ),
-        (
-            "ntp_timeout_policy",
-            counted(|| registry.ntp_timeout_policy()).1,
-        ),
-        (
-            "ntp_server",
-            counted(|| registry.ntp_server(SERVER_STRATUM, SERVER_CLOCK)).1,
-        ),
-        ("bfd_endpoint", counted(|| registry.bfd_endpoint(1, 2)).1),
         ("responders.icmp", counted(|| icmp()).1),
         ("responders.igmp", counted(|| igmp()).1),
         ("responders.ntp policy", counted(|| ntp_policy()).1),
