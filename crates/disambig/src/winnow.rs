@@ -67,13 +67,6 @@ pub struct WinnowTrace {
     pub survivors: Vec<Lf>,
 }
 
-impl WinnowTrace {
-    /// True if winnowing reached a single interpretation.
-    pub fn resolved(&self) -> bool {
-        self.survivors.len() == 1
-    }
-}
-
 /// A [`WinnowTrace`] whose survivors are still arena ids — the output of the
 /// fully id-native [`Winnower::winnow_ids`] path, materialized into boxed
 /// trees only when a caller needs them.
@@ -305,6 +298,11 @@ mod tests {
     use super::*;
     use sage_logic::parse_lf;
 
+    /// True if winnowing reached a single interpretation.
+    fn resolved(trace: &WinnowTrace) -> bool {
+        trace.survivors.len() == 1
+    }
+
     fn figure2_lfs() -> Vec<Lf> {
         vec![
             parse_lf(
@@ -328,7 +326,7 @@ mod tests {
     fn figure2_winnows_to_single_correct_lf() {
         let trace = winnow(&figure2_lfs());
         assert_eq!(trace.counts[0], 4);
-        assert!(trace.resolved(), "survivors: {:#?}", trace.survivors);
+        assert!(resolved(&trace), "survivors: {:#?}", trace.survivors);
         assert_eq!(
             trace.survivors[0],
             parse_lf("@AdvBefore(@Action('compute', 'checksum'), @Is('checksum_field', '0'))")
@@ -349,7 +347,7 @@ mod tests {
         let trace = winnow(&[lf_a, lf_b]);
         assert_eq!(trace.counts[0], 2);
         assert_eq!(trace.counts[5], 1);
-        assert!(trace.resolved());
+        assert!(resolved(&trace));
     }
 
     #[test]
@@ -357,7 +355,7 @@ mod tests {
         let good = parse_lf("@If(@Is('code', @Num(0)), @May(@Is('identifier', @Num(0))))").unwrap();
         let bad = parse_lf("@If(@May(@Is('identifier', @Num(0))), @Is('code', @Num(0)))").unwrap();
         let trace = winnow(&[good.clone(), bad]);
-        assert!(trace.resolved());
+        assert!(resolved(&trace));
         assert_eq!(trace.survivors[0], good);
     }
 
@@ -370,7 +368,7 @@ mod tests {
         )
         .unwrap();
         let trace = winnow(&[grouped.clone(), distributed]);
-        assert!(trace.resolved());
+        assert!(resolved(&trace));
         assert_eq!(trace.survivors[0], grouped);
     }
 
@@ -383,7 +381,7 @@ mod tests {
         let grouped =
             parse_lf("@Is(@And('source_address', 'destination_address'), 'reversed')").unwrap();
         let trace = winnow(&[distributed]);
-        assert!(trace.resolved());
+        assert!(resolved(&trace));
         assert_eq!(trace.survivors[0], grouped);
     }
 
@@ -409,7 +407,7 @@ mod tests {
         let trace = winnow(&[]);
         assert_eq!(trace.counts, [0; 6]);
         assert!(trace.survivors.is_empty());
-        assert!(!trace.resolved());
+        assert!(!resolved(&trace));
     }
 
     #[test]

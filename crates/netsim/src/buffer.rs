@@ -368,11 +368,6 @@ impl PacketBuf {
             .ok_or_else(|| FieldError::UnknownField(name.to_string()))
     }
 
-    /// A zero-copy read-only view over this buffer's bytes.
-    pub fn view(&self) -> FieldView<'_> {
-        FieldView::new(&self.bytes)
-    }
-
     /// Read a named field (big-endian / network byte order).
     pub fn get_field(&self, table: &[FieldSpec], name: &str) -> Result<u64, FieldError> {
         let spec = Self::find(table, name)?;
@@ -423,6 +418,11 @@ mod tests {
         FieldSpec::new("ihl", 36, 4),
         FieldSpec::new("word", 40, 32),
     ];
+
+    /// A zero-copy read-only view over `buf`'s bytes.
+    fn view(buf: &PacketBuf) -> FieldView<'_> {
+        FieldView::new(&buf.bytes)
+    }
 
     #[test]
     fn byte_aligned_fields_round_trip() {
@@ -560,7 +560,7 @@ mod tests {
         let mut buf = PacketBuf::zeroed(16);
         buf.set_field(TABLE, "version", 4).unwrap();
         buf.set_field(TABLE, "checksum", 0xBEEF).unwrap();
-        let view = buf.view();
+        let view = view(&buf);
         assert_eq!(view.get_field(TABLE, "checksum").unwrap(), 0xBEEF);
         assert_eq!(view.get_field(TABLE, "version").unwrap(), 4);
         assert_eq!(view.len(), buf.len());
