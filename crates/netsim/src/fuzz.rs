@@ -15,10 +15,10 @@
 //!   make BFD skip Down→Init→Up;
 //! * [`shrink_schedule`], a deterministic delta-debugging pass that
 //!   reduces a failing schedule to a minimal one that still fails;
-//! * the unified seed plumbing ([`seed_from_env`] / [`resolve_seed`])
-//!   shared by the campaigns and the proptest suites, so a single
-//!   `PROPTEST_SEED` pins fault schedules, property-test cases and fuzz
-//!   campaigns alike.
+//! * the unified seed plumbing ([`seed_from_env`]: `PROPTEST_SEED`, else
+//!   [`DEFAULT_SEED`]) shared by the campaigns and the proptest suites, so
+//!   a single `PROPTEST_SEED` pins fault schedules, property-test cases and
+//!   fuzz campaigns alike.
 
 use std::fmt;
 use std::sync::Arc;
@@ -53,25 +53,11 @@ pub fn parse_seed(raw: Option<&str>) -> Option<u64> {
     }
 }
 
-/// Resolve a seed from an explicit override and an environment value, in
-/// precedence order: explicit argument, then the environment string, then
-/// [`DEFAULT_SEED`].  Pure, so precedence is unit-testable without
-/// mutating the process environment.
-pub fn resolve_seed_from(explicit: Option<u64>, env: Option<&str>) -> u64 {
-    explicit.or_else(|| parse_seed(env)).unwrap_or(DEFAULT_SEED)
-}
-
-/// Resolve a seed with an optional explicit override: explicit argument
-/// wins over `PROPTEST_SEED`, which wins over [`DEFAULT_SEED`].
-pub fn resolve_seed(explicit: Option<u64>) -> u64 {
-    let env = std::env::var("PROPTEST_SEED").ok();
-    resolve_seed_from(explicit, env.as_deref())
-}
-
 /// The seed every suite shares: `PROPTEST_SEED` (decimal or `0x` hex) if
 /// set and well-formed, else [`DEFAULT_SEED`].
 pub fn seed_from_env() -> u64 {
-    resolve_seed(None)
+    let env = std::env::var("PROPTEST_SEED").ok();
+    parse_seed(env.as_deref()).unwrap_or(DEFAULT_SEED)
 }
 
 // ---------------------------------------------------------------------------
@@ -1092,10 +1078,6 @@ impl Scenario for FuzzedScenario {
         self.inner.protocol()
     }
 
-    fn topology(&self) -> Topology {
-        self.inner.topology()
-    }
-
     fn bind(&self, sim: &mut SimBuilder) -> Result<(), TopologyError> {
         self.inner.bind(sim)?;
         self.schedule.apply(sim);
@@ -1180,11 +1162,13 @@ mod tests {
     }
 
     #[test]
-    fn seed_precedence_is_explicit_then_env_then_default() {
-        assert_eq!(resolve_seed_from(Some(7), Some("0x99")), 7);
-        assert_eq!(resolve_seed_from(None, Some("0x99")), 0x99);
-        assert_eq!(resolve_seed_from(None, Some("junk")), DEFAULT_SEED);
-        assert_eq!(resolve_seed_from(None, None), DEFAULT_SEED);
+    fn seed_precedence_is_env_then_default() {
+        // `seed_from_env` on a given environment value, without touching
+        // the process environment.
+        let seed = |env| parse_seed(env).unwrap_or(DEFAULT_SEED);
+        assert_eq!(seed(Some("0x99")), 0x99);
+        assert_eq!(seed(Some("junk")), DEFAULT_SEED);
+        assert_eq!(seed(None), DEFAULT_SEED);
     }
 
     #[test]

@@ -43,9 +43,8 @@ pub use checksum::{
     checksum_omitting_field, incremental_update, ones_complement_checksum, ones_complement_sum,
 };
 pub use fuzz::{
-    check_properties, diff_traces, resolve_seed, seed_from_env, shrink_schedule, FaultAction,
-    FaultSchedule, FuzzedScenario, PropertyViolation, ScheduleEntry, SchedulePlan, ScheduledLink,
-    TraceDivergence,
+    check_properties, diff_traces, seed_from_env, shrink_schedule, FaultAction, FaultSchedule,
+    FuzzedScenario, PropertyViolation, ScheduleEntry, SchedulePlan, ScheduledLink, TraceDivergence,
 };
 pub use headers::{bfd, icmp, igmp, ipv4, ntp, udp};
 pub use net::{Interface, Router};

@@ -90,12 +90,6 @@ pub trait Scenario: Send + Sync {
     /// The protocol exercised (`icmp` / `igmp` / `ntp` / `bfd`).
     fn protocol(&self) -> &'static str;
 
-    /// The scenario's preferred topology (the sweep overrides this to run
-    /// the same scenario everywhere).
-    fn topology(&self) -> Topology {
-        Topology::appendix_a()
-    }
-
     /// Bind fresh event handlers onto the builder's topology.  A
     /// scenario/topology mismatch (missing node, too few hosts) comes back
     /// as a [`TopologyError`] diagnostic instead of a panic.
@@ -147,9 +141,11 @@ impl ScenarioRun {
     }
 }
 
-/// Run a scenario on its preferred topology.
+/// Run a scenario on the paper's Appendix-A network
+/// ([`Topology::appendix_a`]); the sweep runs it on every library topology
+/// through [`run_scenario_on`].
 pub fn run_scenario(scenario: &dyn Scenario) -> Result<ScenarioRun, TopologyError> {
-    run_scenario_on(scenario, scenario.topology())
+    run_scenario_on(scenario, Topology::appendix_a())
 }
 
 /// Run a scenario on an explicit topology.  A misconfigured pairing fails

@@ -1329,22 +1329,13 @@ impl Ord for QueuedEvent {
     }
 }
 
-/// A scheduled node/link lifecycle change, registered on the builder and
-/// fired by the kernel at its virtual time.
-#[derive(Debug, Clone, Copy)]
-enum LifecycleAction {
-    Crash(NodeId),
-    Restart(NodeId),
-    LinkDown(LinkId),
-    LinkUp(LinkId),
-}
-
 /// Builds a [`Sim`]: a topology plus per-node handlers and per-link models.
 pub struct SimBuilder {
     topology: Topology,
     handlers: Vec<Option<Box<dyn Node>>>,
     link_models: Vec<Option<Box<dyn LinkModel>>>,
-    lifecycle: Vec<(SimTime, LifecycleAction)>,
+    /// Scheduled node/link lifecycle changes, in registration order.
+    lifecycle: Vec<(SimTime, QueuedKind)>,
     watchdogs: Vec<(NodeId, u64)>,
     max_events: usize,
     queue_capacity: Option<usize>,
@@ -1432,7 +1423,7 @@ impl SimBuilder {
     /// before the crash is invalidated.  The trace records a `node-down`
     /// note at the crash instant.
     pub fn crash_at(&mut self, node: NodeId, at: SimTime) -> &mut Self {
-        self.lifecycle.push((at, LifecycleAction::Crash(node)));
+        self.lifecycle.push((at, QueuedKind::NodeCrash { node }));
         self
     }
 
@@ -1442,7 +1433,7 @@ impl SimBuilder {
     /// (state reset, pre-restart timers invalidated).  The trace records a
     /// `node-up` note.
     pub fn restart_at(&mut self, node: NodeId, at: SimTime) -> &mut Self {
-        self.lifecycle.push((at, LifecycleAction::Restart(node)));
+        self.lifecycle.push((at, QueuedKind::NodeRestart { node }));
         self
     }
 
@@ -1451,14 +1442,14 @@ impl SimBuilder {
     /// matching [`SimBuilder::link_up_at`].  The trace records a
     /// `link-down <a>-<b>` note at the link's first endpoint.
     pub fn link_down_at(&mut self, link: LinkId, at: SimTime) -> &mut Self {
-        self.lifecycle.push((at, LifecycleAction::LinkDown(link)));
+        self.lifecycle.push((at, QueuedKind::LinkDown { link }));
         self
     }
 
     /// Bring `link` back up at virtual time `at`.  The trace records a
     /// `link-up <a>-<b>` note at the link's first endpoint.
     pub fn link_up_at(&mut self, link: LinkId, at: SimTime) -> &mut Self {
-        self.lifecycle.push((at, LifecycleAction::LinkUp(link)));
+        self.lifecycle.push((at, QueuedKind::LinkUp { link }));
         self
     }
 
@@ -1493,13 +1484,7 @@ impl SimBuilder {
         // Lifecycle events enter the queue first, in registration order, so
         // simultaneous lifecycle changes fire deterministically before any
         // same-instant traffic scheduled later.
-        for (at, action) in self.lifecycle {
-            let kind = match action {
-                LifecycleAction::Crash(node) => QueuedKind::NodeCrash { node },
-                LifecycleAction::Restart(node) => QueuedKind::NodeRestart { node },
-                LifecycleAction::LinkDown(link) => QueuedKind::LinkDown { link },
-                LifecycleAction::LinkUp(link) => QueuedKind::LinkUp { link },
-            };
+        for (at, kind) in self.lifecycle {
             sim.push_event(at, kind);
         }
         for (node, budget_ns) in self.watchdogs {
