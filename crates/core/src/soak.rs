@@ -247,50 +247,44 @@ impl SoakReport {
     }
 }
 
-/// The two role bundles a campaign serves from, built once per campaign.
-struct SoakRoles {
-    /// The generated programs, on the VM.
-    generated: Responders,
-    /// The hand-written references: every quarantine fallback, and the
-    /// canaries' well-behaved half.
-    reference: Responders,
-}
-
-/// Build the session service for one server in a shard: the generated
+/// Build the session service for one server in a shard: the `generated`
 /// responder (a failing canary in canary shards) contained, with the
-/// reference as its fallback, or the reference alone when no program fills
-/// the role.
+/// `reference` as its fallback, or the reference alone when no program
+/// fills the role.
 fn shard_service(
-    roles: &SoakRoles,
+    generated: &Responders,
+    reference: &Responders,
     protocol: SoakProtocol,
     role: &str,
     session: u32,
     server_addr: u32,
 ) -> Box<dyn SoakResponder> {
     let service = |roles: &Responders| soak_service(roles, protocol, session, server_addr);
-    let reference = || service(&roles.reference).expect("the references fill every role");
+    let reference_service = || service(reference).expect("the references fill every role");
     let primary: Box<dyn SoakResponder> = match role {
         "canary" => Box::new(CanarySoakResponder::new(
-            reference(),
+            reference_service(),
             CANARY_FAIL_AFTER,
             false,
         )),
-        _ => match service(&roles.generated) {
+        _ => match service(generated) {
             Some(generated) => generated,
-            None => return reference(),
+            None => return reference_service(),
         },
     };
     Box::new(Contained::new(
         protocol.name(),
         primary,
-        reference(),
+        reference_service(),
         DEFAULT_ERROR_BUDGET,
     ))
 }
 
-/// Run one (protocol, shard) cell of the campaign grid.
+/// Run one (protocol, shard) cell of the campaign grid, serving from the
+/// campaign's `generated` and `reference` role bundles.
 fn run_soak_shard(
-    roles: &SoakRoles,
+    generated: &Responders,
+    reference: &Responders,
     config: &SoakConfig,
     protocol_index: usize,
     shard_index: usize,
@@ -344,7 +338,7 @@ fn run_soak_shard(
         builder.bind(
             server,
             Box::new(SoakServerNode {
-                service: shard_service(roles, protocol, role, i as u32, server_addr),
+                service: shard_service(generated, reference, protocol, role, i as u32, server_addr),
             }),
         );
         if role == "chaos" {
@@ -391,15 +385,14 @@ fn run_soak_shard(
 /// `config.workers` threads of the [`grid`](crate::grid) runner and merged
 /// in grid order — the report is byte-identical for any worker count.
 pub fn run_soak_campaign(config: &SoakConfig) -> SoakReport {
-    let roles = SoakRoles {
-        generated: generated_responders().responders(ExecMode::Vm),
-        reference: Responders::reference(),
-    };
+    // Both bundles are built once and shared by every shard.
+    let generated = generated_responders().responders(ExecMode::Vm);
+    let reference = Responders::reference();
     let grid: Vec<(usize, usize)> = (0..SoakProtocol::all().len())
         .flat_map(|p| (0..config.shards_per_protocol.max(1)).map(move |s| (p, s)))
         .collect();
     let shards = par_map(&grid, config.workers, |&(p, s)| {
-        run_soak_shard(&roles, config, p, s)
+        run_soak_shard(&generated, &reference, config, p, s)
     });
     SoakReport {
         seed: config.seed,

@@ -260,12 +260,6 @@ mod tests {
         assert!(notes.iter().any(|n| n.contains("panic")));
     }
 
-    /// The generated ICMP primary of session 0's soak service.
-    fn generated_icmp(registry: &ResponderRegistry) -> Box<dyn SoakResponder> {
-        let roles = registry.responders(ExecMode::Vm);
-        soak_service(&roles, SoakProtocol::Icmp, 0, ipv4::addr(10, 2, 0, 1)).expect("icmp program")
-    }
-
     #[test]
     fn generated_execution_errors_are_charged_to_the_budget() {
         use sage_codegen::ir::{Function, Program, Stmt};
@@ -288,9 +282,10 @@ mod tests {
         );
         let server = ipv4::addr(10, 2, 0, 1);
         let budget = DEFAULT_ERROR_BUDGET;
+        let roles = registry.responders(ExecMode::Vm);
         let mut contained = Contained::new(
             "icmp",
-            generated_icmp(&registry),
+            soak_service(&roles, SoakProtocol::Icmp, 0, server).expect("icmp program"),
             reference_soak_service(SoakProtocol::Icmp, 0, server),
             budget,
         );

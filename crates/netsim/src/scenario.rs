@@ -2,15 +2,17 @@
 //!
 //! One trait covers every protocol exercise: a [`Scenario`] names a
 //! protocol session, binds event handlers onto any [`Topology`], and
-//! asserts over the resulting [`EventTrace`].  The sweep binary and the
-//! test suites iterate a [`ScenarioRegistry`], so the same exercise runs
-//! unchanged on the Appendix-A network, a line, a star, a ring or a mesh.
+//! asserts over the resulting [`EventTrace`].  [`run_scenario`] runs it on
+//! the Appendix-A network; the sweep binary and the test suites iterate a
+//! [`ScenarioRegistry`] through [`run_scenario_on`], so the same exercise
+//! runs unchanged on a line, a star, a ring or a mesh too.
 //!
 //! A [`Responders`] bundle holds the pluggable role of each protocol — the
 //! hand-written references or SAGE-generated code — and is the one place
 //! that wires those roles into the happy-path registry
-//! ([`Responders::scenarios`]) and the chaos-recovery registry
-//! ([`crate::tools::chaos::chaos_scenarios`]).  Each session's packets come
+//! ([`Responders::scenarios`]), the chaos-recovery registry
+//! ([`crate::tools::chaos::chaos_scenarios`]) and the soak's services
+//! ([`crate::tools::soak::soak_service`]).  Each session's packets come
 //! from its protocol module in [`crate::tools`].
 //!
 //! # Contract
@@ -215,9 +217,10 @@ pub(crate) const DUE_PEER: ntp::PeerVariables = ntp::PeerVariables {
 };
 
 /// The pluggable role of each protocol session, as factories.  A bundle
-/// builds both the happy-path registry ([`Responders::scenarios`]) and the
-/// chaos-recovery one ([`crate::tools::chaos::chaos_scenarios`]); a `None`
-/// role registers no session for its protocol.
+/// builds the happy-path registry ([`Responders::scenarios`]), the
+/// chaos-recovery one ([`crate::tools::chaos::chaos_scenarios`]) and the
+/// soak's services ([`crate::tools::soak::soak_service`]); a `None` role
+/// registers no session for its protocol.
 #[derive(Clone, Default)]
 pub struct Responders {
     /// The first router's ICMP responder.

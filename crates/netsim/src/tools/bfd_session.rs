@@ -26,9 +26,8 @@ pub trait BfdEndpoint {
     fn control_packet(&self) -> PacketBuf;
 
     /// The first execution error since the last call, if any, dropping
-    /// the rest: the channel through which a soak's containment charges
-    /// failures of generated code to its error budget.  Hand-written
-    /// roles never fail and keep the default.
+    /// the rest; soak containment charges it to the error budget.
+    /// Hand-written roles never fail and keep the default.
     fn take_error(&mut self) -> Option<String> {
         None
     }

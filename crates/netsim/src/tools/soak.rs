@@ -111,7 +111,8 @@ pub trait SoakResponder {
 /// takes the session's second discriminator as its own), or `None` when
 /// the bundle leaves that role empty.  Every soak service is built here:
 /// the references from [`Responders::reference`], generated code from a
-/// registry's bundle.
+/// registry's bundle.  An error the role reports through its `take_error`
+/// while serving a packet comes back as `Err`, for containment to charge.
 pub fn soak_service(
     roles: &Responders,
     protocol: SoakProtocol,
@@ -130,11 +131,6 @@ pub fn soak_service(
             Box::new(BfdSoak(roles.bfd.as_ref()?(server_discr, client_discr)))
         }
     })
-}
-
-/// `reply`, unless the role reported an execution error while forming it.
-fn checked(reply: Option<PacketBuf>, error: Option<String>) -> Result<Option<PacketBuf>, String> {
-    error.map_or(Ok(reply), Err)
 }
 
 /// An [`IcmpResponder`] serving echo requests: unwraps the IP datagram and
@@ -156,7 +152,7 @@ impl SoakResponder for IcmpSoak {
             .0
             .respond(IcmpEvent::EchoRequest, packet)
             .map(|reply| ipv4::build_packet(dst, src, ipv4::PROTO_ICMP, 64, reply.as_bytes()));
-        checked(reply, self.0.take_error())
+        self.0.take_error().map_or(Ok(reply), Err)
     }
 }
 
@@ -178,7 +174,7 @@ impl SoakResponder for IgmpSoak {
             .host
             .respond(&query)
             .map(|msg| report_packet(self.addr, SESSION_GROUP, &msg));
-        checked(reply, self.host.take_error())
+        self.host.take_error().map_or(Ok(reply), Err)
     }
 }
 
@@ -194,7 +190,7 @@ impl SoakResponder for NtpSoak {
         let reply = self.0.respond(&request.payload).map(|reply| {
             reply_packet(request.dst_addr, request.src_addr, request.src_port, &reply)
         });
-        checked(reply, self.0.take_error())
+        self.0.take_error().map_or(Ok(reply), Err)
     }
 }
 
@@ -213,7 +209,7 @@ impl SoakResponder for BfdSoak {
             received.src_addr,
             &self.0.control_packet(),
         );
-        checked(Some(reply), self.0.take_error())
+        self.0.take_error().map_or(Ok(Some(reply)), Err)
     }
 }
 
