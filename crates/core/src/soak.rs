@@ -25,13 +25,15 @@
 //! `BENCH_soak.json` serialisation — is byte-identical for any worker
 //! count on any machine.
 
-use sage_interp::quarantine::{CanarySoakResponder, Contained, DEFAULT_ERROR_BUDGET};
-use sage_interp::ExecMode;
+use sage_interp::quarantine::{
+    contained_soak_service, reference_soak_service, CanarySoakResponder, Contained,
+    DEFAULT_ERROR_BUDGET,
+};
+use sage_interp::ResponderRegistry;
 use sage_netsim::fuzz::{seed_from_env, ChaosPlan, FaultSchedule, SchedulePlan};
-use sage_netsim::scenario::Responders;
 use sage_netsim::sim::{LatencyHistogram, NodeId, SimBuilder, SimTime, TraceMode};
 use sage_netsim::tools::soak::{
-    soak_pair_topology, soak_service, SoakClientNode, SoakProtocol, SoakResponder, SoakServerNode,
+    soak_pair_topology, SoakClientNode, SoakProtocol, SoakResponder, SoakServerNode,
 };
 
 use crate::fuzz::{cell_seed, generated_responders};
@@ -247,44 +249,40 @@ impl SoakReport {
     }
 }
 
-/// Build the session service for one server in a shard: the `generated`
-/// responder (a failing canary in canary shards) contained, with the
-/// `reference` as its fallback, or the reference alone when no program
-/// fills the role.
+/// Build the session service for one server in a shard.
 fn shard_service(
-    generated: &Responders,
-    reference: &Responders,
+    registry: &ResponderRegistry,
     protocol: SoakProtocol,
     role: &str,
     session: u32,
     server_addr: u32,
 ) -> Box<dyn SoakResponder> {
-    let service = |roles: &Responders| soak_service(roles, protocol, session, server_addr);
-    let reference_service = || service(reference).expect("the references fill every role");
-    let primary: Box<dyn SoakResponder> = match role {
-        "canary" => Box::new(CanarySoakResponder::new(
-            reference_service(),
+    if role == "canary" {
+        let canary = CanarySoakResponder::new(
+            reference_soak_service(protocol, session, server_addr),
             CANARY_FAIL_AFTER,
             false,
-        )),
-        _ => match service(generated) {
-            Some(generated) => generated,
-            None => return reference_service(),
-        },
-    };
-    Box::new(Contained::new(
-        protocol.name(),
-        primary,
-        reference_service(),
-        DEFAULT_ERROR_BUDGET,
-    ))
+        );
+        Box::new(Contained::new(
+            protocol.name(),
+            Box::new(canary),
+            reference_soak_service(protocol, session, server_addr),
+            DEFAULT_ERROR_BUDGET,
+        ))
+    } else {
+        contained_soak_service(
+            registry,
+            protocol,
+            session,
+            server_addr,
+            DEFAULT_ERROR_BUDGET,
+        )
+    }
 }
 
-/// Run one (protocol, shard) cell of the campaign grid, serving from the
-/// campaign's `generated` and `reference` role bundles.
+/// Run one (protocol, shard) cell of the campaign grid.
 fn run_soak_shard(
-    generated: &Responders,
-    reference: &Responders,
+    registry: &ResponderRegistry,
     config: &SoakConfig,
     protocol_index: usize,
     shard_index: usize,
@@ -338,7 +336,7 @@ fn run_soak_shard(
         builder.bind(
             server,
             Box::new(SoakServerNode {
-                service: shard_service(generated, reference, protocol, role, i as u32, server_addr),
+                service: shard_service(registry, protocol, role, i as u32, server_addr),
             }),
         );
         if role == "chaos" {
@@ -385,14 +383,12 @@ fn run_soak_shard(
 /// `config.workers` threads of the [`grid`](crate::grid) runner and merged
 /// in grid order — the report is byte-identical for any worker count.
 pub fn run_soak_campaign(config: &SoakConfig) -> SoakReport {
-    // Both bundles are built once and shared by every shard.
-    let generated = generated_responders().responders(ExecMode::Vm);
-    let reference = Responders::reference();
+    let registry = generated_responders();
     let grid: Vec<(usize, usize)> = (0..SoakProtocol::all().len())
         .flat_map(|p| (0..config.shards_per_protocol.max(1)).map(move |s| (p, s)))
         .collect();
     let shards = par_map(&grid, config.workers, |&(p, s)| {
-        run_soak_shard(&generated, &reference, config, p, s)
+        run_soak_shard(&registry, config, p, s)
     });
     SoakReport {
         seed: config.seed,
