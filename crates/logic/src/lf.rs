@@ -107,22 +107,6 @@ impl Lf {
         1 + self.args().iter().map(Lf::depth).max().unwrap_or(0)
     }
 
-    /// Post-order traversal, visiting children before parents.
-    pub fn visit_postorder<'a>(&'a self, f: &mut impl FnMut(&'a Lf)) {
-        for a in self.args() {
-            a.visit_postorder(f);
-        }
-        f(self);
-    }
-
-    /// Pre-order traversal.
-    pub fn visit_preorder<'a>(&'a self, f: &mut impl FnMut(&'a Lf)) {
-        f(self);
-        for a in self.args() {
-            a.visit_preorder(f);
-        }
-    }
-
     /// True if any node satisfies the predicate.
     pub fn contains(&self, f: &impl Fn(&Lf) -> bool) -> bool {
         if f(self) {
@@ -189,10 +173,26 @@ mod tests {
         Lf::is(Lf::atom("checksum"), Lf::num(0))
     }
 
+    /// Post-order traversal, visiting children before parents.
+    fn visit_postorder<'a>(lf: &'a Lf, f: &mut impl FnMut(&'a Lf)) {
+        for a in lf.args() {
+            visit_postorder(a, f);
+        }
+        f(lf);
+    }
+
+    /// Pre-order traversal.
+    fn visit_preorder<'a>(lf: &'a Lf, f: &mut impl FnMut(&'a Lf)) {
+        f(lf);
+        for a in lf.args() {
+            visit_preorder(a, f);
+        }
+    }
+
     /// Every atom appearing in the tree (with repeats), in preorder.
     fn atoms(lf: &Lf) -> Vec<&str> {
         let mut out = Vec::new();
-        lf.visit_preorder(&mut |n| {
+        visit_preorder(lf, &mut |n| {
             if let Lf::Atom(s) = n {
                 out.push(s.as_str());
             }
@@ -234,7 +234,7 @@ mod tests {
     fn postorder_visits_children_first() {
         let lf = checksum_zero();
         let mut order = Vec::new();
-        lf.visit_postorder(&mut |n| order.push(n.is_leaf()));
+        visit_postorder(&lf, &mut |n| order.push(n.is_leaf()));
         assert_eq!(order, vec![true, true, false]);
     }
 
@@ -242,7 +242,7 @@ mod tests {
     fn preorder_visits_root_first() {
         let lf = checksum_zero();
         let mut order = Vec::new();
-        lf.visit_preorder(&mut |n| order.push(n.is_leaf()));
+        visit_preorder(&lf, &mut |n| order.push(n.is_leaf()));
         assert_eq!(order, vec![false, true, true]);
     }
 

@@ -43,21 +43,22 @@ use crate::tools::bfd_session::BFD_CONTROL_PORT;
 pub const DEFAULT_SEED: u64 = 0x5A6E;
 
 /// Parse a seed string the way the proptest shim does: trimmed, either
-/// `0x`-prefixed hex or decimal.  `None` when absent or malformed.
-pub fn parse_seed(raw: Option<&str>) -> Option<u64> {
-    let raw = raw?.trim();
-    if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
+/// `0x`-prefixed hex or decimal; [`DEFAULT_SEED`] when absent or
+/// malformed.
+fn parse_seed(raw: Option<&str>) -> u64 {
+    let raw = raw.unwrap_or_default().trim();
+    let parsed = if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16)
     } else {
-        raw.parse::<u64>().ok()
-    }
+        raw.parse::<u64>()
+    };
+    parsed.unwrap_or(DEFAULT_SEED)
 }
 
 /// The seed every suite shares: `PROPTEST_SEED` (decimal or `0x` hex) if
 /// set and well-formed, else [`DEFAULT_SEED`].
 pub fn seed_from_env() -> u64 {
-    let env = std::env::var("PROPTEST_SEED").ok();
-    parse_seed(env.as_deref()).unwrap_or(DEFAULT_SEED)
+    parse_seed(std::env::var("PROPTEST_SEED").ok().as_deref())
 }
 
 // ---------------------------------------------------------------------------
@@ -1153,22 +1154,14 @@ mod tests {
 
     #[test]
     fn seed_parsing_accepts_hex_decimal_and_rejects_noise() {
-        assert_eq!(parse_seed(Some("0x5A6E")), Some(0x5A6E));
-        assert_eq!(parse_seed(Some("0X10")), Some(16));
-        assert_eq!(parse_seed(Some("  42  ")), Some(42));
-        assert_eq!(parse_seed(Some("banana")), None);
-        assert_eq!(parse_seed(Some("")), None);
-        assert_eq!(parse_seed(None), None);
-    }
-
-    #[test]
-    fn seed_precedence_is_env_then_default() {
-        // `seed_from_env` on a given environment value, without touching
-        // the process environment.
-        let seed = |env| parse_seed(env).unwrap_or(DEFAULT_SEED);
-        assert_eq!(seed(Some("0x99")), 0x99);
-        assert_eq!(seed(Some("junk")), DEFAULT_SEED);
-        assert_eq!(seed(None), DEFAULT_SEED);
+        // `seed_from_env` on a given `PROPTEST_SEED` value, without
+        // touching the process environment.
+        assert_eq!(parse_seed(Some("0x99")), 0x99);
+        assert_eq!(parse_seed(Some("0X10")), 16);
+        assert_eq!(parse_seed(Some("  42  ")), 42);
+        assert_eq!(parse_seed(Some("banana")), DEFAULT_SEED);
+        assert_eq!(parse_seed(Some("")), DEFAULT_SEED);
+        assert_eq!(parse_seed(None), DEFAULT_SEED);
     }
 
     #[test]

@@ -31,7 +31,7 @@ const SOAK_ROUND_TOKEN: u64 = 0x50AC;
 
 /// The BFD discriminators of soak session `session`: the client's local
 /// discriminator, then the server's.
-pub fn soak_discriminators(session: u32) -> (u32, u32) {
+fn soak_discriminators(session: u32) -> (u32, u32) {
     (session * 2 + 1, session * 2 + 2)
 }
 
