@@ -530,7 +530,8 @@ mod tests {
     fn each_harvest_keeps_what_the_reference_analysis_selects() {
         // Each builder's harvest (its pre-filtered items on one memoized
         // workspace) against its rule applied to the analysis of the whole,
-        // unfiltered corpus.
+        // unfiltered corpus, and how many of the corpus's items the rule's
+        // pre-filter lets through to be analysed.
         let sage = Sage::default();
         let bfd = sage_spec::corpus::bfd::STATE_MANAGEMENT_SENTENCES;
         let icmp_doc = Protocol::Icmp.document();
@@ -539,14 +540,18 @@ mod tests {
                 &ICMP_TYPE_CODE,
                 BatchItem::from_document(&icmp_doc),
                 sage.analyze_document(&icmp_doc),
+                (24, 67),
             ),
             (
                 &BFD_BOOKKEEPING,
                 BatchItem::from_sentences("BFD", bfd),
                 sage.analyze_sentences("BFD", bfd),
+                (22, 22),
             ),
         ];
-        let [icmp, bfd] = cases.map(|(rule, items, reference)| {
+        let [icmp, bfd] = cases.map(|(rule, items, reference, analysed)| {
+            let passed = items.iter().filter(|item| (rule.item)(item)).count();
+            assert_eq!((passed, items.len()), analysed);
             let harvested = rule.harvest(&sage, &items);
             assert_eq!(harvested, rule.select(&reference));
             harvested
