@@ -5,7 +5,7 @@
 //! `X\Y` (looks for a `Y` to its left).  Complex categories nest, e.g. the
 //! transitive-verb category `(S\NP)/NP`.
 
-use std::collections::HashMap;
+use sage_logic::IdMap;
 use std::fmt;
 
 /// Direction of the argument a complex category is looking for.
@@ -131,7 +131,7 @@ enum CatNode {
 #[derive(Debug, Clone)]
 pub struct CatArena {
     nodes: Vec<CatNode>,
-    dedup: HashMap<CatNode, u32>,
+    dedup: IdMap<CatNode, u32>,
 }
 
 impl Default for CatArena {
@@ -158,7 +158,7 @@ impl CatArena {
     pub fn new() -> CatArena {
         let mut arena = CatArena {
             nodes: Vec::new(),
-            dedup: HashMap::new(),
+            dedup: IdMap::default(),
         };
         for prim in 0..6u8 {
             arena.insert(CatNode::Prim(prim));

@@ -8,7 +8,7 @@
 
 use crate::category::{CatArena, CatId, Category};
 use crate::semantics::{SemArena, SemId, SemTerm};
-use sage_logic::{Interner, PredName, Symbol};
+use sage_logic::{IdMap, Interner, PredName, Symbol};
 use std::collections::HashMap;
 
 /// Where a lexical entry came from (base grammar vs per-protocol extension).
@@ -224,7 +224,7 @@ impl Lexicon {
 pub struct LookupCache<'lex> {
     lexicon: &'lex Lexicon,
     interner: Interner,
-    memo: HashMap<Symbol, &'lex [InternedEntry]>,
+    memo: IdMap<Symbol, &'lex [InternedEntry]>,
     hits: u64,
     misses: u64,
 }
@@ -235,7 +235,7 @@ impl<'lex> LookupCache<'lex> {
         LookupCache {
             lexicon,
             interner: Interner::new(),
-            memo: HashMap::new(),
+            memo: IdMap::default(),
             hits: 0,
             misses: 0,
         }

@@ -15,8 +15,7 @@
 //! distribution as in the paper.  Each expansion is tagged with the
 //! ambiguity class it models.
 
-use sage_logic::{Lf, LfArena, LfId, PredName};
-use std::collections::HashSet;
+use sage_logic::{IdSet, Lf, LfArena, LfId, PredName};
 
 /// Which over-generation behaviours to emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +80,7 @@ pub fn overgenerate(base: &[Lf], config: OvergenConfig) -> Vec<Lf> {
 /// winnowing stage that follows.  Output is identical to [`overgenerate`].
 pub fn overgenerate_with(base: &[Lf], config: OvergenConfig, arena: &mut LfArena) -> Vec<Lf> {
     let mut out: Vec<Lf> = Vec::new();
-    let mut seen: HashSet<LfId> = HashSet::new();
+    let mut seen: IdSet<LfId> = IdSet::default();
     for lf in base {
         if seen.insert(arena.intern_lf(lf)) {
             out.push(lf.clone());

@@ -32,9 +32,8 @@
 use crate::category::{CatArena, CatId, Slash};
 use crate::lexicon::{InternedEntry, Lexicon, LookupCache};
 use crate::semantics::{SemArena, SemId};
-use sage_logic::{Lf, LfId, PredName, Symbol};
+use sage_logic::{IdSet, Lf, LfId, PredName, Symbol};
 use sage_nlp::{chunk, tokenize, ChunkerConfig, Phrase, PhraseKind, TermDictionary};
-use std::collections::HashSet;
 
 /// An item in a chart cell: an interned category with its interned
 /// semantics.  Two items from one workspace are equal iff their boxed
@@ -116,7 +115,7 @@ pub struct ParserWorkspace<'lex> {
     /// Per-cell `(start, end)` ranges into `chart`, indexed `i * n + (j - i - 1)`.
     ranges: Vec<(u32, u32)>,
     /// Per-cell duplicate filter, cleared at each cell start.
-    seen: HashSet<Item>,
+    seen: IdSet<Item>,
     /// Reused surface buffer for multi-phrase lexicon probes.
     surface: String,
     /// Reused buffer for `' '` → `'_'` atom normalisation.
@@ -140,7 +139,7 @@ impl<'lex> ParserWorkspace<'lex> {
             sems,
             chart: Vec::new(),
             ranges: Vec::new(),
-            seen: HashSet::new(),
+            seen: IdSet::default(),
             surface: String::new(),
             atom_buf: String::new(),
             sym_z_comp,

@@ -10,8 +10,7 @@
 //! into a [`SemArena`], which does the beta reduction and the conversion to
 //! a logical form.
 
-use sage_logic::{Lf, LfArena, LfId, LfNode, PredName, Symbol};
-use std::collections::HashMap;
+use sage_logic::{IdMap, Lf, LfArena, LfId, LfNode, PredName, Symbol};
 use std::fmt;
 
 /// A semantic term: lambda calculus over logical-form fragments.
@@ -106,9 +105,9 @@ enum SemNode {
 pub struct SemArena {
     lfs: LfArena,
     nodes: Vec<SemNode>,
-    dedup: HashMap<SemNode, u32>,
-    norm_memo: HashMap<SemId, SemId>,
-    lf_memo: HashMap<SemId, Option<LfId>>,
+    dedup: IdMap<SemNode, u32>,
+    norm_memo: IdMap<SemId, SemId>,
+    lf_memo: IdMap<SemId, Option<LfId>>,
 }
 
 impl Default for SemArena {
@@ -123,9 +122,9 @@ impl SemArena {
         SemArena {
             lfs: LfArena::new(),
             nodes: Vec::new(),
-            dedup: HashMap::new(),
-            norm_memo: HashMap::new(),
-            lf_memo: HashMap::new(),
+            dedup: IdMap::default(),
+            norm_memo: IdMap::default(),
+            lf_memo: IdMap::default(),
         }
     }
 

@@ -4,11 +4,10 @@ use crate::batch::{BatchItem, BatchPipeline, BatchReport};
 use sage_ccg::overgenerate::{overgenerate_with, OvergenConfig};
 use sage_ccg::{Lexicon, ParseResult, ParserConfig, ParserWorkspace};
 use sage_disambig::{WinnowTrace, Winnower};
-use sage_logic::{Interner, Lf, LfArena, PredName, Symbol};
+use sage_logic::{IdMap, Interner, Lf, LfArena, PredName, Symbol};
 use sage_nlp::{ChunkerConfig, TermDictionary};
 use sage_spec::context::ContextDict;
 use sage_spec::document::{Document, Sentence};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which lexicon to parse with.
@@ -124,7 +123,7 @@ pub struct AnalysisWorkspace<'s> {
     arena: LfArena,
     winnower: Winnower,
     texts: Interner,
-    parse_memo: HashMap<Symbol, Arc<ParseResult>>,
+    parse_memo: IdMap<Symbol, Arc<ParseResult>>,
     parse_hits: u64,
 }
 
@@ -182,7 +181,7 @@ impl Sage {
             arena: LfArena::new(),
             winnower: Winnower::new(),
             texts: Interner::new(),
-            parse_memo: HashMap::new(),
+            parse_memo: IdMap::default(),
             parse_hits: 0,
         }
     }

@@ -94,9 +94,16 @@ pub(crate) const ICMP_TYPE_CODE: HarvestRule = HarvestRule {
 
 /// RFC 5880's bookkeeping assignments, `@Is('bfd.x', @Of('value', field))`:
 /// the "Set bfd.X to the value of Y" sentences the pipeline disambiguates
-/// on its own (§6.4).
+/// on its own (§6.4).  Both atoms of a kept form are the sentence's own
+/// lower-cased words: no lexicon entry yields either, and the corpus's
+/// items have no field to supply as a subject.  So a sentence that names
+/// no `bfd.` variable, or lacks the word "value", cannot yield a kept form
+/// and is not analysed.
 const BFD_BOOKKEEPING: HarvestRule = HarvestRule {
-    item: |_| true,
+    item: |item| {
+        let text = item.sentence.text.to_ascii_lowercase();
+        text.contains("bfd.") && text.contains("value")
+    },
     lf: |lf| {
         matches!(lf, Lf::Pred(PredName::Is, args)
             if args.len() == 2
@@ -546,7 +553,7 @@ mod tests {
                 &BFD_BOOKKEEPING,
                 BatchItem::from_sentences("BFD", bfd),
                 sage.analyze_sentences("BFD", bfd),
-                (22, 22),
+                (4, 22),
             ),
         ];
         let [icmp, bfd] = cases.map(|(rule, items, reference, analysed)| {

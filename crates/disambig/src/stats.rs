@@ -18,7 +18,7 @@ use crate::checks::{
 use crate::winnow::WinnowStage;
 use sage_logic::graph::canonical_form;
 use sage_logic::intern::{LfArena, LfId};
-use sage_logic::Lf;
+use sage_logic::{IdSet, Lf};
 use std::collections::HashSet;
 
 /// The effect of one check family applied in isolation across a corpus of
@@ -150,8 +150,8 @@ pub fn apply_single_family_interned(
                 .collect(),
         ),
         WinnowStage::Distributivity => {
-            let input: HashSet<LfId> = ids.iter().copied().collect();
-            let mut kept_set: HashSet<LfId> = HashSet::new();
+            let input: IdSet<LfId> = ids.iter().copied().collect();
+            let mut kept_set: IdSet<LfId> = IdSet::default();
             let mut kept: Vec<LfId> = Vec::new();
             for &id in ids {
                 if checks.contains_distributed(arena, id) {
@@ -221,7 +221,7 @@ fn per_check_effect_with(
     let mut removed_counts: Vec<f64> = Vec::new();
     let mut affected = 0usize;
     for base in sentences {
-        let mut seen: HashSet<LfId> = HashSet::new();
+        let mut seen: IdSet<LfId> = IdSet::default();
         let unique: Vec<LfId> = base
             .iter()
             .map(|lf| arena.intern_lf(lf))

@@ -13,7 +13,7 @@ use crate::checks::{
 };
 use sage_logic::graph::dedup_isomorphic;
 use sage_logic::intern::{LfArena, LfId};
-use sage_logic::Lf;
+use sage_logic::{IdSet, Lf};
 use std::collections::HashSet;
 
 /// The stages of the winnowing pipeline, in application order.
@@ -198,7 +198,7 @@ impl Winnower {
     /// by `tests/winnow_parity.rs` over all four RFC corpora.
     pub fn winnow_ids(&self, base: &[LfId], arena: &mut LfArena) -> IdWinnowTrace {
         // Base deduplication by id, first occurrence kept.
-        let mut seen: HashSet<LfId> = HashSet::new();
+        let mut seen: IdSet<LfId> = IdSet::default();
         let ids: Vec<LfId> = base.iter().copied().filter(|&id| seen.insert(id)).collect();
         let mut counts = [0usize; 6];
         counts[0] = ids.len();
@@ -235,8 +235,8 @@ impl Winnower {
         // containment flag means the common no-pattern case never re-walks
         // the tree.
         let mut after_distrib: Vec<LfId> = Vec::new();
-        let mut distrib_ids: HashSet<LfId> = HashSet::new();
-        let pred_ids: HashSet<LfId> = after_pred.iter().copied().collect();
+        let mut distrib_ids: IdSet<LfId> = IdSet::default();
+        let pred_ids: IdSet<LfId> = after_pred.iter().copied().collect();
         for &id in &after_pred {
             if checks.contains_distributed(arena, id) {
                 let grouped = distributed_assignment_interned(arena, id)
@@ -256,7 +256,7 @@ impl Winnower {
         counts[4] = after_distrib.len();
 
         // Associativity: one representative per canonical id.
-        let mut canon_seen: HashSet<LfId> = HashSet::new();
+        let mut canon_seen: IdSet<LfId> = IdSet::default();
         let mut survivors: Vec<LfId> = Vec::new();
         for &id in &after_distrib {
             let c = arena.canonical(id);

@@ -15,6 +15,7 @@
 //! produced them; the batch pipeline therefore gives each worker its own
 //! arena and resolves back to plain [`Lf`] values before merging results.
 
+use crate::hash::{IdMap, IdSet};
 use crate::lf::Lf;
 use crate::pred::PredName;
 use crate::types::{infer_atom_type, AtomType};
@@ -41,7 +42,9 @@ impl Symbol {
 /// Insertion-ordered string interner.
 ///
 /// Two strings are equal iff their symbols are equal — the invariant the
-/// property tests pin (`Symbol` equality ⇔ string equality).
+/// property tests pin (`Symbol` equality ⇔ string equality).  Its map keeps
+/// std's hasher, as its keys are text from outside the program; the tables
+/// keyed by what it and the arena assign use [`crate::IdHasher`].
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     map: HashMap<String, u32>,
@@ -129,10 +132,10 @@ pub enum LfNode {
 pub struct LfArena {
     interner: Interner,
     nodes: Vec<LfNode>,
-    dedup: HashMap<LfNode, u32>,
-    canonical: HashMap<LfId, LfId>,
-    atom_types: HashMap<Symbol, AtomType>,
-    atom_numbers: HashMap<Symbol, Option<i64>>,
+    dedup: IdMap<LfNode, u32>,
+    canonical: IdMap<LfId, LfId>,
+    atom_types: IdMap<Symbol, AtomType>,
+    atom_numbers: IdMap<Symbol, Option<i64>>,
     pred_masks: Vec<Option<u64>>,
     verdicts: Vec<Vec<Option<u64>>>,
     verdict_hits: u64,
@@ -157,10 +160,10 @@ impl LfArena {
         LfArena {
             interner,
             nodes: Vec::new(),
-            dedup: HashMap::new(),
-            canonical: HashMap::new(),
-            atom_types: HashMap::new(),
-            atom_numbers: HashMap::new(),
+            dedup: IdMap::default(),
+            canonical: IdMap::default(),
+            atom_types: IdMap::default(),
+            atom_numbers: IdMap::default(),
             pred_masks: Vec::new(),
             verdicts: Vec::new(),
             verdict_hits: 0,
@@ -333,7 +336,7 @@ impl LfArena {
     /// isomorphism class (the interned counterpart of
     /// [`crate::graph::dedup_isomorphic`]).
     pub fn dedup_isomorphic(&mut self, ids: &[LfId]) -> Vec<LfId> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         let mut kept = Vec::new();
         for &id in ids {
             let c = self.canonical(id);

@@ -17,6 +17,7 @@
 #![deny(missing_docs)]
 
 pub mod graph;
+pub mod hash;
 pub mod intern;
 pub mod lf;
 pub mod parse;
@@ -24,6 +25,7 @@ pub mod pred;
 pub mod types;
 
 pub use graph::{canonical_form, isomorphic};
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use intern::{Interner, LfArena, LfId, LfNode, Symbol};
 pub use lf::Lf;
 pub use parse::{parse_lf, ParseError};

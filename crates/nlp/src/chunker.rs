@@ -97,6 +97,9 @@ pub fn chunk(tokens: &[Token], dict: &TermDictionary, config: ChunkerConfig) -> 
     let mut phrases = Vec::new();
     let mut i = 0;
     let max_look = dict.max_phrase_words().max(1);
+    // Every dictionary probe is built here from the tokens' lower-cased
+    // text, so a probe allocates nothing once the buffer has grown.
+    let mut probe = String::new();
 
     while i < tokens.len() {
         // Pass 1: longest dictionary match starting at i.
@@ -107,12 +110,14 @@ pub fn chunk(tokens: &[Token], dict: &TermDictionary, config: ChunkerConfig) -> 
                 if tokens[i..j].iter().any(|t| t.kind == TokenKind::Punct) {
                     continue;
                 }
-                let candidate = tokens[i..j]
-                    .iter()
-                    .map(|t| t.text.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                if dict.contains(&candidate) {
+                probe.clear();
+                for (offset, t) in tokens[i..j].iter().enumerate() {
+                    if offset > 0 {
+                        probe.push(' ');
+                    }
+                    probe.push_str(&t.lower);
+                }
+                if dict.contains(&probe) {
                     matched = j - i;
                     break;
                 }

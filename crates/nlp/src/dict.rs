@@ -376,9 +376,15 @@ impl TermDictionary {
         }
     }
 
-    /// Membership test (case-insensitive).
+    /// Membership test (case-insensitive).  A phrase with no upper-case
+    /// byte is looked up as it is, without a lower-cased copy.
     pub fn contains(&self, phrase: &str) -> bool {
-        self.terms.contains(&phrase.trim().to_ascii_lowercase())
+        let phrase = phrase.trim();
+        if phrase.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.terms.contains(&phrase.to_ascii_lowercase())
+        } else {
+            self.terms.contains(phrase)
+        }
     }
 
     /// Number of terms.

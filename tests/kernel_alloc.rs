@@ -13,6 +13,12 @@
 //! most 3 allocations and a soak server's reply at most 4, on the
 //! contained generated service and on the reference service alike.
 //!
+//! The chunker's dictionary probes allocate nothing: after a warm-up call,
+//! chunking a sentence costs at most 3 allocations per returned phrase
+//! (the phrase's own text and lower-cased text) plus 10 (the tag and
+//! phrase vectors and the one probe buffer), however many candidate spans
+//! it looks up in the term dictionary.
+//!
 //! This file is its own test binary so that it can install a counting
 //! global allocator.  Counts are per thread, so other tests and the
 //! harness never leak into a measurement.
@@ -35,6 +41,7 @@ use sage_netsim::scenario::run_scenario_on;
 use sage_netsim::sim::{Ctx, Node, NodeId, SimBuilder, Topology, TraceMode};
 use sage_netsim::tools::igmp::SESSION_GROUP;
 use sage_netsim::tools::soak::{SoakClientNode, SoakProtocol};
+use sage_nlp::{chunk, tokenize, ChunkerConfig, TermDictionary};
 use sage_spec::corpus::Protocol;
 
 thread_local! {
@@ -371,4 +378,32 @@ fn soak_requests_and_replies_stay_within_their_allocation_budgets() {
             "{protocol}: a reference reply took {reference} allocations; the budget is 4"
         );
     }
+}
+
+#[test]
+fn chunking_allocates_per_phrase_never_per_dictionary_probe() {
+    let dict = TermDictionary::networking();
+    let config = ChunkerConfig::default();
+    let mut report = Vec::new();
+    for sentence in [
+        // Table 7's sentence and one of RFC 5880 §6.8.6: long runs of
+        // content words, so the dictionary pass probes many spans.
+        "The address of the source in an echo message will be the destination of the \
+         echo reply message.",
+        "If the Your Discriminator field is zero and the State field is not Down or \
+         AdminDown, the packet MUST be discarded.",
+    ] {
+        let tokens = tokenize(sentence);
+        let warm = chunk(&tokens, &dict, config);
+        let (phrases, allocs) = counted(|| chunk(&tokens, &dict, config));
+        assert_eq!(phrases, warm);
+        report.push((phrases.len(), allocs));
+        assert!(
+            allocs <= 3 * phrases.len() as u64 + 10,
+            "chunking {sentence:?} allocated {allocs} times for {} phrases; the \
+             budget is 3 per phrase plus 10",
+            phrases.len()
+        );
+    }
+    eprintln!("(phrases, allocations) per chunked sentence: {report:?}");
 }
