@@ -15,7 +15,8 @@
 //!
 //! The chunker's dictionary probes allocate nothing: after a warm-up call,
 //! chunking a sentence costs at most 3 allocations per returned phrase
-//! (the phrase's own text and lower-cased text) plus 10 (the tag and
+//! (the list its text is joined from, the text and its lower-cased copy)
+//! plus 10 (the tag and
 //! phrase vectors and the one probe buffer), however many candidate spans
 //! it looks up in the term dictionary.
 //!
